@@ -18,7 +18,7 @@ from .activations import (
 from .data import Dataset, gen_nested_xnor8, gen_parity4, gen_xor2, load_mnist_idx
 from .ensemble import EnsembleSpec, pair_channels, parse_spec
 from .network import ActBlock, Affine, BatchNorm, Network
-from .numerics import logit_from_logp, sigmoid, softplus
+from .numerics import sigmoid, softplus
 from .train import TrainConfig, TrainReport, fit, one_cycle_lr
 from .verify import MonteCarloEstimate, bayes_identity_check, grid_compare, mc_constants
 
@@ -27,7 +27,7 @@ __all__ = [
     "or_ail", "or_il", "parse_activation", "relu", "signed_geomean", "xnor_ail",
     "xnor_il", "Dataset", "gen_nested_xnor8", "gen_parity4", "gen_xor2",
     "load_mnist_idx", "EnsembleSpec", "pair_channels", "parse_spec", "ActBlock",
-    "Affine", "BatchNorm", "Network", "logit_from_logp", "sigmoid", "softplus",
+    "Affine", "BatchNorm", "Network", "sigmoid", "softplus",
     "TrainConfig", "TrainReport", "fit", "one_cycle_lr", "MonteCarloEstimate",
     "bayes_identity_check", "grid_compare", "mc_constants",
 ]

@@ -1,14 +1,16 @@
 """Two-input logit-space Boolean gates and baseline nonlinearities.
 
 Exact gates (``*_il``) treat their inputs as logits of independent events and
-return the logit of the combined event; they are evaluated through
-log-probabilities so they stay accurate deep into the saturated regime.
-Approximate gates (``*_ail``) are the piecewise-linear counterparts built
-from comparisons and addition only. Each function has a hand-derived
-analytical gradient; finite-difference agreement is enforced by the test
-suite rather than assumed.
+return the logit of the combined event. Approximate gates (``*_ail``) are the
+piecewise-linear counterparts built from comparisons and addition only.
 
-All functions are elementwise over floats or numpy arrays.
+Every gate is a single routine ``gate(x, y, grad=False)`` that returns its
+value, or with ``grad`` the triple (value, d/dx, d/dy), so value and partials
+come from the same intermediates. The partials are hand-derived; agreement
+with finite differences is enforced by the test suite rather than assumed.
+
+All routines are elementwise over floats or numpy arrays and broadcast their
+operands.
 """
 
 import math
@@ -16,107 +18,85 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import log1mexp, logit_from_logp, sigmoid, softplus
+from .numerics import LOGIT_CLAMP
+
+
+def _f64(x):
+    return np.asarray(x, dtype=np.float64)
+
+
+def _negated(out, grad):
+    """De Morgan dual -gate(-x, -y) from gate's output at (-x, -y).
+
+    The two negations cancel in the chain rule, so the partials keep their sign.
+    """
+    if not grad:
+        return -out
+    value, gx, gy = out
+    return -value, gx, gy
+
 
 # ---------------------------------------------------------------------------
-# Exact gates (via log-probabilities: log sigma(x) = -softplus(-x))
+# Exact gates, in log-probabilities. Each operand gives log sigma(x) and
+# log sigma(-x) from one r = log1p(exp(-|x|)). The gate builds log p of its
+# event and log q of the complement event directly from those, never as
+# log(1 - p) of a rounded p, and returns logit = log p - log q.
 # ---------------------------------------------------------------------------
 
 
-def and_il(x, y):
-    """Logit of sigma(x)*sigma(y): the joint event for independent logits."""
-    logp = -softplus(-np.asarray(x, dtype=np.float64)) - softplus(-y)
-    return logit_from_logp(logp)
+def _log_sigmoids(x):
+    """(log sigma(x), log sigma(-x)), finite for every finite x."""
+    x = _f64(x)
+    r = np.log1p(np.exp(-np.abs(x)))
+    return np.minimum(x, 0.0) - r, np.minimum(-x, 0.0) - r
 
 
-def or_il(x, y):
+def _logit(logp, logq):
+    # Clamped so a saturated gate never hands inf to the next layer.
+    return np.clip(logp - logq, -LOGIT_CLAMP, LOGIT_CLAMP)
+
+
+def and_il(x, y, grad=False):
+    """Logit of p = sigma(x)*sigma(y); d/dx = sigma(-x) / (1 - p)."""
+    lpx, lnx = _log_sigmoids(x)
+    lpy, lny = _log_sigmoids(y)
+    with np.errstate(over="ignore"):  # a sum past -1.8e308 is p = 0: -inf is right
+        logp = lpx + lpy
+        logq = np.logaddexp(lnx + lny, np.logaddexp(lpx + lny, lnx + lpy))
+    value = _logit(logp, logq)
+    if not grad:
+        return value
+    return value, np.exp(lnx - logq), np.exp(lny - logq)
+
+
+def or_il(x, y, grad=False):
     """Logit of 1 - sigma(-x)*sigma(-y); De Morgan dual of and_il, bit-exact."""
-    return -and_il(-np.asarray(x, dtype=np.float64), -np.asarray(y, dtype=np.float64))
+    return _negated(and_il(-_f64(x), -_f64(y), grad), grad)
 
 
-def xnor_il(x, y):
-    """Logit of sigma(x)sigma(y) + sigma(-x)sigma(-y) (both or neither)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    log_both = -softplus(-x) - softplus(-y)
-    log_neither = -softplus(x) - softplus(y)
-    return logit_from_logp(np.logaddexp(log_both, log_neither))
+def xnor_il(x, y, grad=False):
+    """Logit of p = sigma(x)sigma(y) + sigma(-x)sigma(-y) (both or neither).
 
-
-def and_il_grad(x, y):
-    """Partials of and_il: d/dx = sigma(-x)/(1-p) with p = sigma(x)sigma(y)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    logp = -softplus(-x) - softplus(-y)
-    log1mp = log1mexp(logp)
-    gx = np.exp(-softplus(x) - log1mp)
-    gy = np.exp(-softplus(y) - log1mp)
-    return gx, gy
-
-
-def or_il_grad(x, y):
-    """Partials of or_il; equal to the and_il partials at (-x, -y)."""
-    return and_il_grad(-np.asarray(x, dtype=np.float64), -np.asarray(y, dtype=np.float64))
-
-
-def xnor_il_grad(x, y):
-    """Partials of xnor_il: d/dx = sigma(x)sigma(-x)tanh(y/2) / (p(1-p))."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    logp = np.logaddexp(-softplus(-x) - softplus(-y), -softplus(x) - softplus(y))
-    neg_log_p1mp = -logp - log1mexp(logp)
-    gx = np.exp(-softplus(x) - softplus(-x) + neg_log_p1mp) * np.tanh(y / 2.0)
-    gy = np.exp(-softplus(y) - softplus(-y) + neg_log_p1mp) * np.tanh(x / 2.0)
-    return gx, gy
+    The complement is XOR; d/dx = sigma(x)sigma(-x)tanh(y/2) / (p(1-p)).
+    """
+    x, y = _f64(x), _f64(y)
+    lpx, lnx = _log_sigmoids(x)
+    lpy, lny = _log_sigmoids(y)
+    with np.errstate(over="ignore"):
+        logp = np.logaddexp(lpx + lpy, lnx + lny)
+        logq = np.logaddexp(lpx + lny, lnx + lpy)
+    value = _logit(logp, logq)
+    if not grad:
+        return value
+    logpq = logp + logq
+    gx = np.exp(lpx + lnx - logpq) * np.tanh(y / 2.0)
+    gy = np.exp(lpy + lny - logpq) * np.tanh(x / 2.0)
+    return value, gx, gy
 
 
 # ---------------------------------------------------------------------------
 # Approximate gates and baselines
 # ---------------------------------------------------------------------------
-
-
-def and_ail(x, y):
-    """x + y in the both-negative quadrant, min(x, y) elsewhere."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return np.where((x < 0) & (y < 0), x + y, np.minimum(x, y))
-
-
-def or_ail(x, y):
-    """x + y in the both-positive quadrant, max(x, y) elsewhere."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return np.where((x > 0) & (y > 0), x + y, np.maximum(x, y))
-
-
-def xnor_ail(x, y):
-    """sign(x*y) * min(|x|, |y|); zero when either operand is zero."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return np.sign(x) * np.sign(y) * np.minimum(np.abs(x), np.abs(y))
-
-
-def signed_geomean(x, y):
-    """sign(x*y) * sqrt(|x*y|)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return np.sign(x) * np.sign(y) * np.sqrt(np.abs(x) * np.abs(y))
-
-
-def max_pair(x, y):
-    """Elementwise max over an operand pair (MaxOut with two pieces)."""
-    return np.maximum(np.asarray(x, dtype=np.float64), y)
-
-
-def min_pair(x, y):
-    """Elementwise min over an operand pair."""
-    return np.minimum(np.asarray(x, dtype=np.float64), y)
-
-
-def relu(x):
-    """max(0, x)."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
 
 # Subgradient conventions on the measure-zero boundaries: the sum branch owns
 # its closure (quadrant edges included), and min/max ties resolve to the
@@ -124,67 +104,69 @@ def relu(x):
 # and/or duality consistent.
 
 
-def and_ail_grad(x, y):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+def and_ail(x, y, grad=False):
+    """x + y in the both-negative quadrant, min(x, y) elsewhere."""
+    x, y = _f64(x), _f64(y)
     in_sum = (x <= 0) & (y <= 0)
+    value = np.where(in_sum, x + y, np.minimum(x, y))
+    if not grad:
+        return value
     x_branch = x <= y
-    gx = np.where(in_sum, 1.0, np.where(x_branch, 1.0, 0.0))
-    gy = np.where(in_sum, 1.0, np.where(x_branch, 0.0, 1.0))
-    return gx, gy
+    return value, (in_sum | x_branch).astype(np.float64), (in_sum | ~x_branch).astype(np.float64)
 
 
-def or_ail_grad(x, y):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    in_sum = (x >= 0) & (y >= 0)
-    x_branch = x >= y
-    gx = np.where(in_sum, 1.0, np.where(x_branch, 1.0, 0.0))
-    gy = np.where(in_sum, 1.0, np.where(x_branch, 0.0, 1.0))
-    return gx, gy
+def or_ail(x, y, grad=False):
+    """x + y in the both-positive quadrant, max(x, y) elsewhere."""
+    return _negated(and_ail(-_f64(x), -_f64(y), grad), grad)
 
 
-def xnor_ail_grad(x, y):
-    # Zero operands get a (0, 0) subgradient, matching the function's odd
-    # symmetry; elsewhere the smaller-magnitude operand carries the slope.
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    dead = (x == 0) | (y == 0)
-    x_branch = np.abs(x) <= np.abs(y)
-    gx = np.where(dead, 0.0, np.where(x_branch, np.sign(y), 0.0))
-    gy = np.where(dead, 0.0, np.where(x_branch, 0.0, np.sign(x)))
-    return gx, gy
+def xnor_ail(x, y, grad=False):
+    """sign(x*y) * min(|x|, |y|); zero when either operand is zero."""
+    x, y = _f64(x), _f64(y)
+    if not grad:
+        # one expression, so numpy reuses its temporaries in place
+        return np.sign(x) * np.sign(y) * np.minimum(np.abs(x), np.abs(y))
+    sx, sy = np.sign(x), np.sign(y)
+    ax, ay = np.abs(x), np.abs(y)
+    x_branch = ax <= ay
+    # The smaller-magnitude operand carries the slope; a zero operand gets a
+    # (0, 0) subgradient, matching the odd symmetry.
+    return sx * sy * np.minimum(ax, ay), sy * (x_branch & (x != 0)), sx * ~(x_branch | (y == 0))
 
 
-def signed_geomean_grad(x, y):
-    # Diverges along the axes; pinned to (0, 0) there.
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    dead = (x == 0) | (y == 0)
-    ax = np.where(dead, 1.0, np.abs(x))
-    ay = np.where(dead, 1.0, np.abs(y))
-    gx = np.where(dead, 0.0, 0.5 * np.sign(y) * np.sqrt(ay / ax))
-    gy = np.where(dead, 0.0, 0.5 * np.sign(x) * np.sqrt(ax / ay))
-    return gx, gy
+def signed_geomean(x, y, grad=False):
+    """sign(x*y) * sqrt(|x*y|); partials pinned to (0, 0) on the axes."""
+    x, y = _f64(x), _f64(y)
+    value = np.sign(x) * np.sign(y) * np.sqrt(np.abs(x) * np.abs(y))
+    if not grad:
+        return value
+    # d/dx = value / (2x), which diverges along the axes; value is 0 there,
+    # so a unit denominator pins the partial to 0.
+    return value, 0.5 * value / np.where(x == 0, 1.0, x), 0.5 * value / np.where(y == 0, 1.0, y)
 
 
-def max_pair_grad(x, y):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    gx = np.where(x >= y, 1.0, 0.0)
-    return gx, 1.0 - gx
+def min_pair(x, y, grad=False):
+    """Elementwise min over an operand pair."""
+    x, y = _f64(x), _f64(y)
+    value = np.minimum(x, y)
+    if not grad:
+        return value
+    gx = (x <= y).astype(np.float64)
+    return value, gx, 1.0 - gx
 
 
-def min_pair_grad(x, y):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    gx = np.where(x <= y, 1.0, 0.0)
-    return gx, 1.0 - gx
+def max_pair(x, y, grad=False):
+    """Elementwise max over an operand pair (MaxOut with two pieces)."""
+    return _negated(min_pair(-_f64(x), -_f64(y), grad), grad)
 
 
-def relu_grad(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0, 1.0, 0.0)
+def relu(x, grad=False):
+    """max(0, x); with grad, (value, d/dx)."""
+    x = _f64(x)
+    value = np.maximum(x, 0.0)
+    if not grad:
+        return value
+    return value, (x > 0).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +194,7 @@ RAW_2D_KINDS = ("signed_geomean", "max", "min")
 RAW_1D_KINDS = ("relu",)
 ALL_KINDS = GATE_KINDS + RAW_2D_KINDS + RAW_1D_KINDS
 
-_VALUE = {
+_GATES = {
     ("and", "il"): and_il,
     ("or", "il"): or_il,
     ("xnor", "il"): xnor_il,
@@ -222,18 +204,7 @@ _VALUE = {
     ("signed_geomean", "raw"): signed_geomean,
     ("max", "raw"): max_pair,
     ("min", "raw"): min_pair,
-}
-
-_GRAD = {
-    ("and", "il"): and_il_grad,
-    ("or", "il"): or_il_grad,
-    ("xnor", "il"): xnor_il_grad,
-    ("and", "ail"): and_ail_grad,
-    ("or", "ail"): or_ail_grad,
-    ("xnor", "ail"): xnor_ail_grad,
-    ("signed_geomean", "raw"): signed_geomean_grad,
-    ("max", "raw"): max_pair_grad,
-    ("min", "raw"): min_pair_grad,
+    ("relu", "raw"): relu,
 }
 
 
@@ -292,31 +263,34 @@ def parse_activation(name: str) -> Activation:
     raise ValueError(f"cannot parse activation name {name!r}")
 
 
-def apply(act: Activation, x, y=None):
-    """Evaluate the activation; 2-input kinds require both operands."""
+def evaluate(act: Activation, x, y=None, grad: bool = False):
+    """The activation's value, or with ``grad`` (value, d/dx, d/dy).
+
+    1-input kinds take x alone and give (value, d/dx) with ``grad``.
+    """
+    gate = _GATES[(act.kind, act.family)]
     if act.arity == 1:
         if y is not None:
             raise ValueError(f"{act.name} maps one input; got two operands")
-        return relu(x)
+        return gate(x, grad=grad)
     if y is None:
         raise ValueError(f"{act.name} maps an operand pair; y is missing")
-    value = _VALUE[(act.kind, act.family)](x, y)
-    if act.normalized:
-        mean, std = NORMALIZATION_TABLE[(act.kind, act.family)]
-        return (value - mean) / std
-    return value
+    out = gate(x, y, grad)
+    if not act.normalized:
+        return out
+    mean, std = NORMALIZATION_TABLE[(act.kind, act.family)]
+    if not grad:
+        return (out - mean) / std
+    value, gx, gy = out
+    return (value - mean) / std, gx / std, gy / std
+
+
+def apply(act: Activation, x, y=None):
+    """Evaluate the activation; 2-input kinds require both operands."""
+    return evaluate(act, x, y)
 
 
 def gradient(act: Activation, x, y=None):
     """Analytical partials (d/dx, d/dy), or d/dx alone for 1-input kinds."""
-    if act.arity == 1:
-        if y is not None:
-            raise ValueError(f"{act.name} maps one input; got two operands")
-        return relu_grad(x)
-    if y is None:
-        raise ValueError(f"{act.name} maps an operand pair; y is missing")
-    gx, gy = _GRAD[(act.kind, act.family)](x, y)
-    if act.normalized:
-        _, std = NORMALIZATION_TABLE[(act.kind, act.family)]
-        return gx / std, gy / std
-    return gx, gy
+    partials = evaluate(act, x, y, grad=True)[1:]
+    return partials if act.arity == 2 else partials[0]

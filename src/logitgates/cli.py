@@ -26,23 +26,15 @@ def write_pgm(path, values: np.ndarray):
 def _cmd_grid(args) -> int:
     try:
         report = verify.grid_compare(args.kind, args.range, args.step,
-                                     csv_path=args.out)
+                                     csv_path=args.out, keep_surfaces=bool(args.pgm))
     except OSError as exc:
         print(f"grid: cannot write output: {exc}", file=sys.stderr)
         return 1
     if args.pgm:
-        from . import activations as A
-
-        axes = -args.range + args.step * np.arange(int(round(2 * args.range / args.step)) + 1)
-        x, y = np.meshgrid(axes, axes, indexing="ij")
-        exact_fn = {"and": A.and_il, "or": A.or_il, "xnor": A.xnor_il}[args.kind]
-        approx_fn = {"and": A.and_ail, "or": A.or_ail, "xnor": A.xnor_ail}[args.kind]
-        if args.family == "il":
-            surface = exact_fn(x, y)
-        elif args.family == "ail":
-            surface = approx_fn(x, y)
+        if args.family == "both":
+            surface = report.approx - report.exact
         else:
-            surface = approx_fn(x, y) - exact_fn(x, y)
+            surface = report.exact if args.family == "il" else report.approx
         try:
             write_pgm(args.pgm, surface)
         except OSError as exc:

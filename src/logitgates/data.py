@@ -5,7 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import sigmoid, xnor_ail, xnor_il
+from .activations import xnor_ail, xnor_il
+from .numerics import sigmoid
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801

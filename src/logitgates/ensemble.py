@@ -121,44 +121,52 @@ def _act_pair_slices(spec: EnsembleSpec, n_c: int) -> list[slice]:
     return [slice(j * per_block, (j + 1) * per_block) for j in range(spec.m)]
 
 
-def forward(spec: EnsembleSpec, z: np.ndarray) -> np.ndarray:
-    """Apply the ensemble to a (batch, n_c) pre-activation matrix."""
+def _join(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def forward(spec: EnsembleSpec, z: np.ndarray, training: bool = False):
+    """Apply the ensemble to a (batch, n_c) pre-activation matrix.
+
+    With ``training``, returns (output, partials) instead: partials holds
+    d output / d x and d output / d y, each shaped like the output, for the
+    operand pair behind every output column (d output / d z and None for an
+    elementwise block). ``backward`` needs nothing else.
+    """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("expected a (batch, channels) matrix")
     n_c = z.shape[1]
-    n_out = spec.out_channels(n_c)
+    spec.out_channels(n_c)  # validates the width
     if spec.elementwise:
-        return A.relu(z)
+        out = A.evaluate(spec.acts[0], z, grad=training)
+        return (out[0], (out[1], None)) if training else out
     x, y = z[:, 0::2], z[:, 1::2]
-    out = np.empty((z.shape[0], n_out), dtype=np.float64)
-    col = 0
-    for act, sl in zip(spec.acts, _act_pair_slices(spec, n_c)):
-        width = sl.stop - sl.start
-        out[:, col:col + width] = A.apply(act, x[:, sl], y[:, sl])
-        col += width
-    return out
+    results = [A.evaluate(act, x[:, sl], y[:, sl], grad=training)
+               for act, sl in zip(spec.acts, _act_pair_slices(spec, n_c))]
+    if not training:
+        return _join(results)
+    values, gxs, gys = zip(*results)
+    return _join(values), (_join(gxs), _join(gys))
 
 
-def backward(spec: EnsembleSpec, z: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Chain upstream gradients back to the operand channels of z."""
-    z = np.asarray(z, dtype=np.float64)
+def backward(spec: EnsembleSpec, partials, upstream: np.ndarray) -> np.ndarray:
+    """Chain upstream gradients back to the operand channels.
+
+    ``partials`` is what forward(..., training=True) returned with the output.
+    """
     upstream = np.asarray(upstream, dtype=np.float64)
-    n_c = z.shape[1]
-    expected = (z.shape[0], spec.out_channels(n_c))
-    if upstream.shape != expected:
-        raise ValueError(f"upstream shape {upstream.shape} != forward output {expected}")
+    gx, gy = partials
+    if upstream.shape != gx.shape:
+        raise ValueError(f"upstream shape {upstream.shape} != forward output {gx.shape}")
     if spec.elementwise:
-        return upstream * A.relu_grad(z)
-    x, y = z[:, 0::2], z[:, 1::2]
-    dz = np.zeros_like(z)
-    dx, dy = dz[:, 0::2], dz[:, 1::2]
-    col = 0
-    for act, sl in zip(spec.acts, _act_pair_slices(spec, n_c)):
-        width = sl.stop - sl.start
-        up = upstream[:, col:col + width]
-        gx, gy = A.gradient(act, x[:, sl], y[:, sl])
-        dx[:, sl] += gx * up
-        dy[:, sl] += gy * up
-        col += width
+        return upstream * gx
+    dx, dy = gx * upstream, gy * upstream
+    if spec.strategy == "duplication" and spec.m > 1:
+        # Every act saw the whole pair list: sum the acts' shares per pair.
+        dx = dx.reshape(dx.shape[0], spec.m, -1).sum(axis=1)
+        dy = dy.reshape(dy.shape[0], spec.m, -1).sum(axis=1)
+    dz = np.empty((dx.shape[0], 2 * dx.shape[1]))
+    dz[:, 0::2] = dx
+    dz[:, 1::2] = dy
     return dz

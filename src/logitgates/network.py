@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ensemble, tensor
+from . import ensemble
 from .ensemble import EnsembleSpec, parse_spec
 
 _MAGIC = b"LGNET1"
@@ -50,12 +50,12 @@ class _AffineLayer:
 
     def forward(self, x, training):
         self._x = x if training else None
-        return tensor.row_broadcast_add(tensor.matmul(x, self.weight), self.bias)
+        return x @ self.weight + self.bias
 
     def backward(self, dout):
-        self.grad_weight = tensor.matmul(tensor.transpose(self._x), dout)
-        self.grad_bias = tensor.sum_rows(dout)
-        return tensor.matmul(dout, tensor.transpose(self.weight))
+        self.grad_weight = self._x.T @ dout
+        self.grad_bias = dout.sum(axis=0)
+        return dout @ self.weight.T
 
     def params(self):
         return [("weight", True), ("bias", False)]
@@ -113,17 +113,27 @@ class _BatchNormLayer:
 class _ActLayer:
     def __init__(self, spec: ActBlock, rng: np.random.Generator):
         self.spec = spec
-        self._z = None
+        self._partials = None
 
     def forward(self, z, training):
-        self._z = z if training else None
-        return ensemble.forward(self.spec.spec, z)
+        if not training:
+            self._partials = None
+            return ensemble.forward(self.spec.spec, z)
+        out, self._partials = ensemble.forward(self.spec.spec, z, training=True)
+        return out
 
     def backward(self, dout):
-        return ensemble.backward(self.spec.spec, self._z, dout)
+        return ensemble.backward(self.spec.spec, self._partials, dout)
 
     def params(self):
         return []
+
+
+def _as_matrix(data) -> np.ndarray:
+    m = np.asarray(data, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2D matrix, got shape {m.shape}")
+    return m
 
 
 _LAYER_TYPES = {Affine: _AffineLayer, BatchNorm: _BatchNormLayer, ActBlock: _ActLayer}
@@ -169,7 +179,7 @@ class Network:
         self._training_cache = False
 
     def forward(self, x, training: bool = False):
-        x = tensor.as_matrix(x)
+        x = _as_matrix(x)
         if x.shape[1] != self.input_width:
             raise ValueError(f"input has {x.shape[1]} columns, network expects {self.input_width}")
         outs = []
@@ -183,7 +193,7 @@ class Network:
     def backward(self, dLdy):
         if not self._training_cache:
             raise RuntimeError("backward requires a preceding forward(training=True)")
-        d = tensor.as_matrix(dLdy)
+        d = _as_matrix(dLdy)
         if d.shape[1] != self.output_width:
             raise ValueError(f"upstream has {d.shape[1]} columns, output is {self.output_width}")
         for layer in reversed(self.layers):

@@ -1,18 +1,15 @@
 """Numerically stable scalar primitives for logit-space arithmetic.
 
-All functions accept floats or numpy arrays and are elementwise. Everything
-downstream (exact gate formulas, losses) is built on these three primitives
-plus ``log1mexp``, so their stability in the saturated regimes matters more
+All functions accept floats or numpy arrays and are elementwise. The losses
+are built on them, so their stability in the saturated regimes matters more
 than their speed.
 """
 
 import numpy as np
 
 # Exact logit values diverge as the underlying probability reaches 0 or 1;
-# outputs are clamped here so saturated inputs can never produce inf/NaN.
+# gate outputs are clamped here so saturated inputs can never produce inf/NaN.
 LOGIT_CLAMP = 1e15
-
-_LOG_HALF = -np.log(2.0)
 
 
 def sigmoid(x):
@@ -30,32 +27,3 @@ def softplus(x):
     """log(1 + e^x) without overflow: x + log1p(e^-x) for x > 0."""
     x = np.asarray(x, dtype=np.float64)
     return np.logaddexp(0.0, x)
-
-
-def log1mexp(u):
-    """log(1 - e^u) for u <= 0, accurate near both endpoints.
-
-    Uses expm1 for u close to 0 and log1p(exp) otherwise; the crossover at
-    -log 2 is the standard precision split.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        near = np.log(-np.expm1(u))
-        far = np.log1p(-np.exp(u))
-    out = np.where(u > _LOG_HALF, near, far)
-    # u == 0 means p == 1: log(0) with the sign settled explicitly.
-    return np.where(u == 0.0, -np.inf, out)
-
-
-def logit_from_logp(logp):
-    """Map log p to the logit log(p/(1-p)), given log p <= 0.
-
-    Evaluates logp - log(-expm1(logp)), which stays finite and accurate even
-    when p underflows or p is within one ulp of 1. Results are clamped to
-    +/-LOGIT_CLAMP so the caller never sees inf.
-    """
-    logp = np.asarray(logp, dtype=np.float64)
-    if np.any(logp > 0):
-        raise ValueError("logit_from_logp requires log-probabilities <= 0")
-    out = logp - log1mexp(logp)
-    return np.clip(out, -LOGIT_CLAMP, LOGIT_CLAMP)

@@ -86,6 +86,13 @@ def mc_constants(act: Activation, n: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
+# The xnor difference is bounded by 1 everywhere (sup log 2). For and/or the
+# sup is log 3 at the origin and the region above 1 extends roughly 0.1 from
+# the kink lines, so the <= 1 gate only holds beyond that exclusion; the
+# narrow-exclusion figure is reported without gating.
+WIDE_EXCLUSION = 0.10
+
+
 @dataclass
 class GridCompareReport:
     kind: str
@@ -94,8 +101,11 @@ class GridCompareReport:
     exclusion: float
     max_abs_diff: float            # strict, whole grid
     argmax: tuple
-    masked_max_abs_diff: float     # away from axes and diagonals
+    masked_max_abs_diff: float     # farther than exclusion from the kink lines
+    wide_masked_max_abs_diff: float  # farther than WIDE_EXCLUSION
     max_rel_diff: float
+    exact: np.ndarray | None = None   # surfaces on the (x, y) grid, if kept
+    approx: np.ndarray | None = None
 
 
 def _grid_axes(half_range: float, step: float) -> np.ndarray:
@@ -103,45 +113,55 @@ def _grid_axes(half_range: float, step: float) -> np.ndarray:
     return -half_range + step * np.arange(n)
 
 
+def _kink_distance(x, y):
+    """Distance from (x, y) to the nearest of the lines x=0, y=0, x=y, x=-y."""
+    # In place: on a grid every temporary is a full surface.
+    d = np.abs(x - y)
+    np.minimum(d, np.abs(x + y), out=d)
+    d /= math.sqrt(2)
+    return np.minimum(d, np.minimum(np.abs(x), np.abs(y)), out=d)
+
+
 def grid_compare(kind: str, half_range: float = 10.0, step: float = 0.01,
-                 exclusion: float = 0.02, csv_path=None) -> GridCompareReport:
-    """Evaluate exact and approximate gates over a square grid.
+                 exclusion: float = 0.02, csv_path=None,
+                 keep_surfaces: bool = False) -> GridCompareReport:
+    """Evaluate exact and approximate gates once over a square grid.
 
     Reports the strict max |approx - exact| plus the max over cells farther
-    than ``exclusion`` from the lines x=0, y=0, x=y, x=-y (the approximate
-    gates' kink lines).
+    than ``exclusion`` (and than WIDE_EXCLUSION) from the lines x=0, y=0,
+    x=y, x=-y (the approximate gates' kink lines). ``keep_surfaces`` puts
+    the exact and approximate surfaces, indexed [x, y], in the report.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    exact_fn = {"and": A.and_il, "or": A.or_il, "xnor": A.xnor_il}[kind]
-    approx_fn = {"and": A.and_ail, "or": A.or_ail, "xnor": A.xnor_ail}[kind]
     axes = _grid_axes(half_range, step)
-    x, y = np.meshgrid(axes, axes, indexing="ij")
-    exact = exact_fn(x, y)
-    approx = approx_fn(x, y)
-    diff = np.abs(approx - exact)
-
-    flat_argmax = int(diff.argmax())
-    i, j = np.unravel_index(flat_argmax, diff.shape)
-    interior = (
-        (np.abs(x) > exclusion) & (np.abs(y) > exclusion)
-        & (np.abs(x - y) / math.sqrt(2) > exclusion)
-        & (np.abs(x + y) / math.sqrt(2) > exclusion)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(exact != 0, diff / np.abs(exact), 0.0)
-
+    x, y = np.meshgrid(axes, axes, indexing="ij", sparse=True)
+    exact = apply(Activation(kind, "il"), x, y)
+    approx = apply(Activation(kind, "ail"), x, y)
+    signed = approx - exact
     if csv_path is not None:
-        cols = np.column_stack([x.ravel(), y.ravel(), exact.ravel(),
-                                approx.ravel(), (approx - exact).ravel()])
+        cols = np.column_stack([np.broadcast_to(x, signed.shape).ravel(),
+                                np.broadcast_to(y, signed.shape).ravel(),
+                                exact.ravel(), approx.ravel(), signed.ravel()])
         np.savetxt(csv_path, cols, delimiter=",", header="x,y,exact,approx,diff",
                    comments="", fmt="%.12g")
+        del cols
+    diff = np.abs(signed, out=signed)
+
+    i, j = np.unravel_index(int(diff.argmax()), diff.shape)
+    distance = _kink_distance(x, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        max_rel = np.max(diff / np.abs(exact), where=exact != 0, initial=0.0)
 
     return GridCompareReport(
         kind=kind, half_range=half_range, step=step, exclusion=exclusion,
-        max_abs_diff=float(diff.max()), argmax=(float(x[i, j]), float(y[i, j])),
-        masked_max_abs_diff=float(diff[interior].max()),
-        max_rel_diff=float(np.abs(rel).max()),
+        max_abs_diff=float(diff[i, j]), argmax=(float(axes[i]), float(axes[j])),
+        masked_max_abs_diff=float(np.max(diff, where=distance > exclusion, initial=0.0)),
+        wide_masked_max_abs_diff=float(np.max(diff, where=distance > WIDE_EXCLUSION,
+                                              initial=0.0)),
+        max_rel_diff=float(max_rel),
+        exact=exact if keep_surfaces else None,
+        approx=approx if keep_surfaces else None,
     )
 
 
@@ -163,12 +183,7 @@ def _interior_points(n: int, seed: int, box: float, boundary_eps: float):
     excluded = 0
     while points.shape[0] < n:
         cand = rng.uniform(-box, box, size=(2 * n, 2))
-        x, y = cand[:, 0], cand[:, 1]
-        keep = (
-            (np.abs(x) > boundary_eps) & (np.abs(y) > boundary_eps)
-            & (np.abs(x - y) / math.sqrt(2) > boundary_eps)
-            & (np.abs(x + y) / math.sqrt(2) > boundary_eps)
-        )
+        keep = _kink_distance(cand[:, 0], cand[:, 1]) > boundary_eps
         excluded += int((~keep).sum())
         points = np.vstack([points, cand[keep]])
     return points[:n], excluded
@@ -352,19 +367,11 @@ def gradients_suite(n_points: int = 10_000, seed: int = 0,
     return results
 
 
-# The xnor difference is bounded by 1 everywhere (sup log 2). For and/or the
-# sup is log 3 at the origin and the region above 1 extends roughly 0.1 from
-# the kink lines, so the <= 1 gate only holds beyond that exclusion; the
-# narrow-exclusion figure is reported without gating.
-WIDE_EXCLUSION = 0.10
-
-
 def diff_bound_suite(step: float = 0.01, exclusion: float = 0.02) -> list[CheckResult]:
     bound = 1.0 + 1e-9
     results = []
-    for kind in ("and", "or", "xnor"):
+    for kind in A.GATE_KINDS:
         rep = grid_compare(kind, 10.0, step, exclusion)
-        wide = grid_compare(kind, 10.0, step, WIDE_EXCLUSION)
         if kind == "xnor":
             results.append(CheckResult(f"diff {kind} (eps={exclusion:g})",
                                        rep.masked_max_abs_diff, bound,
@@ -373,8 +380,8 @@ def diff_bound_suite(step: float = 0.01, exclusion: float = 0.02) -> list[CheckR
             results.append(CheckResult(f"diff {kind} (eps={exclusion:g}, reported)",
                                        rep.masked_max_abs_diff, float("inf"), True))
         results.append(CheckResult(f"diff {kind} (eps={WIDE_EXCLUSION:g})",
-                                   wide.masked_max_abs_diff, bound,
-                                   wide.masked_max_abs_diff <= bound))
+                                   rep.wide_masked_max_abs_diff, bound,
+                                   rep.wide_masked_max_abs_diff <= bound))
         results.append(CheckResult(f"diff {kind} (strict, reported)",
                                    rep.max_abs_diff, float("inf"), True))
     return results

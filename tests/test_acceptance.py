@@ -234,11 +234,15 @@ def test_criterion_6a_and_or_bound_as_stated():
 def test_criterion_7_gradient_correctness():
     t0 = time.time()
     worst_act = 0.0
-    for act in all_activation_variants():
-        h = 1e-6 if act.kind == "signed_geomean" else 1e-5
-        rep = gradcheck_activation(act, n_points=10_000, seed=0, h=h)
-        worst_act = max(worst_act, rep.max_rel_err)
-        assert rep.max_rel_err < 1e-5, f"{act.name}: {rep.max_rel_err:.2e}"
+    # seeds 49, 286 and 349 put xnor_il points near x = 0, where a value
+    # computed as logit(p) from a rounded p cancels and the difference
+    # quotient misses the 1e-5 tolerance
+    for seed in (0, 49, 286, 349):
+        for act in all_activation_variants():
+            h = 1e-6 if act.kind == "signed_geomean" else 1e-5
+            rep = gradcheck_activation(act, n_points=10_000, seed=seed, h=h)
+            worst_act = max(worst_act, rep.max_rel_err)
+            assert rep.max_rel_err < 1e-5, f"{act.name} seed {seed}: {rep.max_rel_err:.2e}"
 
     worst_net = 0.0
     rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -60,6 +61,54 @@ class TestExactGates:
         for fn in (A.and_il, A.or_il, A.xnor_il):
             vals = fn(np.array([-500.0, 500.0, -500.0]), np.array([-500.0, 500.0, 500.0]))
             assert np.all(np.isfinite(vals))
+
+
+def _mp_oracle(kind, x, y):
+    """Value and partials of an exact gate from probabilities at 50 digits.
+
+    Event and complement probabilities are summed separately (no 1 - p), so
+    the oracle stays exact where p rounds to 1 in float64.
+    """
+    with mpmath.workdps(50):
+        def logit(u, v):
+            su, sv = 1 / (1 + mpmath.exp(-u)), 1 / (1 + mpmath.exp(-v))
+            nu, nv = 1 / (1 + mpmath.exp(u)), 1 / (1 + mpmath.exp(v))
+            p, q = {
+                "and": (su * sv, nu * nv + su * nv + nu * sv),
+                "or": (su * sv + su * nv + nu * sv, nu * nv),
+                "xnor": (su * sv + nu * nv, su * nv + nu * sv),
+            }[kind]
+            return mpmath.log(p) - mpmath.log(q)
+
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        return (float(logit(x, y)), float(mpmath.diff(lambda t: logit(t, y), x)),
+                float(mpmath.diff(lambda t: logit(x, t), y)))
+
+
+SATURATED_PAIRS = [(745.0, 745.0), (800.0, 800.0), (-800.0, -800.0), (800.0, -800.0)]
+XNOR_DIAGONAL = [(v, s * v) for v in (0.5, 3.0, 20.0, 40.0, 100.0, 500.0, 745.0, 800.0, 1000.0)
+                 for s in (1.0, -1.0)]
+ORACLE_CASES = list(dict.fromkeys([(k, x, y) for k in ("and", "or", "xnor")
+                                   for x, y in SATURATED_PAIRS]
+                                  + [("xnor", x, y) for x, y in XNOR_DIAGONAL]))
+
+
+class TestSaturatedExactGates:
+    @pytest.mark.parametrize("kind,x,y", ORACLE_CASES)
+    def test_value_and_partials_match_oracle(self, kind, x, y):
+        act = Activation(kind, "il")
+        got = (apply(act, x, y),) + tuple(gradient(act, x, y))
+        for g, want in zip(got, _mp_oracle(kind, x, y)):
+            assert g == pytest.approx(want, rel=1e-12, abs=0.0), (got, want)
+
+    def test_extreme_operands_stay_finite(self):
+        big = 1e308
+        x = np.array([big, big, -big, -big, big, 0.0])
+        y = np.array([big, -big, big, -big, 0.0, -big])
+        for act in all_activation_variants():
+            if act.family == "il":
+                outs = (apply(act, x, y),) + tuple(gradient(act, x, y))
+                assert all(np.all(np.isfinite(o)) for o in outs), act.name
 
 
 class TestApproxGates:

@@ -37,13 +37,15 @@ def test_forward_duplication_max_min_groupsort():
 
 def test_backward_single_or():
     spec = EnsembleSpec((OR_AIL,), "duplication")
-    dz = backward(spec, np.array([[1.0, 2.0]]), np.array([[1.0]]))
+    _, partials = forward(spec, np.array([[1.0, 2.0]]), training=True)
+    dz = backward(spec, partials, np.array([[1.0]]))
     assert np.array_equal(dz, np.array([[1.0, 1.0]]))
 
 
 def test_backward_duplication_accumulates():
     spec = EnsembleSpec((OR_AIL, AND_AIL), "duplication")
-    dz = backward(spec, np.array([[1.0, 2.0]]), np.array([[1.0, 1.0]]))
+    _, partials = forward(spec, np.array([[1.0, 2.0]]), training=True)
+    dz = backward(spec, partials, np.array([[1.0, 1.0]]))
     # finite-difference oracle on sum(upstream * forward) gives [2, 1]
     assert np.array_equal(dz, np.array([[2.0, 1.0]]))
 
@@ -69,7 +71,8 @@ def test_single_act_strategies_identical():
     dup = EnsembleSpec((XNOR_AIL,), "duplication")
     part = EnsembleSpec((XNOR_AIL,), "partition")
     assert np.array_equal(forward(dup, z), forward(part, z))
-    assert np.array_equal(backward(dup, z, up), backward(part, z, up))
+    assert np.array_equal(backward(dup, forward(dup, z, training=True)[1], up),
+                          backward(part, forward(part, z, training=True)[1], up))
 
 
 @pytest.mark.parametrize("text,n_c", [
@@ -92,7 +95,7 @@ def test_backward_matches_finite_differences(text, n_c):
     z = z[~bad][:180]
     assert z.shape[0] >= 170
     up = rng.standard_normal((z.shape[0], spec.out_channels(n_c)))
-    ana = backward(spec, z, up)
+    ana = backward(spec, forward(spec, z, training=True)[1], up)
     h = 1e-6
     fd = np.zeros_like(z)
     for j in range(n_c):
@@ -116,7 +119,7 @@ def test_relu_block_is_elementwise():
     z = np.array([[-1.0, 2.0, -3.0]])
     assert np.array_equal(forward(spec, z), np.array([[0.0, 2.0, 0.0]]))
     assert spec.out_channels(3) == 3
-    dz = backward(spec, z, np.ones((1, 3)))
+    dz = backward(spec, forward(spec, z, training=True)[1], np.ones((1, 3)))
     assert np.array_equal(dz, np.array([[0.0, 1.0, 0.0]]))
 
 
@@ -130,5 +133,5 @@ def test_invalid_specs():
     with pytest.raises(ValueError):
         parse_spec("nail:or:q")
     with pytest.raises(ValueError):
-        backward(EnsembleSpec((OR_AIL,), "duplication"),
-                 np.zeros((2, 4)), np.zeros((2, 3)))
+        spec = EnsembleSpec((OR_AIL,), "duplication")
+        backward(spec, forward(spec, np.zeros((2, 4)), training=True)[1], np.zeros((2, 3)))

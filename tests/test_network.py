@@ -73,6 +73,18 @@ def test_or_ail_block_reduces_to_relu_on_zero_operand():
     assert np.array_equal(y.ravel(), np.maximum(x[:, 0], 0.0))
 
 
+def test_forward_and_backward_require_matrices():
+    net = Network([Affine(2, 1)], seed=0)
+    assert net.forward([[1, 2], [3, 4]]).dtype == np.float64
+    with pytest.raises(ValueError):
+        net.forward([1.0, 2.0])
+    net.forward(np.zeros((2, 2)), training=True)
+    with pytest.raises(ValueError):
+        net.backward(np.ones(2))
+    with pytest.raises(ValueError):
+        net.backward(np.ones((2, 3)))
+
+
 def test_backward_requires_training_forward():
     net = Network(parity_specs(), seed=0)
     net.forward(np.zeros((2, 4)), training=False)
