@@ -104,7 +104,7 @@ def build_network(task: str, widths, activation: str, seed: int,
 
 
 def param_count(net: Network) -> int:
-    return sum(p.size for _, p, _, _ in net.parameters())
+    return net.flat_params.size
 
 
 def param_count_for(task: str, widths, activation: str, batch_norm: bool = False) -> int:

@@ -3,6 +3,11 @@
 Forward and backward passes are explicit; each layer caches what its own
 backward needs when run in training mode. Parameter layout, initialization,
 and the save format are all deterministic for a given seed.
+
+Every trainable array and its gradient is a view into one of two contiguous
+buffers, ``Network.flat_params`` and ``Network.flat_grads``, so an optimizer
+updates the whole network with a few vector operations. Layers therefore
+write parameters and gradients in place and never rebind them.
 """
 
 import json
@@ -44,8 +49,6 @@ class _AffineLayer:
         bound = np.sqrt(1.0 / spec.n_in)
         self.weight = rng.uniform(-bound, bound, size=(spec.n_in, spec.n_out))
         self.bias = np.zeros(spec.n_out)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
         self._x = None
 
     def forward(self, x, training):
@@ -53,8 +56,8 @@ class _AffineLayer:
         return x @ self.weight + self.bias
 
     def backward(self, dout):
-        self.grad_weight = self._x.T @ dout
-        self.grad_bias = dout.sum(axis=0)
+        np.matmul(self._x.T, dout, out=self.grad_weight)
+        dout.sum(axis=0, out=self.grad_bias)
         return dout @ self.weight.T
 
     def params(self):
@@ -67,8 +70,6 @@ class _BatchNormLayer:
         c = spec.channels
         self.gamma = np.ones(c)
         self.beta = np.zeros(c)
-        self.grad_gamma = np.zeros(c)
-        self.grad_beta = np.zeros(c)
         self.running_mean = np.zeros(c)
         self.running_var = np.ones(c)
         self._xhat = None
@@ -98,8 +99,8 @@ class _BatchNormLayer:
     def backward(self, dout):
         xhat = self._xhat
         n = dout.shape[0]
-        self.grad_gamma = (dout * xhat).sum(axis=0)
-        self.grad_beta = dout.sum(axis=0)
+        (dout * xhat).sum(axis=0, out=self.grad_gamma)
+        dout.sum(axis=0, out=self.grad_beta)
         dxhat = dout * self.gamma
         # Backprop through the batch statistics themselves.
         return (self._inv_std / n) * (
@@ -177,6 +178,30 @@ class Network:
         rng = np.random.default_rng(self.seed)
         self.layers = [_LAYER_TYPES[type(s)](s, rng) for s in self.specs]
         self._training_cache = False
+        self._build_flat_store()
+
+    def _build_flat_store(self):
+        """Move every parameter into ``flat_params`` and bind its gradient in ``flat_grads``.
+
+        Decayed weights come first, in layer order, so weight decay touches
+        the prefix ``[:n_decayed]``; the undecayed arrays follow in layer order.
+        """
+        slots = [(layer, attr, decayed) for layer in self.layers
+                 for attr, decayed in layer.params()]
+        slots.sort(key=lambda slot: not slot[2])  # stable: layer order within each group
+        total = sum(getattr(layer, attr).size for layer, attr, _ in slots)
+        self.flat_params = np.empty(total)
+        self.flat_grads = np.zeros(total)
+        self.n_decayed = sum(getattr(layer, attr).size for layer, attr, d in slots if d)
+        offset = 0
+        for layer, attr, _ in slots:
+            value = getattr(layer, attr)
+            end = offset + value.size
+            view = self.flat_params[offset:end].reshape(value.shape)
+            view[...] = value
+            setattr(layer, attr, view)
+            setattr(layer, "grad_" + attr, self.flat_grads[offset:end].reshape(value.shape))
+            offset = end
 
     def forward(self, x, training: bool = False):
         x = _as_matrix(x)
@@ -213,14 +238,8 @@ class Network:
                 ))
         return out
 
-    def set_param(self, name, value):
-        idx, attr = name.split(".")
-        setattr(self.layers[int(idx.removeprefix("layer"))], attr, value)
-
     def zero_grads(self):
-        for layer in self.layers:
-            for attr, _ in layer.params():
-                getattr(layer, "grad_" + attr).fill(0.0)
+        self.flat_grads.fill(0.0)
 
     # -- serialization ------------------------------------------------------
 

@@ -73,15 +73,26 @@ def one_cycle_lr(step: int, total_steps: int, max_lr: float, peak_fraction: floa
 
 
 # ---------------------------------------------------------------------------
-# Optimizers (coupled weight decay: added to the gradient, weights only)
+# Optimizers (coupled weight decay: added to the gradient, weights only).
+# Each step is a few whole-buffer operations on Network.flat_params/flat_grads.
 # ---------------------------------------------------------------------------
+
+
+def _decayed_grads(net: Network, weight_decay):
+    """flat_grads, plus weight_decay * weight on the decayed prefix."""
+    if not weight_decay:
+        return net.flat_grads
+    g = net.flat_grads.copy()
+    k = net.n_decayed
+    g[:k] += weight_decay * net.flat_params[:k]
+    return g
 
 
 class AdamState:
     def __init__(self):
         self.t = 0
-        self.m = {}
-        self.v = {}
+        self.m = None
+        self.v = None
 
 
 def adam_step(net: Network, state: AdamState, lr, beta1=0.9, beta2=0.999,
@@ -89,34 +100,31 @@ def adam_step(net: Network, state: AdamState, lr, beta1=0.9, beta2=0.999,
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for name, param, grad, decayed in net.parameters():
-        g = grad + weight_decay * param if (weight_decay and decayed) else grad
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(param)
-            state.v[name] = np.zeros_like(param)
-        v = state.v[name]
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    g = _decayed_grads(net, weight_decay)
+    if state.m is None:
+        state.m = np.zeros_like(net.flat_params)
+        state.v = np.zeros_like(net.flat_params)
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * g * g
+    net.flat_params -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 class SgdState:
     def __init__(self):
-        self.velocity = {}
+        self.velocity = None
 
 
 def sgd_step(net: Network, state: SgdState, lr, momentum=0.9, weight_decay=0.0):
-    for name, param, grad, decayed in net.parameters():
-        g = grad + weight_decay * param if (weight_decay and decayed) else grad
-        v = state.velocity.get(name)
-        if v is None:
-            v = state.velocity[name] = np.zeros_like(param)
-        v *= momentum
-        v += g
-        param -= lr * v
+    g = _decayed_grads(net, weight_decay)
+    if state.velocity is None:
+        state.velocity = np.zeros_like(net.flat_params)
+    v = state.velocity
+    v *= momentum
+    v += g
+    net.flat_params -= lr * v
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +167,14 @@ _LOSSES = {"bce-with-logits": bce_with_logits, "cross-entropy": cross_entropy, "
 # ---------------------------------------------------------------------------
 
 
+# Rows per forward pass in evaluate, so its memory does not grow with the data.
+EVAL_ROWS = 1024
+
+
 def evaluate(net: Network, ds: Dataset):
     """(loss, metric) on a dataset; metric is accuracy or RMSE by task."""
-    z = net.forward(ds.inputs, training=False)
+    z = np.concatenate([net.forward(ds.inputs[i:i + EVAL_ROWS], training=False)
+                        for i in range(0, ds.n, EVAL_ROWS)])
     if ds.task == "binary":
         loss, _ = bce_with_logits(z, ds.targets)
         metric = float(np.mean((z >= 0) == (ds.targets >= 0.5)))
@@ -216,6 +229,12 @@ def _first_nan_layer(net: Network) -> str:
     return "loss"
 
 
+def _first_nan_grad(net: Network) -> str:
+    """The array where non-finite flat_grads started: the first one in backward order."""
+    return next(name for name, _, grad, _ in reversed(net.parameters())
+                if not np.isfinite(grad).all())
+
+
 def fit(net: Network, train_ds: Dataset, config: TrainConfig, val_ds: Dataset | None = None) -> TrainReport:
     """Train the network; deterministic for fixed (net seed, config, data)."""
     if train_ds.inputs.shape[1] != net.input_width:
@@ -240,6 +259,8 @@ def fit(net: Network, train_ds: Dataset, config: TrainConfig, val_ds: Dataset | 
             if not math.isfinite(loss):
                 raise NaNLossError(epoch, b, _first_nan_layer(net))
             net.backward(dz)
+            if not np.isfinite(net.flat_grads).all():
+                raise NaNLossError(epoch, b, f"{_first_nan_grad(net)} (backward pass)")
             if config.schedule == "one-cycle":
                 lr = one_cycle_lr(step, total_steps, config.max_lr, config.peak_fraction)
             else:

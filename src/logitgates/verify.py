@@ -349,11 +349,6 @@ def constants_report(n: int = 10_000_000, seed: int = 0, table: dict | None = No
     return results, estimates
 
 
-def constants_suite(n: int = 10_000_000, seed: int = 0,
-                    table: dict | None = None) -> list[CheckResult]:
-    return constants_report(n, seed, table)[0]
-
-
 def gradients_suite(n_points: int = 10_000, seed: int = 0,
                     tol: float = 1e-5) -> list[CheckResult]:
     results = []

@@ -75,6 +75,15 @@ def test_task_datasets_val_differs_from_train():
     assert not np.array_equal(train.inputs[:32], val.inputs)
 
 
+def test_empty_validation_set_rejected_before_training():
+    # evaluate never sees an empty set: Dataset rejects one when it is built
+    cfg = config_from_dict({"task": "nested_xnor8", "activation": "xnor_ail",
+                            "widths": [8], "n_train": 64, "n_val": 0,
+                            "train": {"epochs": 1, "batch_size": 8, "seed": 1}})
+    with pytest.raises(ValueError, match="non-empty"):
+        task_datasets(cfg)
+
+
 def test_run_experiment_writes_artifacts(tmp_path):
     cfg = config_from_dict({
         "task": "parity4", "activation": "xnor_ail", "widths": [4, 2],

@@ -180,6 +180,43 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(net.layers[1].running_mean, loaded.layers[1].running_mean)
 
 
+def _assert_flat_store(net):
+    """Every parameter and gradient is a view into the flat buffers, weights first."""
+    params = net.parameters()
+    for name, param, grad, _ in params:
+        assert np.shares_memory(param, net.flat_params), name
+        assert np.shares_memory(grad, net.flat_grads), name
+    order = sorted(params, key=lambda p: not p[3])
+    assert np.array_equal(net.flat_params, np.concatenate([p.ravel() for _, p, _, _ in order]))
+    assert np.array_equal(net.flat_grads, np.concatenate([g.ravel() for _, _, g, _ in order]))
+    assert net.n_decayed == sum(p.size for _, p, _, decayed in params if decayed)
+
+
+def test_flat_store_holds_every_parameter_and_gradient(tmp_path):
+    specs = [Affine(4, 8), BatchNorm(8), ActBlock(parse_spec("or_ail")), Affine(4, 2)]
+    net = Network(specs, seed=3)
+    _assert_flat_store(net)
+    net.forward(np.random.default_rng(3).standard_normal((16, 4)), training=True)
+    net.backward(np.random.default_rng(4).standard_normal((16, 2)))
+    _assert_flat_store(net)
+    assert np.all(net.flat_grads[:net.n_decayed] != 0)
+    path = tmp_path / "model.bin"
+    net.save(path)
+    loaded = Network.load(path)
+    _assert_flat_store(loaded)
+    assert np.array_equal(loaded.flat_params, net.flat_params)
+
+
+def test_zero_grads_clears_flat_buffer():
+    net = Network(parity_specs(), seed=2)
+    net.forward(np.random.default_rng(2).uniform(-1, 1, (8, 4)), training=True)
+    net.backward(np.ones((8, 1)))
+    assert np.any(net.flat_grads != 0)
+    net.zero_grads()
+    assert not np.any(net.flat_grads)
+    assert all(not np.any(g) for _, _, g, _ in net.parameters())
+
+
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a model")

@@ -5,7 +5,8 @@ import pytest
 
 from logitgates import data
 from logitgates.experiments import build_network
-from logitgates.network import Affine, Network
+from logitgates.ensemble import parse_spec
+from logitgates.network import ActBlock, Affine, BatchNorm, Network
 from logitgates.numerics import sigmoid
 from logitgates.train import (
     AdamState,
@@ -108,6 +109,56 @@ class TestAdam:
         assert np.array_equal(net.layers[0].bias, np.ones(2))  # untouched
 
 
+def reference_steps(params, grads, state, optimizer, lr, weight_decay, **kw):
+    """The per-array optimizer loops, one dict entry per named parameter."""
+    if optimizer == "adam":
+        state["t"] = state.get("t", 0) + 1
+        bc1 = 1.0 - kw["beta1"] ** state["t"]
+        bc2 = 1.0 - kw["beta2"] ** state["t"]
+    for name, (param, decayed) in params.items():
+        grad = grads[name]
+        g = grad + weight_decay * param if (weight_decay and decayed) else grad
+        if optimizer == "adam":
+            m = state.setdefault("m." + name, np.zeros_like(param))
+            v = state.setdefault("v." + name, np.zeros_like(param))
+            m *= kw["beta1"]
+            m += (1 - kw["beta1"]) * g
+            v *= kw["beta2"]
+            v += (1 - kw["beta2"]) * g * g
+            param -= lr * (m / bc1) / (np.sqrt(v / bc2) + kw["eps"])
+        else:
+            v = state.setdefault("v." + name, np.zeros_like(param))
+            v *= kw["momentum"]
+            v += g
+            param -= lr * v
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_flat_steps_match_per_array_reference_bit_for_bit(optimizer):
+    specs = [Affine(4, 8), BatchNorm(8), ActBlock(parse_spec("xnor_ail")),
+             Affine(4, 6), BatchNorm(6), ActBlock(parse_spec("or_ail")), Affine(3, 2)]
+    net = Network(specs, seed=8)
+    rng = np.random.default_rng(8)
+    ref = {name: (p.copy(), decayed) for name, p, _, decayed in net.parameters()}
+    ref_state = {}
+    state = AdamState() if optimizer == "adam" else SgdState()
+    kw = (dict(beta1=0.9, beta2=0.999, eps=1e-8) if optimizer == "adam"
+          else dict(momentum=0.9))
+    for step in range(6):
+        lr = 0.05 / (step + 1)
+        z = net.forward(rng.standard_normal((16, 4)), training=True)
+        _, dz = mse(z, rng.standard_normal((16, 2)))
+        net.backward(dz)
+        grads = {name: g.copy() for name, _, g, _ in net.parameters()}
+        reference_steps(ref, grads, ref_state, optimizer, lr, 0.01, **kw)
+        if optimizer == "adam":
+            adam_step(net, state, lr, weight_decay=0.01, **kw)
+        else:
+            sgd_step(net, state, lr, weight_decay=0.01, **kw)
+        for name, p, _, _ in net.parameters():
+            assert np.array_equal(p, ref[name][0]), (name, step)
+
+
 def test_sgd_momentum_accumulates():
     net = Network([Affine(1, 1)], seed=5)
     net.layers[0].weight[:] = 1.0
@@ -208,6 +259,21 @@ class TestFit:
             fit(net, ds, self._config())
         assert err.value.epoch == 0 and err.value.batch == 0
         assert "layer0" in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nonfinite_gradient_names_backward_layer(self, monkeypatch):
+        ds = data.gen_parity4(64, 0)
+        net = build_network("parity4", [4, 2], "xnor_ail", 0)
+        layer = net.layers[2]
+        original = layer.backward
+        monkeypatch.setattr(layer, "backward", lambda dout: original(np.full_like(dout, np.inf)))
+        before = net.flat_params.copy()
+        with pytest.raises(NaNLossError) as err:
+            fit(net, ds, self._config())
+        assert err.value.epoch == 0 and err.value.batch == 0
+        assert err.value.layer.startswith("layer2.") and err.value.layer.endswith("(backward pass)")
+        assert err.value.layer in str(err.value)
+        assert np.array_equal(net.flat_params, before)  # no optimizer step ran
 
     def test_width_mismatch_rejected(self):
         ds = data.gen_parity4(64, 0)

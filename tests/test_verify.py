@@ -10,7 +10,7 @@ from logitgates.verify import (
     MonteCarloEstimate,
     StreamingMoments,
     bayes_identity_check,
-    constants_suite,
+    constants_report,
     gradcheck_activation,
     grid_compare,
     mc_constants,
@@ -183,12 +183,12 @@ class TestConstantsSuite:
         table = dict(NORMALIZATION_TABLE)
         mean, _ = table[("or", "ail")]
         table[("or", "ail")] = (mean, 1.5)  # break the std
-        results = constants_suite(n=200_000, seed=0, table=table)
+        results = constants_report(n=200_000, seed=0, table=table)[0]
         failing = [r.name for r in results if not r.passed]
         assert "OR_AIL std" in failing
 
     def test_clean_table_passes_at_moderate_n(self):
-        results = constants_suite(n=2_000_000, seed=0)
+        results = constants_report(n=2_000_000, seed=0)[0]
         assert all(r.passed for r in results)
 
 
