@@ -123,15 +123,15 @@ def or_ail(x, y, grad=False):
 def xnor_ail(x, y, grad=False):
     """sign(x*y) * min(|x|, |y|); zero when either operand is zero."""
     x, y = _f64(x), _f64(y)
-    if not grad:
-        # one expression, so numpy reuses its temporaries in place
-        return np.sign(x) * np.sign(y) * np.minimum(np.abs(x), np.abs(y))
     sx, sy = np.sign(x), np.sign(y)
     ax, ay = np.abs(x), np.abs(y)
+    value = sx * sy * np.minimum(ax, ay)
+    if not grad:
+        return value
     x_branch = ax <= ay
     # The smaller-magnitude operand carries the slope; a zero operand gets a
     # (0, 0) subgradient, matching the odd symmetry.
-    return sx * sy * np.minimum(ax, ay), sy * (x_branch & (x != 0)), sx * ~(x_branch | (y == 0))
+    return value, sy * (x_branch & (x != 0)), sx * ~(x_branch | (y == 0))
 
 
 def signed_geomean(x, y, grad=False):
@@ -189,23 +189,31 @@ NORMALIZATION_TABLE = {
     ("xnor", "ail"): (0.0, XNOR_AIL_STD),
 }
 
-GATE_KINDS = ("and", "or", "xnor")
-RAW_2D_KINDS = ("signed_geomean", "max", "min")
-RAW_1D_KINDS = ("relu",)
-ALL_KINDS = GATE_KINDS + RAW_2D_KINDS + RAW_1D_KINDS
-
+# Every valid (kind, family), in listing order; the gate kinds are the rows
+# of the "il" family, and relu is the only 1-input kind.
 _GATES = {
     ("and", "il"): and_il,
-    ("or", "il"): or_il,
-    ("xnor", "il"): xnor_il,
     ("and", "ail"): and_ail,
+    ("or", "il"): or_il,
     ("or", "ail"): or_ail,
+    ("xnor", "il"): xnor_il,
     ("xnor", "ail"): xnor_ail,
     ("signed_geomean", "raw"): signed_geomean,
     ("max", "raw"): max_pair,
     ("min", "raw"): min_pair,
     ("relu", "raw"): relu,
 }
+GATE_KINDS = tuple(kind for kind, family in _GATES if family == "il")
+
+
+def family_label(family: str, normalized: bool) -> str:
+    """The family as written in names: 'il', 'ail', 'raw', or 'nil'/'nail' when normalized."""
+    return "n" + family if normalized else family
+
+
+def parse_family(label: str) -> tuple[str, bool]:
+    """Inverse of family_label: (family, normalized)."""
+    return (label[1:], True) if label in ("nil", "nail") else (label, False)
 
 
 @dataclass(frozen=True)
@@ -222,27 +230,20 @@ class Activation:
     normalized: bool = False
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
-            raise ValueError(f"unknown activation kind {self.kind!r}")
-        if self.kind in GATE_KINDS:
-            if self.family not in ("il", "ail"):
-                raise ValueError(f"{self.kind} requires family 'il' or 'ail'")
-        else:
-            if self.family != "raw":
-                raise ValueError(f"{self.kind} only exists in family 'raw'")
-            if self.normalized:
-                raise ValueError(f"{self.kind} has no normalization constants")
+        if (self.kind, self.family) not in _GATES:
+            raise ValueError(f"no activation {self.kind!r} in family {self.family!r}")
+        if self.normalized and (self.kind, self.family) not in NORMALIZATION_TABLE:
+            raise ValueError(f"{self.kind} has no normalization constants")
 
     @property
     def arity(self) -> int:
-        return 1 if self.kind in RAW_1D_KINDS else 2
+        return 1 if self.kind == "relu" else 2
 
     @property
     def name(self) -> str:
-        if self.kind in GATE_KINDS:
-            family = ("n" + self.family) if self.normalized else self.family
-            return f"{self.kind}_{family}"
-        return self.kind
+        if self.family == "raw":
+            return self.kind
+        return f"{self.kind}_{family_label(self.family, self.normalized)}"
 
     def __str__(self) -> str:
         return self.name
@@ -251,19 +252,16 @@ class Activation:
 def parse_activation(name: str) -> Activation:
     """Inverse of Activation.name (e.g. 'or_ail', 'xnor_nil', 'relu')."""
     name = name.strip().lower()
-    if name in RAW_2D_KINDS or name in RAW_1D_KINDS:
-        return Activation(name, "raw")
-    if "_" in name:
-        kind, _, family = name.rpartition("_")
-        normalized = family in ("nil", "nail")
-        if normalized:
-            family = family[1:]
-        if kind in GATE_KINDS and family in ("il", "ail"):
-            return Activation(kind, family, normalized)
+    if (name, "raw") in _GATES:
+        return Activation(name)
+    kind, _, label = name.rpartition("_")
+    family, normalized = parse_family(label)
+    if family != "raw" and (kind, family) in _GATES:
+        return Activation(kind, family, normalized)
     raise ValueError(f"cannot parse activation name {name!r}")
 
 
-def evaluate(act: Activation, x, y=None, grad: bool = False):
+def apply(act: Activation, x, y=None, grad: bool = False):
     """The activation's value, or with ``grad`` (value, d/dx, d/dy).
 
     1-input kinds take x alone and give (value, d/dx) with ``grad``.
@@ -285,12 +283,7 @@ def evaluate(act: Activation, x, y=None, grad: bool = False):
     return (value - mean) / std, gx / std, gy / std
 
 
-def apply(act: Activation, x, y=None):
-    """Evaluate the activation; 2-input kinds require both operands."""
-    return evaluate(act, x, y)
-
-
 def gradient(act: Activation, x, y=None):
     """Analytical partials (d/dx, d/dy), or d/dx alone for 1-input kinds."""
-    partials = evaluate(act, x, y, grad=True)[1:]
+    partials = apply(act, x, y, grad=True)[1:]
     return partials if act.arity == 2 else partials[0]

@@ -3,11 +3,13 @@
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import verify
+from .activations import GATE_KINDS
 from .experiments import resolve_config, run_experiment
 from .train import NaNLossError
 
@@ -46,10 +48,8 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    selected = [name for name in ("constants", "gradients", "diff_bound", "bayes")
-                if getattr(args, name)]
-    if not selected:
-        selected = ["constants", "gradients", "diff_bound", "bayes"]
+    suites = ("constants", "gradients", "diff_bound", "bayes")
+    selected = [name for name in suites if getattr(args, name)] or suites
     results = []
     estimates = {}
     if "constants" in selected:
@@ -70,8 +70,6 @@ def _cmd_verify(args) -> int:
         ok &= r.passed
     print("all checks passed" if ok else "FAILURES present")
     if args.json_out:
-        from dataclasses import asdict
-
         payload = {
             "passed": ok,
             "checks": [asdict(r) for r in results],
@@ -149,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("grid", help="export exact/approximate gate surfaces over a grid")
-    g.add_argument("--kind", required=True, choices=["and", "or", "xnor"])
+    g.add_argument("--kind", required=True, choices=GATE_KINDS)
     g.add_argument("--family", default="both", choices=["both", "il", "ail"],
                    help="surface for the PGM heatmap (CSV always carries both)")
     g.add_argument("--range", type=float, default=10.0)

@@ -11,23 +11,15 @@ A lone 1-input activation (relu) passes through elementwise; mixing 1-input
 and 2-input kinds in one ensemble is rejected.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import activations as A
-from .activations import Activation, parse_activation
+from .activations import Activation, family_label, parse_activation, parse_family
 
-STRATEGIES = ("partition", "duplication")
 _STRATEGY_SUFFIX = {"partition": "p", "duplication": "d"}
 _SUFFIX_STRATEGY = {v: k for k, v in _STRATEGY_SUFFIX.items()}
-
-
-def pair_channels(n_c: int) -> list[tuple[int, int]]:
-    """Adjacent operand pairs [(0,1), (2,3), ...] for an even channel count."""
-    if n_c % 2 != 0:
-        raise ValueError(f"channel count {n_c} is odd; operands come in pairs")
-    return [(2 * i, 2 * i + 1) for i in range(n_c // 2)]
 
 
 @dataclass(frozen=True)
@@ -41,7 +33,7 @@ class EnsembleSpec:
         if not self.acts:
             raise ValueError("ensemble needs at least one activation")
         object.__setattr__(self, "acts", tuple(self.acts))
-        if self.strategy not in STRATEGIES:
+        if self.strategy not in _STRATEGY_SUFFIX:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         arities = {act.arity for act in self.acts}
         if arities == {1} and len(self.acts) != 1:
@@ -80,7 +72,7 @@ class EnsembleSpec:
         first = self.acts[0]
         if any((a.family, a.normalized) != (first.family, first.normalized) for a in self.acts):
             raise ValueError("text form requires a single family across the ensemble")
-        family = ("n" + first.family) if first.normalized else first.family
+        family = family_label(first.family, first.normalized)
         kinds = "+".join(a.kind for a in self.acts)
         return f"{family}:{kinds}:{_STRATEGY_SUFFIX[self.strategy]}"
 
@@ -99,17 +91,9 @@ def parse_spec(text: str) -> EnsembleSpec:
     family, kinds, suffix = parts
     if suffix not in _SUFFIX_STRATEGY:
         raise ValueError(f"unknown strategy suffix {suffix!r} in {text!r}")
-    normalized = family in ("nil", "nail")
-    base_family = family[1:] if normalized else family
-    if base_family not in ("il", "ail", "raw"):
-        raise ValueError(f"unknown family {family!r} in {text!r}")
-    acts = []
-    for kind in kinds.split("+"):
-        if base_family == "raw":
-            acts.append(Activation(kind, "raw"))
-        else:
-            acts.append(Activation(kind, base_family, normalized))
-    return EnsembleSpec(tuple(acts), _SUFFIX_STRATEGY[suffix])
+    family, normalized = parse_family(family)
+    acts = tuple(Activation(kind, family, normalized) for kind in kinds.split("+"))
+    return EnsembleSpec(acts, _SUFFIX_STRATEGY[suffix])
 
 
 def _act_pair_slices(spec: EnsembleSpec, n_c: int) -> list[slice]:
@@ -139,10 +123,10 @@ def forward(spec: EnsembleSpec, z: np.ndarray, training: bool = False):
     n_c = z.shape[1]
     spec.out_channels(n_c)  # validates the width
     if spec.elementwise:
-        out = A.evaluate(spec.acts[0], z, grad=training)
+        out = A.apply(spec.acts[0], z, grad=training)
         return (out[0], (out[1], None)) if training else out
     x, y = z[:, 0::2], z[:, 1::2]
-    results = [A.evaluate(act, x[:, sl], y[:, sl], grad=training)
+    results = [A.apply(act, x[:, sl], y[:, sl], grad=training)
                for act, sl in zip(spec.acts, _act_pair_slices(spec, n_c))]
     if not training:
         return _join(results)

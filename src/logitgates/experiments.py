@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +11,9 @@ from . import data
 from .data import Dataset
 from .ensemble import parse_spec
 from .network import ActBlock, Affine, BatchNorm, Network
+from .numerics import sigmoid
 from .train import TrainConfig, TrainReport, evaluate, fit
 
-SEED_ENV_VAR = "LOGITGATES_SEED"
 MNIST_DIR_ENV_VAR = "LOGITGATES_MNIST_DIR"
 
 TASK_DIMS = {
@@ -55,8 +55,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     task = raw.get("task")
     if task in DEFAULT_LOSS:
         train_raw.setdefault("loss", DEFAULT_LOSS[task])
-    if "seed" not in train_raw and os.environ.get(SEED_ENV_VAR):
-        train_raw["seed"] = int(os.environ[SEED_ENV_VAR])
     return ExperimentConfig(train=TrainConfig(**train_raw), **raw)
 
 
@@ -207,11 +205,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> tuple[TrainReport,
     return report, net
 
 
-def export_xor_surface(net: Network, path, step: float = 0.05):
-    """Decision surface over [-2, 2]^2: CSV of x, y, output probability."""
-    from .numerics import sigmoid
-
-    grid = data.xor2_grid(step)
+def export_xor_surface(net: Network, path):
+    """Decision surface over [-2, 2]^2 (step 0.05): CSV of x, y, output probability."""
+    grid = data.xor2_grid()
     probs = sigmoid(net.forward(grid, training=False)).ravel()
     cols = np.column_stack([grid, probs])
     np.savetxt(path, cols, delimiter=",", header="x,y,prob", comments="", fmt="%.12g")

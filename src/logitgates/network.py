@@ -207,12 +207,9 @@ class Network:
         x = _as_matrix(x)
         if x.shape[1] != self.input_width:
             raise ValueError(f"input has {x.shape[1]} columns, network expects {self.input_width}")
-        outs = []
         for layer in self.layers:
             x = layer.forward(x, training)
-            outs.append(x)
         self._training_cache = training
-        self.layer_outputs = outs
         return x
 
     def backward(self, dLdy):

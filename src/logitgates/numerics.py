@@ -21,9 +21,3 @@ def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def softplus(x):
-    """log(1 + e^x) without overflow: x + log1p(e^-x) for x > 0."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.logaddexp(0.0, x)

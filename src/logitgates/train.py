@@ -8,7 +8,7 @@ import numpy as np
 
 from .data import Dataset
 from .network import Network
-from .numerics import sigmoid, softplus
+from .numerics import sigmoid
 
 
 @dataclass
@@ -32,12 +32,18 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if min(self.max_lr, self.weight_decay) < 0:
             raise ValueError("rates must be >= 0")
+        if self.schedule not in ("one-cycle", "constant"):
+            raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.schedule == "one-cycle" and not 0 < self.peak_fraction < 1:
             raise ValueError("peak_fraction must lie in (0, 1)")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss not in ("bce-with-logits", "cross-entropy", "mse"):
+        if self.loss not in _LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
+        if not all(0 <= b < 1 for b in (self.beta1, self.beta2, self.momentum)):
+            raise ValueError("beta1, beta2 and momentum must lie in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError("eps must be > 0")
 
 
 class NaNLossError(RuntimeError):
@@ -133,9 +139,9 @@ def sgd_step(net: Network, state: SgdState, lr, momentum=0.9, weight_decay=0.0):
 
 
 def bce_with_logits(z: np.ndarray, targets: np.ndarray):
-    """Binary cross-entropy on logits, via softplus(-t*z) with t in {-1, +1}."""
+    """Binary cross-entropy on logits, softplus(-t*z) with t in {-1, +1}."""
     t = 2.0 * targets - 1.0
-    loss = float(np.mean(softplus(-t * z)))
+    loss = float(np.mean(np.logaddexp(0.0, -t * z)))
     grad = (-t * sigmoid(-t * z)) / z.size
     return loss, grad
 
@@ -222,9 +228,15 @@ def _loss_targets(ds: Dataset):
     return ds.targets
 
 
-def _first_nan_layer(net: Network) -> str:
-    for i, out in enumerate(getattr(net, "layer_outputs", [])):
-        if not np.all(np.isfinite(out)):
+def _first_nan_layer(net: Network, x) -> str:
+    """Replay batch x in training mode; name the first layer with a non-finite output.
+
+    Layers are deterministic and batch norm uses batch statistics, so this repeats
+    the failed pass. It updates the running statistics again; the run is aborting.
+    """
+    for i, layer in enumerate(net.layers):
+        x = layer.forward(x, True)
+        if not np.isfinite(x).all():
             return f"layer{i} ({type(net.specs[i]).__name__})"
     return "loss"
 
@@ -254,10 +266,11 @@ def fit(net: Network, train_ds: Dataset, config: TrainConfig, val_ds: Dataset | 
         batch_losses = []
         for b in range(steps_per_epoch):
             idx = order[b * config.batch_size:(b + 1) * config.batch_size]
-            z = net.forward(train_ds.inputs[idx], training=True)
+            x = train_ds.inputs[idx]
+            z = net.forward(x, training=True)
             loss, dz = loss_fn(z, targets[idx])
             if not math.isfinite(loss):
-                raise NaNLossError(epoch, b, _first_nan_layer(net))
+                raise NaNLossError(epoch, b, _first_nan_layer(net, x))
             net.backward(dz)
             if not np.isfinite(net.flat_grads).all():
                 raise NaNLossError(epoch, b, f"{_first_nan_grad(net)} (backward pass)")

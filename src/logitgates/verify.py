@@ -16,6 +16,26 @@ from .activations import Activation, NORMALIZATION_TABLE, apply, gradient
 from .network import ActBlock, Affine, BatchNorm, Network
 from .numerics import sigmoid
 
+# Fixed settings of the checks. Monte Carlo draws MC_CHUNK samples at a time,
+# so its memory does not grow with the sample count. Gradient checks draw
+# points from [-GRADCHECK_BOX, GRADCHECK_BOX]^2 farther than BOUNDARY_EPS from
+# every kink line and pass below GRADCHECK_TOL. The identity check draws its
+# operands from [-BAYES_BOX, BAYES_BOX].
+MC_CHUNK = 1_000_000
+BOUNDARY_EPS = 1e-3
+GRADCHECK_BOX = 8.0
+GRADCHECK_TOL = 1e-5
+BAYES_BOX = 20.0
+
+# The grid comparison also reports the max difference farther than EXCLUSION
+# and than WIDE_EXCLUSION from the kink lines. The xnor difference is bounded
+# by 1 everywhere (sup log 2). For and/or the sup is log 3 at the origin and
+# the region above 1 extends roughly 0.1 from the kink lines, so the <= 1 gate
+# only holds beyond the wide exclusion; the narrow-exclusion figure is
+# reported without gating.
+EXCLUSION = 0.02
+WIDE_EXCLUSION = 0.10
+
 
 # ---------------------------------------------------------------------------
 # Streaming moments (single pass, merge-based so chunks don't lose precision)
@@ -63,8 +83,7 @@ class MonteCarloEstimate:
     se_mean: float
 
 
-def mc_constants(act: Activation, n: int, seed: int = 0,
-                 chunk: int = 1_000_000) -> MonteCarloEstimate:
+def mc_constants(act: Activation, n: int, seed: int = 0) -> MonteCarloEstimate:
     """Sample mean/std of act(x, y) under independent standard-normal operands."""
     if act.arity != 2:
         raise ValueError("constants are defined for 2-input activations")
@@ -72,7 +91,7 @@ def mc_constants(act: Activation, n: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     remaining = int(n)
     while remaining > 0:
-        k = min(chunk, remaining)
+        k = min(MC_CHUNK, remaining)
         x = rng.standard_normal(k)
         y = rng.standard_normal(k)
         moments.update(apply(act, x, y))
@@ -86,31 +105,15 @@ def mc_constants(act: Activation, n: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
-# The xnor difference is bounded by 1 everywhere (sup log 2). For and/or the
-# sup is log 3 at the origin and the region above 1 extends roughly 0.1 from
-# the kink lines, so the <= 1 gate only holds beyond that exclusion; the
-# narrow-exclusion figure is reported without gating.
-WIDE_EXCLUSION = 0.10
-
-
 @dataclass
 class GridCompareReport:
     kind: str
-    half_range: float
-    step: float
-    exclusion: float
     max_abs_diff: float            # strict, whole grid
     argmax: tuple
-    masked_max_abs_diff: float     # farther than exclusion from the kink lines
+    masked_max_abs_diff: float     # farther than EXCLUSION from the kink lines
     wide_masked_max_abs_diff: float  # farther than WIDE_EXCLUSION
-    max_rel_diff: float
     exact: np.ndarray | None = None   # surfaces on the (x, y) grid, if kept
     approx: np.ndarray | None = None
-
-
-def _grid_axes(half_range: float, step: float) -> np.ndarray:
-    n = int(round(2 * half_range / step)) + 1
-    return -half_range + step * np.arange(n)
 
 
 def _kink_distance(x, y):
@@ -122,19 +125,18 @@ def _kink_distance(x, y):
     return np.minimum(d, np.minimum(np.abs(x), np.abs(y)), out=d)
 
 
-def grid_compare(kind: str, half_range: float = 10.0, step: float = 0.01,
-                 exclusion: float = 0.02, csv_path=None,
+def grid_compare(kind: str, half_range: float = 10.0, step: float = 0.01, csv_path=None,
                  keep_surfaces: bool = False) -> GridCompareReport:
     """Evaluate exact and approximate gates once over a square grid.
 
     Reports the strict max |approx - exact| plus the max over cells farther
-    than ``exclusion`` (and than WIDE_EXCLUSION) from the lines x=0, y=0,
+    than EXCLUSION (and than WIDE_EXCLUSION) from the lines x=0, y=0,
     x=y, x=-y (the approximate gates' kink lines). ``keep_surfaces`` puts
     the exact and approximate surfaces, indexed [x, y], in the report.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    axes = _grid_axes(half_range, step)
+    axes = -half_range + step * np.arange(int(round(2 * half_range / step)) + 1)
     x, y = np.meshgrid(axes, axes, indexing="ij", sparse=True)
     exact = apply(Activation(kind, "il"), x, y)
     approx = apply(Activation(kind, "ail"), x, y)
@@ -150,16 +152,12 @@ def grid_compare(kind: str, half_range: float = 10.0, step: float = 0.01,
 
     i, j = np.unravel_index(int(diff.argmax()), diff.shape)
     distance = _kink_distance(x, y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        max_rel = np.max(diff / np.abs(exact), where=exact != 0, initial=0.0)
 
     return GridCompareReport(
-        kind=kind, half_range=half_range, step=step, exclusion=exclusion,
-        max_abs_diff=float(diff[i, j]), argmax=(float(axes[i]), float(axes[j])),
-        masked_max_abs_diff=float(np.max(diff, where=distance > exclusion, initial=0.0)),
+        kind=kind, max_abs_diff=float(diff[i, j]), argmax=(float(axes[i]), float(axes[j])),
+        masked_max_abs_diff=float(np.max(diff, where=distance > EXCLUSION, initial=0.0)),
         wide_masked_max_abs_diff=float(np.max(diff, where=distance > WIDE_EXCLUSION,
                                               initial=0.0)),
-        max_rel_diff=float(max_rel),
         exact=exact if keep_surfaces else None,
         approx=approx if keep_surfaces else None,
     )
@@ -169,39 +167,28 @@ def grid_compare(kind: str, half_range: float = 10.0, step: float = 0.01,
 # Gradient checks against central finite differences
 # ---------------------------------------------------------------------------
 
-BOUNDARY_EPS = 1e-3
 
-
-def _interior_points(n: int, seed: int, box: float, boundary_eps: float):
-    """Random 2D points farther than boundary_eps from all kink lines.
-
-    Returns (points, n_excluded): how many candidates fell inside a boundary
-    band and were rejected.
-    """
+def _interior_points(n: int, seed: int):
+    """Random 2D points farther than BOUNDARY_EPS from all kink lines."""
     rng = np.random.default_rng(seed)
     points = np.empty((0, 2))
-    excluded = 0
     while points.shape[0] < n:
-        cand = rng.uniform(-box, box, size=(2 * n, 2))
-        keep = _kink_distance(cand[:, 0], cand[:, 1]) > boundary_eps
-        excluded += int((~keep).sum())
+        cand = rng.uniform(-GRADCHECK_BOX, GRADCHECK_BOX, size=(2 * n, 2))
+        keep = _kink_distance(cand[:, 0], cand[:, 1]) > BOUNDARY_EPS
         points = np.vstack([points, cand[keep]])
-    return points[:n], excluded
+    return points[:n]
 
 
 @dataclass
 class GradcheckReport:
     name: str
-    n_points: int
     max_rel_err: float
-    n_boundary_excluded: int = 0
 
 
 def gradcheck_activation(act: Activation, n_points: int = 10_000, seed: int = 0,
-                         h: float = 1e-5, box: float = 8.0,
-                         boundary_eps: float = BOUNDARY_EPS) -> GradcheckReport:
+                         h: float = 1e-5) -> GradcheckReport:
     """Compare analytical partials with central differences at interior points."""
-    pts, n_excluded = _interior_points(n_points, seed, box, boundary_eps)
+    pts = _interior_points(n_points, seed)
     x, y = pts[:, 0], pts[:, 1]
     if act.arity == 1:
         ana = (gradient(act, x),)
@@ -216,8 +203,7 @@ def gradcheck_activation(act: Activation, n_points: int = 10_000, seed: int = 0,
     for a, f in zip(ana, fd):
         scale = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
         worst = max(worst, float((np.abs(a - f) / scale).max()))
-    return GradcheckReport(name=act.name, n_points=n_points, max_rel_err=worst,
-                           n_boundary_excluded=n_excluded)
+    return GradcheckReport(name=act.name, max_rel_err=worst)
 
 
 def gradcheck_network(net: Network, x: np.ndarray, seed: int = 0,
@@ -304,11 +290,11 @@ def weight_correlations(net: Network, layer_index: int, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def bayes_identity_check(n: int = 10_000, seed: int = 0, box: float = 20.0) -> float:
+def bayes_identity_check(n: int = 10_000, seed: int = 0) -> float:
     """Max abs error of sigma(and_il) = sigma(x)sigma(y) and the OR analogue."""
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-box, box, size=n)
-    y = rng.uniform(-box, box, size=n)
+    x = rng.uniform(-BAYES_BOX, BAYES_BOX, size=n)
+    y = rng.uniform(-BAYES_BOX, BAYES_BOX, size=n)
     err_and = np.abs(sigmoid(A.and_il(x, y)) - sigmoid(x) * sigmoid(y))
     err_or = np.abs(sigmoid(A.or_il(x, y)) - (1.0 - sigmoid(-x) * sigmoid(-y)))
     return float(max(err_and.max(), err_or.max()))
@@ -349,30 +335,29 @@ def constants_report(n: int = 10_000_000, seed: int = 0, table: dict | None = No
     return results, estimates
 
 
-def gradients_suite(n_points: int = 10_000, seed: int = 0,
-                    tol: float = 1e-5) -> list[CheckResult]:
+def gradients_suite(seed: int = 0) -> list[CheckResult]:
     results = []
     for act in all_activation_variants():
         # The signed geometric mean's curvature diverges along the axes, so
         # the difference step must shrink for the comparison to be valid.
         h = 1e-6 if act.kind == "signed_geomean" else 1e-5
-        rep = gradcheck_activation(act, n_points, seed, h=h)
-        results.append(CheckResult(f"grad {rep.name}", rep.max_rel_err, tol,
-                                   rep.max_rel_err < tol))
+        rep = gradcheck_activation(act, seed=seed, h=h)
+        results.append(CheckResult(f"grad {rep.name}", rep.max_rel_err, GRADCHECK_TOL,
+                                   rep.max_rel_err < GRADCHECK_TOL))
     return results
 
 
-def diff_bound_suite(step: float = 0.01, exclusion: float = 0.02) -> list[CheckResult]:
+def diff_bound_suite() -> list[CheckResult]:
     bound = 1.0 + 1e-9
     results = []
     for kind in A.GATE_KINDS:
-        rep = grid_compare(kind, 10.0, step, exclusion)
+        rep = grid_compare(kind)
         if kind == "xnor":
-            results.append(CheckResult(f"diff {kind} (eps={exclusion:g})",
+            results.append(CheckResult(f"diff {kind} (eps={EXCLUSION:g})",
                                        rep.masked_max_abs_diff, bound,
                                        rep.masked_max_abs_diff <= bound))
         else:
-            results.append(CheckResult(f"diff {kind} (eps={exclusion:g}, reported)",
+            results.append(CheckResult(f"diff {kind} (eps={EXCLUSION:g}, reported)",
                                        rep.masked_max_abs_diff, float("inf"), True))
         results.append(CheckResult(f"diff {kind} (eps={WIDE_EXCLUSION:g})",
                                    rep.wide_masked_max_abs_diff, bound,
@@ -382,18 +367,16 @@ def diff_bound_suite(step: float = 0.01, exclusion: float = 0.02) -> list[CheckR
     return results
 
 
-def bayes_suite(n: int = 10_000, seed: int = 0) -> list[CheckResult]:
-    err = bayes_identity_check(n, seed)
+def bayes_suite(seed: int = 0) -> list[CheckResult]:
+    err = bayes_identity_check(seed=seed)
     return [CheckResult("probability identities", err, 1e-12, err < 1e-12)]
 
 
 def all_activation_variants() -> list[Activation]:
-    """Every constructible activation variant."""
+    """Every constructible activation variant, each gate followed by its normalized form."""
     variants = []
-    for kind in A.GATE_KINDS:
-        for family in ("il", "ail"):
-            for normalized in (False, True):
-                variants.append(Activation(kind, family, normalized))
-    for kind in A.RAW_2D_KINDS + A.RAW_1D_KINDS:
-        variants.append(Activation(kind, "raw"))
+    for kind, family in A._GATES:
+        variants.append(Activation(kind, family))
+        if (kind, family) in A.NORMALIZATION_TABLE:
+            variants.append(Activation(kind, family, True))
     return variants

@@ -198,7 +198,7 @@ _GRID_REPORTS = {}
 
 def _grid(kind):
     if kind not in _GRID_REPORTS:
-        _GRID_REPORTS[kind] = grid_compare(kind, 10.0, 0.01, exclusion=0.02)
+        _GRID_REPORTS[kind] = grid_compare(kind, 10.0, 0.01)
     return _GRID_REPORTS[kind]
 
 

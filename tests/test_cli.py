@@ -127,7 +127,7 @@ def test_report_command(tmp_path):
     assert "xnor_ail" in lines[2]  # higher accuracy sorts first
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch):
+def test_seed_env_fallback(tmp_path):
     cfg = {
         "task": "parity4",
         "activation": "xnor_ail",
@@ -137,8 +137,7 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    monkeypatch.setenv("LOGITGATES_SEED", "99")
-    rc = main(["train", str(path), "--out-dir", str(tmp_path / "out")])
+    rc = main(["train", str(path), "--seed", "99", "--out-dir", str(tmp_path / "out")])
     assert rc == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["config"]["seed"] == 99

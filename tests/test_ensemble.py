@@ -2,19 +2,11 @@ import numpy as np
 import pytest
 
 from logitgates.activations import Activation
-from logitgates.ensemble import EnsembleSpec, backward, forward, pair_channels, parse_spec
+from logitgates.ensemble import EnsembleSpec, backward, forward, parse_spec
 
 OR_AIL = Activation("or", "ail")
 AND_AIL = Activation("and", "ail")
 XNOR_AIL = Activation("xnor", "ail")
-
-
-def test_pair_channels():
-    assert pair_channels(4) == [(0, 1), (2, 3)]
-    assert pair_channels(2) == [(0, 1)]
-    assert pair_channels(6) == [(0, 1), (2, 3), (4, 5)]
-    with pytest.raises(ValueError):
-        pair_channels(5)
 
 
 def test_forward_duplication_or_and():

@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from logitgates.numerics import sigmoid, softplus
+from logitgates.numerics import sigmoid
 
 
 def test_sigmoid_reference_values():
@@ -25,19 +23,6 @@ def test_sigmoid_monotone():
     assert np.all(np.diff(sigmoid(xs)) >= 0)
 
 
-def test_softplus_reference_values():
-    assert softplus(0.0) == pytest.approx(math.log(2.0), rel=1e-15)
-    assert softplus(1000.0) == 1000.0
-    assert softplus(-1000.0) == 0.0
-
-
-def test_softplus_antisymmetry_identity():
-    # softplus(x) - softplus(-x) = x
-    xs = np.linspace(-30, 30, 6001)
-    assert np.abs(softplus(xs) - softplus(-xs) - xs).max() < 1e-12
-
-
 def test_total_on_finite_inputs_no_nan():
     xs = np.array([-1e12, -1e3, -1.0, -1e-12, 0.0, 1e-12, 1.0, 1e3, 1e12])
-    for fn in (sigmoid, softplus):
-        assert np.all(np.isfinite(fn(xs)))
+    assert np.all(np.isfinite(sigmoid(xs)))

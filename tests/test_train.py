@@ -197,6 +197,12 @@ class TestLosses:
         loss, grad = bce_with_logits(z, t)
         assert math.isfinite(loss) and np.all(np.isfinite(grad))
 
+    def test_bce_saturated_logits_exact(self):
+        # Per element: softplus(1000) = 1000 for a wrong sign, softplus(-1000) = 0.
+        z = np.array([[1000.0], [-1000.0]])
+        assert bce_with_logits(z, np.array([[0.0], [1.0]]))[0] == 1000.0
+        assert bce_with_logits(z, np.array([[1.0], [0.0]]))[0] == 0.0
+
     def test_cross_entropy_gradient(self):
         rng = np.random.default_rng(6)
         z = rng.standard_normal((5, 4))
@@ -261,6 +267,19 @@ class TestFit:
         assert "layer0" in str(err.value)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("batch_norm, layer, attr, expected", [
+        (False, 2, "weight", "layer2 (Affine)"),
+        (True, 1, "gamma", "layer1 (BatchNorm)"),
+    ], ids=["second_affine", "batchnorm_gamma"])
+    def test_nan_diagnosis_names_exact_layer(self, batch_norm, layer, attr, expected):
+        ds = data.gen_parity4(64, 0)
+        net = build_network("parity4", [4, 2], "xnor_ail", 0, batch_norm)
+        getattr(net.layers[layer], attr).flat[0] = np.nan
+        with pytest.raises(NaNLossError) as err:
+            fit(net, ds, self._config())
+        assert err.value.layer == expected
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nonfinite_gradient_names_backward_layer(self, monkeypatch):
         ds = data.gen_parity4(64, 0)
         net = build_network("parity4", [4, 2], "xnor_ail", 0)
@@ -303,3 +322,10 @@ def test_config_validation():
         TrainConfig(epochs=1, batch_size=4, loss="hinge")
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, batch_size=4, max_lr=-0.1)
+    for bad in (dict(schedule="one_cycle"), dict(optimizer="rmsprop"),
+                dict(beta1=1.5), dict(beta1=-0.1), dict(beta2=1.0),
+                dict(momentum=1.0), dict(momentum=-0.5), dict(eps=0.0)):
+        with pytest.raises(ValueError):
+            TrainConfig(epochs=1, batch_size=4, **bad)
+    TrainConfig(epochs=1, batch_size=4, schedule="constant", optimizer="sgd",
+                beta1=0.0, momentum=0.0)

@@ -208,11 +208,6 @@ def test_random_pair_cosines_near_zero_after_training():
     assert abs(np.mean(random_pairs)) < 0.15
 
 
-def test_gradcheck_counts_boundary_exclusions():
-    rep = gradcheck_activation(Activation("or", "ail"), n_points=5000, seed=1)
-    assert rep.n_points == 5000
-    assert rep.n_boundary_excluded > 0
-
 
 def test_weight_correlations_single_pair_layer():
     # two output columns = one operand pair: no non-partner pairs to sample
