@@ -25,53 +25,149 @@ def _f64(x):
     return np.asarray(x, dtype=np.float64)
 
 
+def _out(t):
+    """``t`` as a ufunc ``out=`` target, or None when it is a numpy scalar (which takes none)."""
+    return t if isinstance(t, np.ndarray) else None
+
+
 def _negated(out, grad):
-    """De Morgan dual -gate(-x, -y) from gate's output at (-x, -y).
+    """De Morgan dual -gate(-x, -y) from gate's output at (-x, -y), negated in place.
 
     The two negations cancel in the chain rule, so the partials keep their sign.
     """
     if not grad:
-        return -out
+        return np.negative(out, out=_out(out))
     value, gx, gy = out
-    return -value, gx, gy
+    return np.negative(value, out=_out(value)), gx, gy
 
 
 # ---------------------------------------------------------------------------
 # Exact gates, in log-probabilities. Each operand gives log sigma(x) and
-# log sigma(-x) from one r = log1p(exp(-|x|)). The gate builds log p of its
+# log sigma(-x) from one r = log1p(exp(-|x|)). A gate builds log p of its
 # event and log q of the complement event directly from those, never as
 # log(1 - p) of a rounded p, and returns logit = log p - log q.
+#
+# The operand terms (x, y, the four log-sigmoids and log P(exactly one)) are
+# built once by _operand_terms and read by one routine per gate, so a block
+# evaluating several exact gates on one operand pair shares them. Fresh
+# temporaries are overwritten in place: the gates run on large arrays, where
+# every new array costs memory and page faults.
 # ---------------------------------------------------------------------------
+
+
+def _logaddexp(a, b):
+    """np.logaddexp(a, b) as max(a, b) + log1p(exp(-|a - b|)) from vectorized ufuncs.
+
+    np.logaddexp runs as a scalar loop, several times slower than exp and
+    log1p together. min - max is -|a - b| exactly, so the result is
+    bit-symmetric in (a, b). Equal infinities make that difference NaN; fmax
+    turns it into -inf, so (-inf, -inf) gives -inf, while a NaN operand still
+    reaches the result through max.
+    """
+    hi = np.maximum(a, b)
+    t = np.minimum(a, b)
+    with np.errstate(invalid="ignore"):
+        t -= hi
+    o = _out(t)
+    t = np.fmax(t, -np.inf, out=o)
+    t = np.exp(t, out=o)
+    t = np.log1p(t, out=o)
+    t += hi
+    return t
 
 
 def _log_sigmoids(x):
     """(log sigma(x), log sigma(-x)), finite for every finite x."""
-    x = _f64(x)
-    r = np.log1p(np.exp(-np.abs(x)))
-    return np.minimum(x, 0.0) - r, np.minimum(-x, 0.0) - r
+    r = np.abs(x)
+    o = _out(r)
+    r = np.negative(r, out=o)
+    r = np.exp(r, out=o)
+    r = np.log1p(r, out=o)
+    lp = np.minimum(x, 0.0)
+    lp -= r
+    # -(max(x, 0) + r) is min(-x, 0) - r bit for bit: rounding is symmetric.
+    ln = np.maximum(x, 0.0)
+    ln += r
+    return lp, np.negative(ln, out=_out(ln))
 
 
 def _logit(logp, logq):
     # Clamped so a saturated gate never hands inf to the next layer.
-    return np.clip(logp - logq, -LOGIT_CLAMP, LOGIT_CLAMP)
+    d = logp - logq
+    return np.clip(d, -LOGIT_CLAMP, LOGIT_CLAMP, out=_out(d))
+
+
+def _sigmoid_neg(u):
+    """sigma(-u) = 1 / (1 + exp(u)), written over u; exp(u) = inf gives 0, as it should."""
+    o = _out(u)
+    u = np.exp(u, out=o)
+    u += 1.0
+    return np.reciprocal(u, out=o)
+
+
+def _operand_terms(x, y):
+    """(x, y, log sigma(x), log sigma(-x), log sigma(y), log sigma(-y), log P(exactly one))."""
+    x, y = _f64(x), _f64(y)
+    lpx, lnx = _log_sigmoids(x)
+    lpy, lny = _log_sigmoids(y)
+    with np.errstate(over="ignore"):  # a sum past -1.8e308 is p = 0: -inf is right
+        lxor = _logaddexp(lpx + lny, lnx + lpy)
+    return x, y, lpx, lnx, lpy, lny, lxor
+
+
+def _and(terms, grad):
+    _, _, lpx, lnx, lpy, lny, lxor = terms
+    with np.errstate(over="ignore"):
+        value = _logit(lpx + lpy, _logaddexp(lnx + lny, lxor))
+        if not grad:
+            return value
+        # d/dx = sigma(-x) / (1 - p) = sigma(-(x + log sigma(-y))), with x read
+        # as log sigma(x) - log sigma(-x). Nothing cancels, so the partial stays
+        # exact however large the operands are.
+        gx = lpx - lnx
+        gx += lny
+        gy = lpy - lny
+        gy += lnx
+        return value, _sigmoid_neg(gx), _sigmoid_neg(gy)
+
+
+def _or(terms, grad):
+    # -and(-x, -y): negating an operand swaps its two log-sigmoids and leaves
+    # P(exactly one) as it is, so duality and commutativity are bit-exact.
+    _, _, lpx, lnx, lpy, lny, lxor = terms
+    return _negated(_and((None, None, lnx, lpx, lny, lpy, lxor), grad), grad)
+
+
+def _xnor(terms, grad):
+    x, y, lpx, lnx, lpy, lny, lxor = terms
+    with np.errstate(over="ignore"):
+        logp = _logaddexp(lpx + lpy, lnx + lny)
+    value = _logit(logp, lxor)
+    if not grad:
+        return value
+    # d/dx = exp(log sigma(x) + log sigma(-x) - log p - log q) tanh(y/2). The
+    # exponent cancels for operands past about 1e3, where this partial drifts
+    # from its true value (0.5 at (v, v)).
+    logp += lxor
+    gx = lpx + lnx
+    gx -= logp
+    gx = np.exp(gx, out=_out(gx))
+    gx *= np.tanh(y / 2.0)
+    gy = lpy + lny
+    gy -= logp
+    gy = np.exp(gy, out=_out(gy))
+    gy *= np.tanh(x / 2.0)
+    return value, gx, gy
 
 
 def and_il(x, y, grad=False):
     """Logit of p = sigma(x)*sigma(y); d/dx = sigma(-x) / (1 - p)."""
-    lpx, lnx = _log_sigmoids(x)
-    lpy, lny = _log_sigmoids(y)
-    with np.errstate(over="ignore"):  # a sum past -1.8e308 is p = 0: -inf is right
-        logp = lpx + lpy
-        logq = np.logaddexp(lnx + lny, np.logaddexp(lpx + lny, lnx + lpy))
-    value = _logit(logp, logq)
-    if not grad:
-        return value
-    return value, np.exp(lnx - logq), np.exp(lny - logq)
+    return _and(_operand_terms(x, y), grad)
 
 
 def or_il(x, y, grad=False):
     """Logit of 1 - sigma(-x)*sigma(-y); De Morgan dual of and_il, bit-exact."""
-    return _negated(and_il(-_f64(x), -_f64(y), grad), grad)
+    return _or(_operand_terms(x, y), grad)
 
 
 def xnor_il(x, y, grad=False):
@@ -79,19 +175,7 @@ def xnor_il(x, y, grad=False):
 
     The complement is XOR; d/dx = sigma(x)sigma(-x)tanh(y/2) / (p(1-p)).
     """
-    x, y = _f64(x), _f64(y)
-    lpx, lnx = _log_sigmoids(x)
-    lpy, lny = _log_sigmoids(y)
-    with np.errstate(over="ignore"):
-        logp = np.logaddexp(lpx + lpy, lnx + lny)
-        logq = np.logaddexp(lpx + lny, lnx + lpy)
-    value = _logit(logp, logq)
-    if not grad:
-        return value
-    logpq = logp + logq
-    gx = np.exp(lpx + lnx - logpq) * np.tanh(y / 2.0)
-    gy = np.exp(lpy + lny - logpq) * np.tanh(x / 2.0)
-    return value, gx, gy
+    return _xnor(_operand_terms(x, y), grad)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +274,14 @@ NORMALIZATION_TABLE = {
 }
 
 # Every valid (kind, family), in listing order; the gate kinds are the rows
-# of the "il" family, and relu is the only 1-input kind.
+# of the "il" family, and relu is the only 1-input kind. The "il" rows take
+# the operand terms, every other row the operands.
 _GATES = {
-    ("and", "il"): and_il,
+    ("and", "il"): _and,
     ("and", "ail"): and_ail,
-    ("or", "il"): or_il,
+    ("or", "il"): _or,
     ("or", "ail"): or_ail,
-    ("xnor", "il"): xnor_il,
+    ("xnor", "il"): _xnor,
     ("xnor", "ail"): xnor_ail,
     ("signed_geomean", "raw"): signed_geomean,
     ("max", "raw"): max_pair,
@@ -261,26 +346,45 @@ def parse_activation(name: str) -> Activation:
     raise ValueError(f"cannot parse activation name {name!r}")
 
 
+def apply_all(acts, x, y=None, grad: bool = False) -> list:
+    """``apply(act, x, y, grad)`` for each act in ``acts``, in order, on one operand pair.
+
+    The exact gates among them share one set of operand terms, built once.
+    """
+    terms = None
+    out = []
+    for act in acts:
+        gate = _GATES[(act.kind, act.family)]
+        if act.arity == 1:
+            if y is not None:
+                raise ValueError(f"{act.name} maps one input; got two operands")
+            out.append(gate(x, grad=grad))
+            continue
+        if y is None:
+            raise ValueError(f"{act.name} maps an operand pair; y is missing")
+        if act.family == "il":
+            if terms is None:
+                terms = _operand_terms(x, y)
+            result = gate(terms, grad)
+        else:
+            result = gate(x, y, grad)
+        if act.normalized:
+            mean, std = NORMALIZATION_TABLE[(act.kind, act.family)]
+            if grad:
+                value, gx, gy = result
+                result = (value - mean) / std, gx / std, gy / std
+            else:
+                result = (result - mean) / std
+        out.append(result)
+    return out
+
+
 def apply(act: Activation, x, y=None, grad: bool = False):
     """The activation's value, or with ``grad`` (value, d/dx, d/dy).
 
     1-input kinds take x alone and give (value, d/dx) with ``grad``.
     """
-    gate = _GATES[(act.kind, act.family)]
-    if act.arity == 1:
-        if y is not None:
-            raise ValueError(f"{act.name} maps one input; got two operands")
-        return gate(x, grad=grad)
-    if y is None:
-        raise ValueError(f"{act.name} maps an operand pair; y is missing")
-    out = gate(x, y, grad)
-    if not act.normalized:
-        return out
-    mean, std = NORMALIZATION_TABLE[(act.kind, act.family)]
-    if not grad:
-        return (out - mean) / std
-    value, gx, gy = out
-    return (value - mean) / std, gx / std, gy / std
+    return apply_all((act,), x, y, grad)[0]
 
 
 def gradient(act: Activation, x, y=None):

@@ -96,15 +96,6 @@ def parse_spec(text: str) -> EnsembleSpec:
     return EnsembleSpec(acts, _SUFFIX_STRATEGY[suffix])
 
 
-def _act_pair_slices(spec: EnsembleSpec, n_c: int) -> list[slice]:
-    """Per-act slices into the global pair list (pairs never straddle blocks)."""
-    n_pairs = n_c // 2
-    if spec.strategy == "duplication":
-        return [slice(0, n_pairs)] * spec.m
-    per_block = n_pairs // spec.m
-    return [slice(j * per_block, (j + 1) * per_block) for j in range(spec.m)]
-
-
 def _join(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
@@ -126,8 +117,13 @@ def forward(spec: EnsembleSpec, z: np.ndarray, training: bool = False):
         out = A.apply(spec.acts[0], z, grad=training)
         return (out[0], (out[1], None)) if training else out
     x, y = z[:, 0::2], z[:, 1::2]
-    results = [A.apply(act, x[:, sl], y[:, sl], grad=training)
-               for act, sl in zip(spec.acts, _act_pair_slices(spec, n_c))]
+    if spec.strategy == "duplication":
+        results = A.apply_all(spec.acts, x, y, grad=training)
+    else:
+        # Pairs never straddle blocks: block j holds pairs [j*w, (j+1)*w).
+        w = x.shape[1] // spec.m
+        results = [A.apply(act, x[:, j * w:(j + 1) * w], y[:, j * w:(j + 1) * w], grad=training)
+                   for j, act in enumerate(spec.acts)]
     if not training:
         return _join(results)
     values, gxs, gys = zip(*results)

@@ -91,9 +91,8 @@ class _BatchNormLayer:
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.spec.epsilon)
         xhat = (x - mean) * inv_std
-        if training:
-            self._xhat = xhat
-            self._inv_std = inv_std
+        self._xhat = xhat if training else None
+        self._inv_std = inv_std if training else None
         return self.gamma * xhat + self.beta
 
     def backward(self, dout):

@@ -19,12 +19,16 @@ from .numerics import sigmoid
 # Fixed settings of the checks. Monte Carlo draws MC_CHUNK samples at a time,
 # so its memory does not grow with the sample count. Gradient checks draw
 # points from [-GRADCHECK_BOX, GRADCHECK_BOX]^2 farther than BOUNDARY_EPS from
-# every kink line and pass below GRADCHECK_TOL. The identity check draws its
+# every kink line and pass below GRADCHECK_TOL. The network check compares
+# NET_GRADCHECK_COORDS random parameter coordinates against central
+# differences of step NET_GRADCHECK_STEP. The identity check draws its
 # operands from [-BAYES_BOX, BAYES_BOX].
 MC_CHUNK = 1_000_000
 BOUNDARY_EPS = 1e-3
 GRADCHECK_BOX = 8.0
 GRADCHECK_TOL = 1e-5
+NET_GRADCHECK_COORDS = 64
+NET_GRADCHECK_STEP = 1e-5
 BAYES_BOX = 20.0
 
 # The grid comparison also reports the max difference farther than EXCLUSION
@@ -206,13 +210,13 @@ def gradcheck_activation(act: Activation, n_points: int = 10_000, seed: int = 0,
     return GradcheckReport(name=act.name, max_rel_err=worst)
 
 
-def gradcheck_network(net: Network, x: np.ndarray, seed: int = 0,
-                      n_coords: int = 64, h: float = 1e-5) -> float:
+def gradcheck_network(net: Network, x: np.ndarray, seed: int = 0) -> float:
     """Max relative error of dL/dtheta vs central differences.
 
-    L = sum(R * forward(x)) for a fixed random R; checks n_coords randomly
-    chosen parameter coordinates.
+    L = sum(R * forward(x)) for a fixed random R; checks NET_GRADCHECK_COORDS
+    randomly chosen parameter coordinates.
     """
+    h = NET_GRADCHECK_STEP
     rng = np.random.default_rng(seed)
     y = net.forward(x, training=True)
     r = rng.standard_normal(y.shape)
@@ -226,7 +230,7 @@ def gradcheck_network(net: Network, x: np.ndarray, seed: int = 0,
         return float(np.sum(r * net.forward(x, training=True)))
 
     worst = 0.0
-    for _ in range(n_coords):
+    for _ in range(NET_GRADCHECK_COORDS):
         name, param, _, _ = params[rng.integers(len(params))]
         flat = param.reshape(-1)
         k = int(rng.integers(flat.size))

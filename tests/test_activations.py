@@ -12,7 +12,7 @@ from logitgates.activations import (
     gradient,
     parse_activation,
 )
-from logitgates.numerics import sigmoid
+from logitgates.numerics import LOGIT_CLAMP, sigmoid
 from logitgates.verify import all_activation_variants
 
 LN3 = 1.0986122886681096914
@@ -81,16 +81,28 @@ def _mp_oracle(kind, x, y):
             return mpmath.log(p) - mpmath.log(q)
 
         x, y = mpmath.mpf(x), mpmath.mpf(y)
-        return (float(logit(x, y)), float(mpmath.diff(lambda t: logit(t, y), x)),
-                float(mpmath.diff(lambda t: logit(x, t), y)))
+        # The difference step must resolve against the operands at the working
+        # precision, which grows with addprec; near 1e300 the default step is
+        # absorbed and every partial reads 0.
+        extra = max(10, int(mpmath.mag(abs(x) + abs(y))))
+        # The gates clamp their value to +-LOGIT_CLAMP; their partials are
+        # those of the unclamped logit.
+        value = min(max(float(logit(x, y)), -LOGIT_CLAMP), LOGIT_CLAMP)
+        return (value, float(mpmath.diff(lambda t: logit(t, y), x, addprec=extra)),
+                float(mpmath.diff(lambda t: logit(x, t), y, addprec=extra)))
 
 
 SATURATED_PAIRS = [(745.0, 745.0), (800.0, 800.0), (-800.0, -800.0), (800.0, -800.0)]
 XNOR_DIAGONAL = [(v, s * v) for v in (0.5, 3.0, 20.0, 40.0, 100.0, 500.0, 745.0, 800.0, 1000.0)
                  for s in (1.0, -1.0)]
+# Past about 1e3 the and/or partials once lost all accuracy (d/dx of
+# and_il(v, v) read 1.0 at 1e16). xnor_il still does, so it is not listed here.
+WIDE_PAIRS = [(s * v, t * v) for v in (1e10, 1e14, 1e16, 1e300)
+              for s in (1.0, -1.0) for t in (1.0, -1.0)]
 ORACLE_CASES = list(dict.fromkeys([(k, x, y) for k in ("and", "or", "xnor")
                                    for x, y in SATURATED_PAIRS]
-                                  + [("xnor", x, y) for x, y in XNOR_DIAGONAL]))
+                                  + [("xnor", x, y) for x, y in XNOR_DIAGONAL]
+                                  + [(k, x, y) for k in ("and", "or") for x, y in WIDE_PAIRS]))
 
 
 class TestSaturatedExactGates:
@@ -109,6 +121,54 @@ class TestSaturatedExactGates:
             if act.family == "il":
                 outs = (apply(act, x, y),) + tuple(gradient(act, x, y))
                 assert all(np.all(np.isfinite(o)) for o in outs), act.name
+
+
+def _wide_operands(n, seed):
+    """Signed magnitudes log-uniform over [1e-300, 1e308], with -inf, 0 and tied pairs mixed in."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 308, n) for _ in range(2))
+    b[: n // 8] = a[: n // 8]
+    a[n // 8: n // 4] = -np.inf
+    b[n // 4: n // 4 + n // 16] = -np.inf
+    a[-n // 16:] = 0.0
+    return a, b
+
+
+class TestLogaddexp:
+    @pytest.mark.parametrize("scale", [None, 5.0, 5e-3])
+    def test_matches_numpy_within_4_ulp(self, scale):
+        if scale is None:
+            a, b = _wide_operands(200_000, seed=10)
+        else:
+            a, b = rand_points(200_000, box=scale, seed=12)
+        got, want = A._logaddexp(a, b), np.logaddexp(a, b)
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        # Both sum max(a, b) and a log1p term, rounding each: count ulps of the
+        # largest of the two addends and the sum. (Near a zero sum the
+        # addends cancel, and ulps of the sum alone would count that.)
+        hi = np.maximum(a, b)
+        ulp = np.spacing(np.maximum.reduce([np.abs(want), np.abs(hi), np.abs(want - hi)]))
+        assert np.all(np.abs(got - want)[finite] <= 4 * ulp[finite])
+
+    def test_bit_symmetric(self):
+        a, b = _wide_operands(200_000, seed=11)
+        assert np.array_equal(A._logaddexp(a, b), A._logaddexp(b, a))
+
+    def test_infinities_and_nan(self):
+        inf, nan = np.inf, np.nan
+        a = np.array([-inf, inf, -inf, nan, 1.0, nan])
+        b = np.array([-inf, inf, 2.0, 1.0, nan, -inf])
+        want = np.array([-inf, inf, 2.0, nan, nan, nan])
+        assert np.array_equal(A._logaddexp(a, b), want, equal_nan=True)
+
+    def test_scalar_inputs(self):
+        assert A._logaddexp(0.0, 0.0) == math.log(2.0)
+        assert A._logaddexp(-np.inf, -np.inf) == -np.inf
+        assert A._logaddexp(np.float64(1.0), np.asarray(-1.0)) == np.logaddexp(1.0, -1.0)
+        for gate in (A.and_il, A.or_il, A.xnor_il):
+            assert np.ndim(gate(0.5, np.float64(-2.0))) == 0
+            assert all(np.ndim(v) == 0 for v in gate(np.asarray(0.5), 2.0, grad=True))
 
 
 class TestApproxGates:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from logitgates.activations import Activation
+from logitgates.activations import Activation, apply
 from logitgates.ensemble import EnsembleSpec, backward, forward, parse_spec
 
 OR_AIL = Activation("or", "ail")
@@ -65,6 +65,25 @@ def test_single_act_strategies_identical():
     assert np.array_equal(forward(dup, z), forward(part, z))
     assert np.array_equal(backward(dup, forward(dup, z, training=True)[1], up),
                           backward(part, forward(part, z, training=True)[1], up))
+
+
+@pytest.mark.parametrize("spec", [
+    parse_spec("il:or+and+xnor:d"),
+    parse_spec("nil:or+and+xnor:d"),
+    parse_spec("ail:or+and+xnor:d"),
+    EnsembleSpec((Activation("xnor", "il"), OR_AIL, Activation("and", "il", normalized=True),
+                  Activation("max"), Activation("or", "il")), "duplication"),
+], ids=lambda spec: "+".join(a.name for a in spec.acts))
+def test_duplication_block_equals_per_activation_apply(spec):
+    # The block evaluates its acts in one call that shares the exact gates'
+    # operand terms; it must give what each act alone gives, bit for bit.
+    z = np.random.default_rng(3).standard_normal((64, 40)) * 3.0
+    x, y = z[:, 0::2], z[:, 1::2]
+    value, (gx, gy) = forward(spec, z, training=True)
+    per_act = [apply(act, x, y, grad=True) for act in spec.acts]
+    for got, want in zip((forward(spec, z), value, gx, gy),
+                         (np.concatenate([r[i] for r in per_act], axis=1) for i in (0, 0, 1, 2))):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("text,n_c", [

@@ -145,7 +145,7 @@ def test_end_to_end_gradcheck_with_batchnorm():
 def test_whole_network_finite_difference_64_coords():
     net = Network(parity_specs(), seed=21)
     x = np.random.default_rng(21).uniform(-2, 2, (16, 4))
-    assert gradcheck_network(net, x, seed=21, n_coords=64) < 1e-4
+    assert gradcheck_network(net, x, seed=21) < 1e-4
 
 
 def test_actblock_channel_counts():
@@ -165,6 +165,24 @@ def test_batchnorm_training_vs_running_stats():
     assert np.abs(y_train.std(axis=0) - 1).max() < 1e-2
     y_eval = net.forward(x, training=False)
     assert not np.allclose(y_train, y_eval)
+
+
+def test_evaluation_pass_leaves_no_layer_cache():
+    # What a layer keeps for its backward pass (its underscore attributes)
+    # is dropped by an evaluation pass, so an evaluated network holds no
+    # batch-sized arrays.
+    specs = [Affine(4, 8), BatchNorm(8), ActBlock(parse_spec("il:or+and:d")), Affine(8, 2)]
+    net = Network(specs, seed=3)
+    x = np.random.default_rng(3).standard_normal((32, 4))
+
+    def caches():
+        return {(i, name): value for i, layer in enumerate(net.layers)
+                for name, value in vars(layer).items() if name.startswith("_")}
+
+    net.forward(x, training=True)
+    assert len(caches()) == 5 and all(v is not None for v in caches().values())
+    net.forward(x, training=False)
+    assert [key for key, value in caches().items() if value is not None] == []
 
 
 def test_save_load_round_trip(tmp_path):

@@ -1,0 +1,17 @@
+"""Smoke run of the benchmark harness: one short mnist_il run must finish correct."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_mnist_il_benchmark_run_is_correct():
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "mnist_il", "--seed", "1",
+           "--seconds", "0.1", "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
