@@ -2,7 +2,9 @@
 
 Exact gates (``*_il``) treat their inputs as logits of independent events and
 return the logit of the combined event. Approximate gates (``*_ail``) are the
-piecewise-linear counterparts built from comparisons and addition only.
+piecewise-linear counterparts built from comparisons and addition only. Each
+exact gate is the soft (log-sum-exp) form of the terms its approximate gate
+picks between, and is computed as that gate plus a bounded correction.
 
 Every gate is a single routine ``gate(x, y, grad=False)`` that returns its
 value, or with ``grad`` the triple (value, d/dx, d/dy), so value and partials
@@ -39,143 +41,6 @@ def _negated(out, grad):
         return np.negative(out, out=_out(out))
     value, gx, gy = out
     return np.negative(value, out=_out(value)), gx, gy
-
-
-# ---------------------------------------------------------------------------
-# Exact gates, in log-probabilities. Each operand gives log sigma(x) and
-# log sigma(-x) from one r = log1p(exp(-|x|)). A gate builds log p of its
-# event and log q of the complement event directly from those, never as
-# log(1 - p) of a rounded p, and returns logit = log p - log q.
-#
-# The operand terms (x, y, the four log-sigmoids and log P(exactly one)) are
-# built once by _operand_terms and read by one routine per gate, so a block
-# evaluating several exact gates on one operand pair shares them. Fresh
-# temporaries are overwritten in place: the gates run on large arrays, where
-# every new array costs memory and page faults.
-# ---------------------------------------------------------------------------
-
-
-def _logaddexp(a, b):
-    """np.logaddexp(a, b) as max(a, b) + log1p(exp(-|a - b|)) from vectorized ufuncs.
-
-    np.logaddexp runs as a scalar loop, several times slower than exp and
-    log1p together. min - max is -|a - b| exactly, so the result is
-    bit-symmetric in (a, b). Equal infinities make that difference NaN; fmax
-    turns it into -inf, so (-inf, -inf) gives -inf, while a NaN operand still
-    reaches the result through max.
-    """
-    hi = np.maximum(a, b)
-    t = np.minimum(a, b)
-    with np.errstate(invalid="ignore"):
-        t -= hi
-    o = _out(t)
-    t = np.fmax(t, -np.inf, out=o)
-    t = np.exp(t, out=o)
-    t = np.log1p(t, out=o)
-    t += hi
-    return t
-
-
-def _log_sigmoids(x):
-    """(log sigma(x), log sigma(-x)), finite for every finite x."""
-    r = np.abs(x)
-    o = _out(r)
-    r = np.negative(r, out=o)
-    r = np.exp(r, out=o)
-    r = np.log1p(r, out=o)
-    lp = np.minimum(x, 0.0)
-    lp -= r
-    # -(max(x, 0) + r) is min(-x, 0) - r bit for bit: rounding is symmetric.
-    ln = np.maximum(x, 0.0)
-    ln += r
-    return lp, np.negative(ln, out=_out(ln))
-
-
-def _logit(logp, logq):
-    # Clamped so a saturated gate never hands inf to the next layer.
-    d = logp - logq
-    return np.clip(d, -LOGIT_CLAMP, LOGIT_CLAMP, out=_out(d))
-
-
-def _sigmoid_neg(u):
-    """sigma(-u) = 1 / (1 + exp(u)), written over u; exp(u) = inf gives 0, as it should."""
-    o = _out(u)
-    u = np.exp(u, out=o)
-    u += 1.0
-    return np.reciprocal(u, out=o)
-
-
-def _operand_terms(x, y):
-    """(x, y, log sigma(x), log sigma(-x), log sigma(y), log sigma(-y), log P(exactly one))."""
-    x, y = _f64(x), _f64(y)
-    lpx, lnx = _log_sigmoids(x)
-    lpy, lny = _log_sigmoids(y)
-    with np.errstate(over="ignore"):  # a sum past -1.8e308 is p = 0: -inf is right
-        lxor = _logaddexp(lpx + lny, lnx + lpy)
-    return x, y, lpx, lnx, lpy, lny, lxor
-
-
-def _and(terms, grad):
-    _, _, lpx, lnx, lpy, lny, lxor = terms
-    with np.errstate(over="ignore"):
-        value = _logit(lpx + lpy, _logaddexp(lnx + lny, lxor))
-        if not grad:
-            return value
-        # d/dx = sigma(-x) / (1 - p) = sigma(-(x + log sigma(-y))), with x read
-        # as log sigma(x) - log sigma(-x). Nothing cancels, so the partial stays
-        # exact however large the operands are.
-        gx = lpx - lnx
-        gx += lny
-        gy = lpy - lny
-        gy += lnx
-        return value, _sigmoid_neg(gx), _sigmoid_neg(gy)
-
-
-def _or(terms, grad):
-    # -and(-x, -y): negating an operand swaps its two log-sigmoids and leaves
-    # P(exactly one) as it is, so duality and commutativity are bit-exact.
-    _, _, lpx, lnx, lpy, lny, lxor = terms
-    return _negated(_and((None, None, lnx, lpx, lny, lpy, lxor), grad), grad)
-
-
-def _xnor(terms, grad):
-    x, y, lpx, lnx, lpy, lny, lxor = terms
-    with np.errstate(over="ignore"):
-        logp = _logaddexp(lpx + lpy, lnx + lny)
-    value = _logit(logp, lxor)
-    if not grad:
-        return value
-    # d/dx = exp(log sigma(x) + log sigma(-x) - log p - log q) tanh(y/2). The
-    # exponent cancels for operands past about 1e3, where this partial drifts
-    # from its true value (0.5 at (v, v)).
-    logp += lxor
-    gx = lpx + lnx
-    gx -= logp
-    gx = np.exp(gx, out=_out(gx))
-    gx *= np.tanh(y / 2.0)
-    gy = lpy + lny
-    gy -= logp
-    gy = np.exp(gy, out=_out(gy))
-    gy *= np.tanh(x / 2.0)
-    return value, gx, gy
-
-
-def and_il(x, y, grad=False):
-    """Logit of p = sigma(x)*sigma(y); d/dx = sigma(-x) / (1 - p)."""
-    return _and(_operand_terms(x, y), grad)
-
-
-def or_il(x, y, grad=False):
-    """Logit of 1 - sigma(-x)*sigma(-y); De Morgan dual of and_il, bit-exact."""
-    return _or(_operand_terms(x, y), grad)
-
-
-def xnor_il(x, y, grad=False):
-    """Logit of p = sigma(x)sigma(y) + sigma(-x)sigma(-y) (both or neither).
-
-    The complement is XOR; d/dx = sigma(x)sigma(-x)tanh(y/2) / (p(1-p)).
-    """
-    return _xnor(_operand_terms(x, y), grad)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +119,94 @@ def relu(x, grad=False):
 
 
 # ---------------------------------------------------------------------------
+# Exact gates. Each is the soft (log-sum-exp) form of the terms its
+# approximate gate picks between, computed as that gate plus the log of a sum
+# of exponentials whose exponents are all <= 0: nothing overflows, and no
+# partial cancels at any finite operand. Fresh temporaries are overwritten in
+# place: the gates run on large arrays, where every new array costs memory
+# and page faults.
+# ---------------------------------------------------------------------------
+
+
+def _exp_min(t, b):
+    """exp(min(t, b, 0)), written over t, a fresh temporary."""
+    o = _out(t)
+    t = np.minimum(t, b, out=o)
+    return np.exp(np.minimum(t, 0.0, out=o), out=o)
+
+
+def _lse_gap(t):
+    """log1p(exp(-|t|)) = log(e^a + e^b) - max(a, b) for t = a - b, written over t."""
+    o = _out(t)
+    t = np.negative(np.abs(t, out=o), out=o)
+    return np.log1p(np.exp(t, out=o), out=o)
+
+
+def _clamped(v):
+    # A saturated gate never hands inf to the next layer.
+    return np.clip(v, -LOGIT_CLAMP, LOGIT_CLAMP, out=_out(v))
+
+
+# x +- y past the float64 range rounds to +-inf, which is the right limit.
+@np.errstate(over="ignore")
+def and_il(x, y, grad=False):
+    """Logit of p = sigma(x)*sigma(y), which is -log(e^-x + e^-y + e^-(x+y)).
+
+    With m = and_ail(x, y) = min(x, y, x + y), that is m - log(ex + ey + es)
+    for ex, ey, es = e^(m-x), e^(m-y), e^(m-x-y): every exponent is <= 0 and
+    one is 0, so the sum lies in [1, 3]. d/dx = (ex + es) / (ex + ey + es).
+    """
+    x, y = _f64(x), _f64(y)
+    ex = _exp_min(y - x, y)
+    ey = _exp_min(x - y, x)
+    # Without grad, the sum goes into ex's buffer and es into ey's, so a
+    # full-size call holds two arrays at a time.
+    total = ex + ey if grad else np.add(ex, ey, out=_out(ex))
+    es = np.maximum(np.maximum(x, 0.0), y, out=None if grad else _out(ey))
+    es = np.exp(np.negative(es, out=_out(es)), out=_out(es))
+    total += es
+    if grad:
+        ex += es
+        ex /= total
+        ey += es
+        ey /= total
+    value = np.add(x, y, out=_out(es))
+    value = np.minimum(value, x, out=_out(value))
+    value = np.minimum(value, y, out=_out(value))
+    value -= np.log(total, out=_out(total))
+    value = _clamped(value)
+    return (value, ex, ey) if grad else value
+
+
+def or_il(x, y, grad=False):
+    """Logit of 1 - sigma(-x)*sigma(-y); De Morgan dual of and_il, bit-exact."""
+    return _negated(and_il(-_f64(x), -_f64(y), grad), grad)
+
+
+@np.errstate(over="ignore")
+def xnor_il(x, y, grad=False):
+    """Logit of p = sigma(x)sigma(y) + sigma(-x)sigma(-y) (both or neither).
+
+    That is log(1 + e^-(x+y)) - log(e^-x + e^-y), or xnor_ail(x, y) +
+    log1p(e^-|x+y|) - log1p(e^-|x-y|); d/dx = (tanh((x+y)/2) - tanh((x-y)/2)) / 2
+    and d/dy = (tanh((x+y)/2) + tanh((x-y)/2)) / 2.
+    """
+    x, y = _f64(x), _f64(y)
+    # xnor_ail(x, y), with the sign taken from x*y (np.sign is slow).
+    value = np.minimum(np.abs(x), np.abs(y))
+    value = np.copysign(value, x * y, out=_out(value))
+    s, d = x + y, x - y
+    if grad:
+        ts, td = np.tanh(s / 2.0), np.tanh(d / 2.0)
+    s = _lse_gap(s)
+    s -= _lse_gap(d)
+    # The correction is added as one term, so xnor(-x, y) = -xnor(x, y) bit for bit.
+    value += s
+    value = _clamped(value)
+    return (value, 0.5 * (ts - td), 0.5 * (ts + td)) if grad else value
+
+
+# ---------------------------------------------------------------------------
 # Standardization constants under independent N(0, 1) operands
 # ---------------------------------------------------------------------------
 
@@ -274,14 +227,13 @@ NORMALIZATION_TABLE = {
 }
 
 # Every valid (kind, family), in listing order; the gate kinds are the rows
-# of the "il" family, and relu is the only 1-input kind. The "il" rows take
-# the operand terms, every other row the operands.
+# of the "il" family, and relu is the only 1-input kind.
 _GATES = {
-    ("and", "il"): _and,
+    ("and", "il"): and_il,
     ("and", "ail"): and_ail,
-    ("or", "il"): _or,
+    ("or", "il"): or_il,
     ("or", "ail"): or_ail,
-    ("xnor", "il"): _xnor,
+    ("xnor", "il"): xnor_il,
     ("xnor", "ail"): xnor_ail,
     ("signed_geomean", "raw"): signed_geomean,
     ("max", "raw"): max_pair,
@@ -346,45 +298,22 @@ def parse_activation(name: str) -> Activation:
     raise ValueError(f"cannot parse activation name {name!r}")
 
 
-def apply_all(acts, x, y=None, grad: bool = False) -> list:
-    """``apply(act, x, y, grad)`` for each act in ``acts``, in order, on one operand pair.
-
-    The exact gates among them share one set of operand terms, built once.
-    """
-    terms = None
-    out = []
-    for act in acts:
-        gate = _GATES[(act.kind, act.family)]
-        if act.arity == 1:
-            if y is not None:
-                raise ValueError(f"{act.name} maps one input; got two operands")
-            out.append(gate(x, grad=grad))
-            continue
-        if y is None:
-            raise ValueError(f"{act.name} maps an operand pair; y is missing")
-        if act.family == "il":
-            if terms is None:
-                terms = _operand_terms(x, y)
-            result = gate(terms, grad)
-        else:
-            result = gate(x, y, grad)
-        if act.normalized:
-            mean, std = NORMALIZATION_TABLE[(act.kind, act.family)]
-            if grad:
-                value, gx, gy = result
-                result = (value - mean) / std, gx / std, gy / std
-            else:
-                result = (result - mean) / std
-        out.append(result)
-    return out
-
-
 def apply(act: Activation, x, y=None, grad: bool = False):
     """The activation's value, or with ``grad`` (value, d/dx, d/dy).
 
     1-input kinds take x alone and give (value, d/dx) with ``grad``.
     """
-    return apply_all((act,), x, y, grad)[0]
+    if (y is None) != (act.arity == 1):
+        raise ValueError(f"{act.name} takes {act.arity} operand(s), got {1 if y is None else 2}")
+    gate = _GATES[(act.kind, act.family)]
+    result = gate(x, grad=grad) if y is None else gate(x, y, grad)
+    if not act.normalized:
+        return result
+    mean, std = NORMALIZATION_TABLE[(act.kind, act.family)]
+    if not grad:
+        return (result - mean) / std
+    value, gx, gy = result
+    return (value - mean) / std, gx / std, gy / std
 
 
 def gradient(act: Activation, x, y=None):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -12,6 +13,19 @@ from . import verify
 from .activations import GATE_KINDS
 from .experiments import resolve_config, run_experiment
 from .train import NaNLossError
+
+
+def _number(kind, positive: bool):
+    """An argparse type: a finite ``kind`` that is > 0, or >= 0 unless ``positive``."""
+    def parse(text):
+        value = kind(text)
+        if not math.isfinite(value) or value < 0 or (positive and value == 0):
+            raise argparse.ArgumentTypeError(
+                f"expected a {'positive' if positive else 'non-negative'} number, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
 
 
 def write_pgm(path, values: np.ndarray):
@@ -150,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kind", required=True, choices=GATE_KINDS)
     g.add_argument("--family", default="both", choices=["both", "il", "ail"],
                    help="surface for the PGM heatmap (CSV always carries both)")
-    g.add_argument("--range", type=float, default=10.0)
-    g.add_argument("--step", type=float, default=0.05)
+    g.add_argument("--range", type=_number(float, positive=False), default=10.0)
+    g.add_argument("--step", type=_number(float, positive=True), default=0.05)
     g.add_argument("--out", required=True, help="CSV output path")
     g.add_argument("--pgm", help="also write a grayscale PGM heatmap")
     g.set_defaults(func=_cmd_grid)
@@ -161,15 +175,17 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--gradients", action="store_true")
     v.add_argument("--diff-bound", dest="diff_bound", action="store_true")
     v.add_argument("--bayes", action="store_true")
-    v.add_argument("--n", type=int, default=10_000_000, help="Monte Carlo sample count")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--n", type=_number(int, positive=True), default=10_000_000,
+                   help="Monte Carlo sample count")
+    v.add_argument("--seed", type=_number(int, positive=False), default=0)
     v.add_argument("--json-out", dest="json_out", default=None,
                    help="also write checks and Monte Carlo estimates as JSON")
     v.set_defaults(func=_cmd_verify)
 
     t = sub.add_parser("train", help="run a training experiment from a config")
     t.add_argument("config", help="config JSON path or bundled config name")
-    t.add_argument("--seed", type=int, default=None, help="override the config seed")
+    t.add_argument("--seed", type=_number(int, positive=False), default=None,
+                   help="override the config seed")
     t.add_argument("--out-dir", default=None)
     t.set_defaults(func=_cmd_train)
 

@@ -118,7 +118,7 @@ def forward(spec: EnsembleSpec, z: np.ndarray, training: bool = False):
         return (out[0], (out[1], None)) if training else out
     x, y = z[:, 0::2], z[:, 1::2]
     if spec.strategy == "duplication":
-        results = A.apply_all(spec.acts, x, y, grad=training)
+        results = [A.apply(act, x, y, grad=training) for act in spec.acts]
     else:
         # Pairs never straddle blocks: block j holds pairs [j*w, (j+1)*w).
         w = x.shape[1] // spec.m

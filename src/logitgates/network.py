@@ -22,6 +22,10 @@ from .ensemble import EnsembleSpec, parse_spec
 _MAGIC = b"LGNET1"
 
 
+class ModelFormatError(ValueError):
+    """A model file that Network.load cannot read; the message names the path."""
+
+
 @dataclass(frozen=True)
 class Affine:
     n_in: int
@@ -258,19 +262,25 @@ class Network:
 
     @classmethod
     def load(cls, path):
+        """Read a file written by ``save``; a malformed one raises ModelFormatError."""
         with open(path, "rb") as f:
-            if f.read(len(_MAGIC)) != _MAGIC:
-                raise ValueError(f"{path}: not a network file (bad magic)")
-            (hlen,) = struct.unpack("<I", f.read(4))
-            meta = json.loads(f.read(hlen).decode())
-            net = cls([spec_from_dict(d) for d in meta["layers"]], seed=meta["seed"])
-            for arr in net._arrays():
-                raw = f.read(arr.size * 8)
-                if len(raw) != arr.size * 8:
-                    raise ValueError(f"{path}: truncated parameter data")
-                arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
-            if f.read(1):
-                raise ValueError(f"{path}: trailing bytes after parameters")
+            try:
+                if f.read(len(_MAGIC)) != _MAGIC:
+                    raise ValueError("not a network file (bad magic)")
+                (hlen,) = struct.unpack("<I", f.read(4))
+                meta = json.loads(f.read(hlen).decode())
+                net = cls([spec_from_dict(d) for d in meta["layers"]], seed=meta["seed"])
+                for arr in net._arrays():
+                    raw = f.read(arr.size * 8)
+                    if len(raw) != arr.size * 8:
+                        raise ValueError("truncated parameter data")
+                    arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
+                if f.read(1):
+                    raise ValueError("trailing bytes after parameters")
+            except (ValueError, KeyError, TypeError, AttributeError, struct.error) as exc:
+                # JSON and UTF-8 decoding errors are ValueErrors; struct.error
+                # comes from a short length field, the others from a bad header.
+                raise ModelFormatError(f"{path}: {exc}") from exc
         return net
 
 
@@ -290,7 +300,7 @@ def spec_from_dict(d: dict) -> LayerSpec:
     if t == "affine":
         return Affine(d["in"], d["out"])
     if t == "batch_norm":
-        return BatchNorm(d["channels"], d.get("momentum", 0.1), d.get("epsilon", 1e-5))
+        return BatchNorm(d["channels"], d["momentum"], d["epsilon"])
     if t == "act":
         return ActBlock(parse_spec(d["spec"]))
     raise ValueError(f"unknown layer type {t!r}")

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logitgates import activations as A
 from logitgates.activations import (
@@ -16,6 +18,11 @@ from logitgates.numerics import LOGIT_CLAMP, sigmoid
 from logitgates.verify import all_activation_variants
 
 LN3 = 1.0986122886681096914
+
+
+def _ulps(v, n):
+    """n ulps of max(|v|, 1)."""
+    return n * np.spacing(np.maximum(np.abs(v), 1.0))
 
 
 def rand_points(n=10_000, box=20.0, seed=0):
@@ -57,6 +64,11 @@ class TestExactGates:
         assert err_and.max() < 1e-12
         assert err_or.max() < 1e-12
 
+    def test_scalar_operands_give_0d_results(self):
+        for gate in (A.and_il, A.or_il, A.xnor_il):
+            assert np.ndim(gate(0.5, np.float64(-2.0))) == 0
+            assert all(np.ndim(v) == 0 for v in gate(np.asarray(0.5), 2.0, grad=True))
+
     def test_saturated_inputs_stay_finite(self):
         for fn in (A.and_il, A.or_il, A.xnor_il):
             vals = fn(np.array([-500.0, 500.0, -500.0]), np.array([-500.0, 500.0, 500.0]))
@@ -95,14 +107,15 @@ def _mp_oracle(kind, x, y):
 SATURATED_PAIRS = [(745.0, 745.0), (800.0, 800.0), (-800.0, -800.0), (800.0, -800.0)]
 XNOR_DIAGONAL = [(v, s * v) for v in (0.5, 3.0, 20.0, 40.0, 100.0, 500.0, 745.0, 800.0, 1000.0)
                  for s in (1.0, -1.0)]
-# Past about 1e3 the and/or partials once lost all accuracy (d/dx of
-# and_il(v, v) read 1.0 at 1e16). xnor_il still does, so it is not listed here.
+# Far past 1e3, where a partial computed through log-probabilities cancels
+# (d/dx of and_il(v, v) and of xnor_il(v, v) read 1.0 at 1e16 that way).
 WIDE_PAIRS = [(s * v, t * v) for v in (1e10, 1e14, 1e16, 1e300)
               for s in (1.0, -1.0) for t in (1.0, -1.0)]
 ORACLE_CASES = list(dict.fromkeys([(k, x, y) for k in ("and", "or", "xnor")
                                    for x, y in SATURATED_PAIRS]
                                   + [("xnor", x, y) for x, y in XNOR_DIAGONAL]
-                                  + [(k, x, y) for k in ("and", "or") for x, y in WIDE_PAIRS]))
+                                  + [(k, x, y) for k in ("and", "or", "xnor")
+                                     for x, y in WIDE_PAIRS]))
 
 
 class TestSaturatedExactGates:
@@ -112,6 +125,20 @@ class TestSaturatedExactGates:
         got = (apply(act, x, y),) + tuple(gradient(act, x, y))
         for g, want in zip(got, _mp_oracle(kind, x, y)):
             assert g == pytest.approx(want, rel=1e-12, abs=0.0), (got, want)
+
+    @pytest.mark.parametrize("kind", ["and", "or", "xnor"])
+    def test_random_points_match_oracle(self, kind):
+        # Values within 2 ulp of max(|v|, 1); partials within 5e-16, also
+        # where they cancel near an axis.
+        rng = np.random.default_rng(17)
+        act = Activation(kind, "il")
+        for scale in (3.0, 30.0, 300.0):
+            x, y = rng.normal(0.0, scale, size=(2, 20))
+            got = (apply(act, x, y),) + tuple(gradient(act, x, y))
+            want = np.array([_mp_oracle(kind, a, b) for a, b in zip(x, y)]).T
+            assert np.all(np.abs(got[0] - want[0]) <= _ulps(want[0], 2)), scale
+            for g, w in zip(got[1:], want[1:]):
+                assert np.abs(g - w).max() <= 5e-16, scale
 
     def test_extreme_operands_stay_finite(self):
         big = 1e308
@@ -123,52 +150,64 @@ class TestSaturatedExactGates:
                 assert all(np.all(np.isfinite(o)) for o in outs), act.name
 
 
-def _wide_operands(n, seed):
-    """Signed magnitudes log-uniform over [1e-300, 1e308], with -inf, 0 and tied pairs mixed in."""
-    rng = np.random.default_rng(seed)
-    a, b = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 308, n) for _ in range(2))
-    b[: n // 8] = a[: n // 8]
-    a[n // 8: n // 4] = -np.inf
-    b[n // 4: n // 4 + n // 16] = -np.inf
-    a[-n // 16:] = 0.0
-    return a, b
+EXACT_GATES = {"and": A.and_il, "or": A.or_il, "xnor": A.xnor_il}
+APPROX_GATES = {"and": A.and_ail, "or": A.or_ail, "xnor": A.xnor_ail}
+# Derandomized and without an example database, so every run checks the same
+# examples and writes nothing.
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-class TestLogaddexp:
-    @pytest.mark.parametrize("scale", [None, 5.0, 5e-3])
-    def test_matches_numpy_within_4_ulp(self, scale):
-        if scale is None:
-            a, b = _wide_operands(200_000, seed=10)
-        else:
-            a, b = rand_points(200_000, box=scale, seed=12)
-        got, want = A._logaddexp(a, b), np.logaddexp(a, b)
-        finite = np.isfinite(want)
-        assert np.array_equal(got[~finite], want[~finite])
-        # Both sum max(a, b) and a log1p term, rounding each: count ulps of the
-        # largest of the two addends and the sum. (Near a zero sum the
-        # addends cancel, and ulps of the sum alone would count that.)
-        hi = np.maximum(a, b)
-        ulp = np.spacing(np.maximum.reduce([np.abs(want), np.abs(hi), np.abs(want - hi)]))
-        assert np.all(np.abs(got - want)[finite] <= 4 * ulp[finite])
+class TestExactGateProperties:
+    """Properties of the exact gates over all finite float64 operands."""
 
-    def test_bit_symmetric(self):
-        a, b = _wide_operands(200_000, seed=11)
-        assert np.array_equal(A._logaddexp(a, b), A._logaddexp(b, a))
+    @PROPERTY
+    @given(FINITE, FINITE)
+    def test_finite_value_and_partials(self, x, y):
+        for kind, gate in EXACT_GATES.items():
+            value, gx, gy = gate(x, y, grad=True)
+            assert np.isfinite([value, gx, gy]).all(), kind
+            lo = -1.0 if kind == "xnor" else 0.0
+            assert lo <= gx <= 1.0 and lo <= gy <= 1.0, kind
 
-    def test_infinities_and_nan(self):
-        inf, nan = np.inf, np.nan
-        a = np.array([-inf, inf, -inf, nan, 1.0, nan])
-        b = np.array([-inf, inf, 2.0, 1.0, nan, -inf])
-        want = np.array([-inf, inf, 2.0, nan, nan, nan])
-        assert np.array_equal(A._logaddexp(a, b), want, equal_nan=True)
+    @PROPERTY
+    @given(FINITE, FINITE)
+    def test_duality_and_commutativity_bit_exact(self, x, y):
+        value, gx, gy = A.and_il(x, y, grad=True)
+        assert A.or_il(-x, -y, grad=True) == (-value, gx, gy)
+        for gate in EXACT_GATES.values():
+            value, gx, gy = gate(x, y, grad=True)
+            assert gate(y, x, grad=True) == (value, gy, gx)
 
-    def test_scalar_inputs(self):
-        assert A._logaddexp(0.0, 0.0) == math.log(2.0)
-        assert A._logaddexp(-np.inf, -np.inf) == -np.inf
-        assert A._logaddexp(np.float64(1.0), np.asarray(-1.0)) == np.logaddexp(1.0, -1.0)
-        for gate in (A.and_il, A.or_il, A.xnor_il):
-            assert np.ndim(gate(0.5, np.float64(-2.0))) == 0
-            assert all(np.ndim(v) == 0 for v in gate(np.asarray(0.5), 2.0, grad=True))
+    @PROPERTY
+    @given(FINITE, FINITE)
+    def test_xnor_odd_symmetry(self, x, y):
+        value = A.xnor_il(x, y)
+        assert abs(A.xnor_il(-x, y) + value) <= _ulps(value, 1)
+
+    @PROPERTY
+    @given(st.floats(-1e14, 1e14), st.floats(-1e14, 1e14))
+    def test_approximation_bound(self, x, y):
+        # Rounding x +- y near 1e14 moves the exact value by up to an ulp
+        # of it, so the bound carries 2 ulps of slack.
+        for kind, gate in EXACT_GATES.items():
+            il = gate(x, y)
+            bound = math.log(2.0) if kind == "xnor" else LN3
+            assert abs(APPROX_GATES[kind](x, y) - il) <= bound + _ulps(il, 2), kind
+
+
+def test_broadcast_operands_match_full_arrays():
+    # Grid axes with zeros, ties and saturated magnitudes.
+    axis = np.concatenate([np.random.default_rng(20).normal(0.0, 10.0, 9),
+                           [0.0, 1.5, -1.5, 800.0, -800.0]])
+    x, y = axis[:, None], axis[None, ::-1]
+    xf, yf = (a.copy() for a in np.broadcast_arrays(x, y))
+    for act in all_activation_variants():
+        if act.arity != 2:
+            continue
+        assert np.array_equal(apply(act, x, y), apply(act, xf, yf)), act.name
+        for got, want in zip(apply(act, x, y, grad=True), apply(act, xf, yf, grad=True)):
+            assert np.array_equal(got, want), act.name
 
 
 class TestApproxGates:

@@ -42,6 +42,22 @@ def test_grid_unwritable_path_fails(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["grid", "--kind", "and", "--step", "0"],
+    ["grid", "--kind", "and", "--range", "-1"],
+    ["verify", "--constants", "--n", "0"],
+    ["verify", "--bayes", "--seed", "-1"],
+    ["train", "parity4_relu", "--seed", "-1"],
+])
+def test_bad_numbers_exit_with_usage(argv, tmp_path, capsys):
+    flag = argv[-2]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--out", str(tmp_path / "g.csv")] if argv[0] == "grid" else []))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {flag}:" in err
+
+
 def test_verify_selected_suites_pass(capsys):
     rc = main(["verify", "--bayes", "--diff-bound", "--seed", "0"])
     out = capsys.readouterr().out

@@ -75,8 +75,8 @@ def test_single_act_strategies_identical():
                   Activation("max"), Activation("or", "il")), "duplication"),
 ], ids=lambda spec: "+".join(a.name for a in spec.acts))
 def test_duplication_block_equals_per_activation_apply(spec):
-    # The block evaluates its acts in one call that shares the exact gates'
-    # operand terms; it must give what each act alone gives, bit for bit.
+    # The block applies each act to the whole pair list and joins the results;
+    # it must give what each act alone gives, bit for bit.
     z = np.random.default_rng(3).standard_normal((64, 40)) * 3.0
     x, y = z[:, 0::2], z[:, 1::2]
     value, (gx, gy) = forward(spec, z, training=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from logitgates.ensemble import parse_spec
-from logitgates.network import ActBlock, Affine, BatchNorm, Network
+from logitgates.network import ActBlock, Affine, BatchNorm, ModelFormatError, Network
 from logitgates.verify import gradcheck_network
 
 
@@ -238,5 +238,30 @@ def test_zero_grads_clears_flat_buffer():
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a model")
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelFormatError, match="bad.bin"):
         Network.load(path)
+
+
+def test_malformed_model_files_raise_one_error_type(tmp_path):
+    # Every truncation of the header fails, and seeded single-byte flips of
+    # it either load or fail; a failure is always ModelFormatError, never a
+    # parser's own exception.
+    specs = [Affine(6, 8), BatchNorm(8), ActBlock(parse_spec("il:or+and+xnor:d")), Affine(12, 2)]
+    path = tmp_path / "model.bin"
+    Network(specs, seed=5).save(path)
+    good = path.read_bytes()
+    header_end = 10 + int.from_bytes(good[6:10], "little")
+    bad = tmp_path / "bad.bin"
+    for n in range(header_end + 1):
+        bad.write_bytes(good[:n])
+        with pytest.raises(ModelFormatError, match="bad.bin"):
+            Network.load(bad)
+    rng = np.random.default_rng(5)
+    for pos, byte in zip(rng.integers(0, header_end, 600), rng.integers(0, 256, 600)):
+        flipped = bytearray(good)
+        flipped[pos] = byte
+        bad.write_bytes(flipped)
+        try:
+            Network.load(bad)
+        except ModelFormatError as exc:
+            assert "bad.bin" in str(exc)
