@@ -11,7 +11,7 @@ import numpy as np
 
 from . import verify
 from .activations import GATE_KINDS
-from .experiments import resolve_config, run_experiment
+from .experiments import ConfigError, resolve_config, run_experiment
 from .train import NaNLossError
 
 
@@ -96,7 +96,7 @@ def _cmd_verify(args) -> int:
 def _cmd_train(args) -> int:
     try:
         cfg = resolve_config(args.config)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ConfigError) as exc:
         print(f"train: bad config {args.config!r}: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:

@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,21 +46,61 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASK_DIMS:
             raise ValueError(f"unknown task {self.task!r}")
-        parse_spec(self.activation)  # validates the text form
+        if min(self.n_train, self.n_val) < 0:
+            raise ValueError("n_train and n_val must be >= 0")
+        try:
+            parse_spec(self.activation)  # validates the text form
+        except ValueError as exc:
+            raise ValueError(f"activation: {exc}") from exc
+
+
+class ConfigError(ValueError):
+    """A config that config_from_dict cannot use; the message names the offending key."""
+
+
+def _check_fields(cls, raw, where: str) -> None:
+    """raw is an object whose keys are fields of cls, each of its declared type, none missing."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where.rstrip('.') or 'config'} must be an object, "
+                          f"got {type(raw).__name__}")
+    declared = {f.name: f for f in fields(cls)}
+    for key, value in raw.items():
+        if key not in declared:
+            raise ConfigError(f"unknown key {where + key!r}")
+        kind = declared[key].type
+        kind = dict if is_dataclass(kind) else kind  # a nested config is an object
+        accepted = (int, float) if kind is float else kind  # JSON may write 1.0 as 1
+        # bool is a subclass of int, but a flag is no number and a number no flag.
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{where + key!r} must be "
+                              f"{getattr(kind, '__name__', kind)}, got {value!r}")
+    for f in declared.values():
+        if f.default is MISSING and f.name not in raw:
+            raise ConfigError(f"missing key {where + f.name!r}")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """The config a JSON object describes; anything unusable raises ConfigError."""
+    _check_fields(ExperimentConfig, raw, "")
     raw = dict(raw)
-    train_raw = dict(raw.pop("train", {}))
-    task = raw.get("task")
-    if task in DEFAULT_LOSS:
-        train_raw.setdefault("loss", DEFAULT_LOSS[task])
-    return ExperimentConfig(train=TrainConfig(**train_raw), **raw)
+    train_raw = raw.pop("train")
+    _check_fields(TrainConfig, train_raw, "train.")
+    if not all(type(w) is int and w >= 1 for w in raw["widths"]):
+        raise ConfigError(f"'widths' must hold integers >= 1, got {raw['widths']!r}")
+    if raw["task"] in DEFAULT_LOSS:
+        train_raw = {"loss": DEFAULT_LOSS[raw["task"]]} | train_raw
+    try:
+        return ExperimentConfig(train=TrainConfig(**train_raw), **raw)
+    except ValueError as exc:  # a value out of range; the message names its key
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as f:
-        return config_from_dict(json.load(f))
+        try:
+            return config_from_dict(json.load(f))
+        except ValueError as exc:  # also JSON and UTF-8 decoding errors
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def bundled_config_path(name: str) -> Path:

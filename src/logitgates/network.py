@@ -31,12 +31,24 @@ class Affine:
     n_in: int
     n_out: int
 
+    def __post_init__(self):
+        if min(self.n_in, self.n_out) < 1:
+            raise ValueError(f"affine widths must be >= 1, got {self.n_in} -> {self.n_out}")
+
 
 @dataclass(frozen=True)
 class BatchNorm:
     channels: int
     momentum: float = 0.1
     epsilon: float = 1e-5
+
+    def __post_init__(self):
+        if not self.channels >= 1:
+            raise ValueError(f"batch norm channels must be >= 1, got {self.channels}")
+        if not 0 <= self.momentum <= 1:
+            raise ValueError(f"batch norm momentum must lie in [0, 1], got {self.momentum}")
+        if not 0 < self.epsilon <= 1:  # also rejects nan and inf
+            raise ValueError(f"batch norm epsilon must lie in (0, 1], got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -57,11 +69,17 @@ class _AffineLayer:
 
     def forward(self, x, training):
         self._x = x if training else None
-        return x @ self.weight + self.bias
+        out = x @ self.weight
+        out += self.bias
+        return out
 
-    def backward(self, dout):
+    def param_grads(self, dout):
+        """Write the weight and bias gradients; the input gradient is not formed."""
         np.matmul(self._x.T, dout, out=self.grad_weight)
         dout.sum(axis=0, out=self.grad_bias)
+
+    def backward(self, dout):
+        self.param_grads(dout)
         return dout @ self.weight.T
 
     def params(self):
@@ -216,14 +234,20 @@ class Network:
         return x
 
     def backward(self, dLdy):
+        """Fill ``flat_grads`` with dL/dparameters for upstream gradient dLdy.
+
+        Needs a preceding ``forward(training=True)``. The first layer is always
+        affine and only its parameter gradients are taken, so the gradient with
+        respect to the network input is never formed; nothing is returned.
+        """
         if not self._training_cache:
             raise RuntimeError("backward requires a preceding forward(training=True)")
         d = _as_matrix(dLdy)
         if d.shape[1] != self.output_width:
             raise ValueError(f"upstream has {d.shape[1]} columns, output is {self.output_width}")
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             d = layer.backward(d)
-        return d
+        self.layers[0].param_grads(d)
 
     def parameters(self):
         """(name, param, grad, is_decayed_weight) for every trainable array."""

@@ -31,7 +31,7 @@ class TrainConfig:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if min(self.max_lr, self.weight_decay) < 0:
-            raise ValueError("rates must be >= 0")
+            raise ValueError("max_lr and weight_decay must be >= 0")
         if self.schedule not in ("one-cycle", "constant"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.schedule == "one-cycle" and not 0 < self.peak_fraction < 1:
@@ -44,6 +44,8 @@ class TrainConfig:
             raise ValueError("beta1, beta2 and momentum must lie in [0, 1)")
         if not self.eps > 0:
             raise ValueError("eps must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class NaNLossError(RuntimeError):
@@ -80,18 +82,24 @@ def one_cycle_lr(step: int, total_steps: int, max_lr: float, peak_fraction: floa
 
 # ---------------------------------------------------------------------------
 # Optimizers (coupled weight decay: added to the gradient, weights only).
-# Each step is a few whole-buffer operations on Network.flat_params/flat_grads.
+# Each step is a few whole-buffer operations on Network.flat_params/flat_grads,
+# writing its temporaries into scratch buffers kept in the optimizer state, so
+# no step after the first allocates a parameter-sized array.
 # ---------------------------------------------------------------------------
 
 
-def _decayed_grads(net: Network, weight_decay):
-    """flat_grads, plus weight_decay * weight on the decayed prefix."""
+def _decayed_grads(net: Network, weight_decay, out):
+    """flat_grads, plus weight_decay * weight on the decayed prefix, written to out.
+
+    Without weight decay this is flat_grads itself; the step never writes to it.
+    """
     if not weight_decay:
         return net.flat_grads
-    g = net.flat_grads.copy()
     k = net.n_decayed
-    g[:k] += weight_decay * net.flat_params[:k]
-    return g
+    np.multiply(weight_decay, net.flat_params[:k], out=out[:k])
+    out[:k] += net.flat_grads[:k]
+    out[k:] = net.flat_grads[k:]
+    return out
 
 
 class AdamState:
@@ -99,6 +107,7 @@ class AdamState:
         self.t = 0
         self.m = None
         self.v = None
+        self.scratch = None  # two flat_params-sized buffers for the step's temporaries
 
 
 def adam_step(net: Network, state: AdamState, lr, beta1=0.9, beta2=0.999,
@@ -106,31 +115,42 @@ def adam_step(net: Network, state: AdamState, lr, beta1=0.9, beta2=0.999,
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    g = _decayed_grads(net, weight_decay)
     if state.m is None:
         state.m = np.zeros_like(net.flat_params)
         state.v = np.zeros_like(net.flat_params)
+        state.scratch = (np.empty_like(net.flat_params), np.empty_like(net.flat_params))
     m, v = state.m, state.v
+    a, b = state.scratch
+    g = _decayed_grads(net, weight_decay, out=b)
     m *= beta1
-    m += (1 - beta1) * g
+    m += np.multiply(1 - beta1, g, out=a)
     v *= beta2
-    v += (1 - beta2) * g * g
-    net.flat_params -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    np.multiply(1 - beta2, g, out=a)
+    v += np.multiply(a, g, out=a)
+    # flat_params -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in this operation
+    # order; g is dead, so its buffer takes the denominator.
+    np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+    np.sqrt(np.divide(v, bc2, out=b), out=b)
+    b += eps
+    a /= b
+    net.flat_params -= a
 
 
 class SgdState:
     def __init__(self):
         self.velocity = None
+        self.scratch = None  # a flat_params-sized buffer for the step's temporaries
 
 
 def sgd_step(net: Network, state: SgdState, lr, momentum=0.9, weight_decay=0.0):
-    g = _decayed_grads(net, weight_decay)
     if state.velocity is None:
         state.velocity = np.zeros_like(net.flat_params)
+        state.scratch = np.empty_like(net.flat_params)
+    g = _decayed_grads(net, weight_decay, out=state.scratch)
     v = state.velocity
     v *= momentum
     v += g
-    net.flat_params -= lr * v
+    net.flat_params -= np.multiply(lr, v, out=state.scratch)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,24 @@ class TestExactGateProperties:
         value = A.xnor_il(x, y)
         assert abs(A.xnor_il(-x, y) + value) <= _ulps(value, 1)
 
+    # The ail gates' sum branch overflows to an infinity near the float64
+    # limit, which keeps the order.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in add")
+    @PROPERTY
+    @given(FINITE, FINITE, FINITE, st.integers(1, 4))
+    def test_and_or_monotone_in_each_argument(self, a, b, y, k):
+        # x1 <= x2 far apart, and k ulps apart where rounding could break the
+        # order. The ail gates keep it exactly; the il gates within 1 ulp.
+        near = a
+        for _ in range(k):
+            near = np.nextafter(near, np.finfo(np.float64).max)
+        for x1, x2 in ((min(a, b), max(a, b)), (a, near)):
+            for kind in ("and", "or"):
+                for gate in (APPROX_GATES[kind], EXACT_GATES[kind]):
+                    for lo, hi in ((gate(x1, y), gate(x2, y)), (gate(y, x1), gate(y, x2))):
+                        slack = _ulps(hi, 1) if gate is EXACT_GATES[kind] else 0.0
+                        assert lo <= hi + slack, (gate.__name__, x1, x2, y)
+
     @PROPERTY
     @given(st.floats(-1e14, 1e14), st.floats(-1e14, 1e14))
     def test_approximation_bound(self, x, y):

@@ -98,8 +98,11 @@ def test_train_bundled_xor_config(tmp_path, capsys):
 
 def test_train_config_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"task": "unknown-task"}')
-    assert main(["train", str(bad)]) == 2
+    for text in ('{"task": "unknown-task"}', "{not json", '[1, 2]',
+                 '{"task": "xor2", "activation": "relu", "widths": [2], "bogus": 1,'
+                 ' "train": {"epochs": 1, "batch_size": 4}}'):
+        bad.write_text(text)
+        assert main(["train", str(bad)]) == 2
     assert main(["train", str(tmp_path / "none.json")]) == 2
 
 

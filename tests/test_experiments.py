@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from logitgates import data
 from logitgates.experiments import (
+    ConfigError,
     ExperimentConfig,
     bundled_config_path,
     build_network,
@@ -64,6 +66,68 @@ def test_config_rejects_unknown_task():
     with pytest.raises(ValueError):
         config_from_dict({"task": "cifar", "activation": "relu", "widths": [8],
                           "train": {"epochs": 1, "batch_size": 8}})
+
+
+def test_config_errors_name_the_key():
+    good = {"task": "parity4", "activation": "relu", "widths": [4],
+            "train": {"epochs": 1, "batch_size": 8}}
+    for raw, key in [(good | {"bogus": 1}, "bogus"),
+                     (good | {"train": {"epochs": 1, "batch_size": 8, "lrr": 0.1}}, "lrr"),
+                     (good | {"train": [1]}, "train"),
+                     (good | {"train": {"epochs": 0, "batch_size": 8}}, "epochs"),
+                     (good | {"widths": [4, 0]}, "widths"),
+                     (good | {"n_train": -1}, "n_train"),
+                     (good | {"train": {"epochs": 1, "batch_size": 8, "seed": -1}}, "seed"),
+                     ({"task": "parity4", "activation": "relu", "train": {}}, "widths")]:
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(raw)
+    with pytest.raises(ConfigError, match="config must be an object"):
+        config_from_dict([good])
+
+
+def _fuzzed(raw, rng, n_edits):
+    """raw with keys dropped, renamed or given a value of another type."""
+    values = [None, True, 0, -1, 2.5, "", "relu", [], [8, 0], {}, {"epochs": 1}]
+    edited = []
+    for _ in range(n_edits):
+        target = raw["train"] if isinstance(raw.get("train"), dict) and rng.random() < 0.5 else raw
+        if not target:
+            continue
+        key = sorted(target)[rng.integers(len(target))]
+        op = rng.integers(3)
+        if op == 0:
+            del target[key]
+        elif op == 1:
+            target[key + "x"] = target.pop(key)
+        else:
+            target[key] = values[rng.integers(len(values))]
+        edited.append(key)
+    return edited
+
+
+def test_fuzzed_bundled_config_fails_only_with_config_error():
+    # Every failure is a ConfigError naming an edited key; every success is a
+    # config of the declared field types from which a network builds.
+    base = json.loads(bundled_config_path("nested_xnor8_xnor_ail").read_text())
+    rng = np.random.default_rng(12)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for case in range(600):
+        raw = json.loads(json.dumps(base))
+        edited = _fuzzed(raw, rng, 1 + case % 3)
+        try:
+            cfg = config_from_dict(raw)
+        except ConfigError as exc:
+            outcomes["rejected"] += 1
+            assert any(key in str(exc) for key in edited), (raw, str(exc))
+            continue
+        outcomes["loaded"] += 1
+        for obj in (cfg, cfg.train):
+            for f in fields(obj):
+                kind = (int, float) if f.type is float else f.type
+                if f.name != "train":
+                    assert isinstance(getattr(obj, f.name), kind), (f.name, raw)
+        build_network(cfg.task, cfg.widths, cfg.activation, cfg.train.seed, cfg.batch_norm)
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_task_datasets_val_differs_from_train():

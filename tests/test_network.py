@@ -265,3 +265,41 @@ def test_malformed_model_files_raise_one_error_type(tmp_path):
             Network.load(bad)
         except ModelFormatError as exc:
             assert "bad.bin" in str(exc)
+
+
+@pytest.mark.parametrize("cls, kwargs", [
+    (Affine, dict(n_in=0, n_out=-3)), (Affine, dict(n_in=4, n_out=0)),
+    (BatchNorm, dict(channels=0)),
+    (BatchNorm, dict(channels=8, momentum=5.0)), (BatchNorm, dict(channels=8, momentum=-0.1)),
+    (BatchNorm, dict(channels=8, momentum=float("nan"))),
+    (BatchNorm, dict(channels=8, epsilon=-1.0)), (BatchNorm, dict(channels=8, epsilon=0.0)),
+    (BatchNorm, dict(channels=8, epsilon=1e305)), (BatchNorm, dict(channels=8, epsilon=float("inf"))),
+    (BatchNorm, dict(channels=8, epsilon=float("nan"))),
+], ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(f"{k}={x}" for k, x in v.items()))
+def test_layer_specs_reject_out_of_range_values(cls, kwargs):
+    with pytest.raises(ValueError):
+        cls(**kwargs)
+
+
+def test_layer_specs_accept_range_ends():
+    Affine(1, 1)
+    BatchNorm(1, momentum=0.0, epsilon=1.0)
+    BatchNorm(1, momentum=1.0, epsilon=5e-324)
+
+
+@pytest.mark.parametrize("old, new", [
+    (b'"epsilon": 1e-05', b'"epsilon": 1e305'),
+    (b'"epsilon": 1e-05', b'"epsilon": -1e-5'),
+    (b'"momentum": 0.1', b'"momentum": 5.0'),
+    (b'"channels": 8', b'"channels": 0'),
+    (b'"in": 6', b'"in": 0'),
+])
+def test_load_rejects_out_of_range_layer_specs(tmp_path, old, new):
+    path = tmp_path / "model.bin"
+    Network([Affine(6, 8), BatchNorm(8), ActBlock(parse_spec("or_ail")), Affine(4, 2)],
+            seed=5).save(path)
+    good = path.read_bytes()
+    assert good.count(old) == 1 and len(old) == len(new)
+    path.write_bytes(good.replace(old, new))
+    with pytest.raises(ModelFormatError, match="model.bin"):
+        Network.load(path)

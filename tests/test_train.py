@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,8 +134,11 @@ def reference_steps(params, grads, state, optimizer, lr, weight_decay, **kw):
             param -= lr * v
 
 
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_flat_steps_match_per_array_reference_bit_for_bit(optimizer):
+def test_flat_steps_match_per_array_reference_bit_for_bit(optimizer, weight_decay):
+    # Without decay the step reads flat_grads itself; with decay it reads a
+    # scratch buffer that it later overwrites with its own temporaries.
     specs = [Affine(4, 8), BatchNorm(8), ActBlock(parse_spec("xnor_ail")),
              Affine(4, 6), BatchNorm(6), ActBlock(parse_spec("or_ail")), Affine(3, 2)]
     net = Network(specs, seed=8)
@@ -150,13 +154,36 @@ def test_flat_steps_match_per_array_reference_bit_for_bit(optimizer):
         _, dz = mse(z, rng.standard_normal((16, 2)))
         net.backward(dz)
         grads = {name: g.copy() for name, _, g, _ in net.parameters()}
-        reference_steps(ref, grads, ref_state, optimizer, lr, 0.01, **kw)
+        reference_steps(ref, grads, ref_state, optimizer, lr, weight_decay, **kw)
         if optimizer == "adam":
-            adam_step(net, state, lr, weight_decay=0.01, **kw)
+            adam_step(net, state, lr, weight_decay=weight_decay, **kw)
         else:
-            sgd_step(net, state, lr, weight_decay=0.01, **kw)
-        for name, p, _, _ in net.parameters():
+            sgd_step(net, state, lr, weight_decay=weight_decay, **kw)
+        for name, p, g, _ in net.parameters():
             assert np.array_equal(p, ref[name][0]), (name, step)
+            assert np.array_equal(g, grads[name]), (name, step)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_optimizer_steps_allocate_nothing(optimizer):
+    # From the second step on, the temporaries go into the optimizer state's
+    # scratch buffers, and flat_grads is only read.
+    net = Network([Affine(128, 128), BatchNorm(128), ActBlock(parse_spec("or_ail")),
+                   Affine(64, 10)], seed=9)
+    rng = np.random.default_rng(9)
+    net.forward(rng.standard_normal((32, 128)), training=True)
+    net.backward(rng.standard_normal((32, 10)))
+    state, step = (AdamState(), adam_step) if optimizer == "adam" else (SgdState(), sgd_step)
+    step(net, state, 0.01, weight_decay=0.01)
+    grads = net.flat_grads.copy()
+    tracemalloc.start()
+    try:
+        step(net, state, 0.01, weight_decay=0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < net.flat_params.nbytes / 4, (peak, net.flat_params.nbytes)
+    assert np.array_equal(net.flat_grads, grads)
 
 
 def test_sgd_momentum_accumulates():
@@ -324,7 +351,7 @@ def test_config_validation():
         TrainConfig(epochs=1, batch_size=4, max_lr=-0.1)
     for bad in (dict(schedule="one_cycle"), dict(optimizer="rmsprop"),
                 dict(beta1=1.5), dict(beta1=-0.1), dict(beta2=1.0),
-                dict(momentum=1.0), dict(momentum=-0.5), dict(eps=0.0)):
+                dict(momentum=1.0), dict(momentum=-0.5), dict(eps=0.0), dict(seed=-1)):
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, batch_size=4, **bad)
     TrainConfig(epochs=1, batch_size=4, schedule="constant", optimizer="sgd",
