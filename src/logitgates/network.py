@@ -112,21 +112,38 @@ class _BatchNormLayer:
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.spec.epsilon)
-        xhat = (x - mean) * inv_std
+        # xhat is written over x. That is safe because no layer keeps its
+        # output (Affine keeps its input, and the first layer is always
+        # Affine, so x is never the caller's array).
+        xhat = x
+        xhat -= mean
+        xhat *= inv_std
         self._xhat = xhat if training else None
         self._inv_std = inv_std if training else None
-        return self.gamma * xhat + self.beta
+        # The training backward reads xhat, so only then is the output a new array.
+        out = np.multiply(self.gamma, xhat, out=None if training else xhat)
+        out += self.beta
+        return out
 
     def backward(self, dout):
+        """Gradients through batch norm; consumes the cached xhat, so it runs once per forward."""
         xhat = self._xhat
         n = dout.shape[0]
-        (dout * xhat).sum(axis=0, out=self.grad_gamma)
+        prod = np.multiply(dout, xhat)
+        prod.sum(axis=0, out=self.grad_gamma)
         dout.sum(axis=0, out=self.grad_beta)
         dxhat = dout * self.gamma
-        # Backprop through the batch statistics themselves.
-        return (self._inv_std / n) * (
-            n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-        )
+        # Backprop through the batch statistics themselves:
+        # (inv_std / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+        # in that operation order, written over dxhat and xhat.
+        s1 = dxhat.sum(axis=0)
+        s2 = np.multiply(dxhat, xhat, out=prod).sum(axis=0)
+        dxhat *= n
+        dxhat -= s1
+        xhat *= s2
+        dxhat -= xhat
+        dxhat *= self._inv_std / n
+        return dxhat
 
     def params(self):
         return [("gamma", False), ("beta", False)]
@@ -236,15 +253,18 @@ class Network:
     def backward(self, dLdy):
         """Fill ``flat_grads`` with dL/dparameters for upstream gradient dLdy.
 
-        Needs a preceding ``forward(training=True)``. The first layer is always
-        affine and only its parameter gradients are taken, so the gradient with
-        respect to the network input is never formed; nothing is returned.
+        Needs a preceding ``forward(training=True)``, one per backward: batch
+        norm's backward overwrites what its forward cached. The first layer is
+        always affine and only its parameter gradients are taken, so the
+        gradient with respect to the network input is never formed; nothing is
+        returned.
         """
         if not self._training_cache:
             raise RuntimeError("backward requires a preceding forward(training=True)")
         d = _as_matrix(dLdy)
         if d.shape[1] != self.output_width:
             raise ValueError(f"upstream has {d.shape[1]} columns, output is {self.output_width}")
+        self._training_cache = False
         for layer in reversed(self.layers[1:]):
             d = layer.backward(d)
         self.layers[0].param_grads(d)

@@ -11,6 +11,11 @@ import numpy as np
 # gate outputs are clamped here so saturated inputs can never produce inf/NaN.
 LOGIT_CLAMP = 1e15
 
+# Elements per block in the loops that walk large arrays a slice at a time
+# (verify's grids and Monte Carlo chunks, the optimizer step): 256 KB of
+# float64, so a block's temporaries stay in a core's L2 cache.
+BLOCK = 1 << 15
+
 
 def sigmoid(x):
     """Logistic function 1/(1+e^-x), stable for any finite input.

@@ -8,7 +8,7 @@ import numpy as np
 
 from .data import Dataset
 from .network import Network
-from .numerics import sigmoid
+from .numerics import BLOCK, sigmoid
 
 
 @dataclass
@@ -82,23 +82,41 @@ def one_cycle_lr(step: int, total_steps: int, max_lr: float, peak_fraction: floa
 
 # ---------------------------------------------------------------------------
 # Optimizers (coupled weight decay: added to the gradient, weights only).
-# Each step is a few whole-buffer operations on Network.flat_params/flat_grads,
-# writing its temporaries into scratch buffers kept in the optimizer state, so
-# no step after the first allocates a parameter-sized array.
+# Each step walks Network.flat_params/flat_grads in BLOCK-element slices, so
+# its temporaries stay in cache, and writes them into block-sized scratch
+# buffers kept in the optimizer state, so no step after the first allocates.
+# The views of every slice are cut once, on the first step: a small network's
+# step takes microseconds, and slicing anew would add to each of them.
 # ---------------------------------------------------------------------------
 
 
-def _decayed_grads(net: Network, weight_decay, out):
-    """flat_grads, plus weight_decay * weight on the decayed prefix, written to out.
+def _blocks(net: Network, flat, scratch):
+    """One tuple of views per BLOCK-element slice of the flat store.
 
-    Without weight decay this is flat_grads itself; the step never writes to it.
+    Each is (params, grads, decayed, *flat views, *scratch views): ``decayed``
+    counts the slice's elements in the weight-decayed prefix, ``flat`` are
+    arrays shaped like flat_params (the optimizer's moments) and ``scratch``
+    block-sized buffers, cut to the slice's length.
     """
-    if not weight_decay:
-        return net.flat_grads
-    k = net.n_decayed
-    np.multiply(weight_decay, net.flat_params[:k], out=out[:k])
-    out[:k] += net.flat_grads[:k]
-    out[k:] = net.flat_grads[k:]
+    blocks = []
+    for i in range(0, net.flat_params.size, BLOCK):
+        p = net.flat_params[i:i + BLOCK]
+        blocks.append((p, net.flat_grads[i:i + BLOCK], min(max(net.n_decayed - i, 0), p.size),
+                       *(a[i:i + BLOCK] for a in flat), *(b[:p.size] for b in scratch)))
+    return blocks
+
+
+def _decayed(p, g, d, weight_decay, out):
+    """g plus weight_decay * p on the first d elements, written to out.
+
+    Where nothing decays this is g itself, a slice of flat_grads, which the
+    step never writes to.
+    """
+    if not (weight_decay and d):
+        return g
+    np.multiply(weight_decay, p[:d], out=out[:d])
+    out[:d] += g[:d]
+    out[d:] = g[d:]
     return out
 
 
@@ -107,7 +125,7 @@ class AdamState:
         self.t = 0
         self.m = None
         self.v = None
-        self.scratch = None  # two flat_params-sized buffers for the step's temporaries
+        self.blocks = None  # views of the store, m, v and two block-sized scratch buffers
 
 
 def adam_step(net: Network, state: AdamState, lr, beta1=0.9, beta2=0.999,
@@ -118,39 +136,40 @@ def adam_step(net: Network, state: AdamState, lr, beta1=0.9, beta2=0.999,
     if state.m is None:
         state.m = np.zeros_like(net.flat_params)
         state.v = np.zeros_like(net.flat_params)
-        state.scratch = (np.empty_like(net.flat_params), np.empty_like(net.flat_params))
-    m, v = state.m, state.v
-    a, b = state.scratch
-    g = _decayed_grads(net, weight_decay, out=b)
-    m *= beta1
-    m += np.multiply(1 - beta1, g, out=a)
-    v *= beta2
-    np.multiply(1 - beta2, g, out=a)
-    v += np.multiply(a, g, out=a)
-    # flat_params -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in this operation
-    # order; g is dead, so its buffer takes the denominator.
-    np.multiply(lr, np.divide(m, bc1, out=a), out=a)
-    np.sqrt(np.divide(v, bc2, out=b), out=b)
-    b += eps
-    a /= b
-    net.flat_params -= a
+        size = min(BLOCK, net.flat_params.size)
+        state.blocks = _blocks(net, (state.m, state.v), (np.empty(size), np.empty(size)))
+    for p, g, d, m, v, a, b in state.blocks:
+        g = _decayed(p, g, d, weight_decay, out=b)
+        m *= beta1
+        m += np.multiply(1 - beta1, g, out=a)
+        v *= beta2
+        np.multiply(1 - beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in this operation
+        # order; g is dead, so its buffer takes the denominator.
+        np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+        np.sqrt(np.divide(v, bc2, out=b), out=b)
+        b += eps
+        a /= b
+        p -= a
 
 
 class SgdState:
     def __init__(self):
         self.velocity = None
-        self.scratch = None  # a flat_params-sized buffer for the step's temporaries
+        self.blocks = None  # views of the store, the velocity and a block-sized scratch buffer
 
 
 def sgd_step(net: Network, state: SgdState, lr, momentum=0.9, weight_decay=0.0):
     if state.velocity is None:
         state.velocity = np.zeros_like(net.flat_params)
-        state.scratch = np.empty_like(net.flat_params)
-    g = _decayed_grads(net, weight_decay, out=state.scratch)
-    v = state.velocity
-    v *= momentum
-    v += g
-    net.flat_params -= np.multiply(lr, v, out=state.scratch)
+        size = min(BLOCK, net.flat_params.size)
+        state.blocks = _blocks(net, (state.velocity,), (np.empty(size),))
+    for p, g, d, v, a in state.blocks:
+        g = _decayed(p, g, d, weight_decay, out=a)
+        v *= momentum
+        v += g
+        p -= np.multiply(lr, v, out=a)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ central finite differences for gradients, and direct probability-space
 evaluation for the gate identities.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -14,10 +15,11 @@ import numpy as np
 from . import activations as A
 from .activations import Activation, NORMALIZATION_TABLE, apply, gradient
 from .network import ActBlock, Affine, BatchNorm, Network
-from .numerics import sigmoid
+from .numerics import BLOCK, sigmoid
 
 # Fixed settings of the checks. Monte Carlo draws MC_CHUNK samples at a time,
-# so its memory does not grow with the sample count. Gradient checks draw
+# so its memory does not grow with the sample count, and evaluates the gate
+# on BLOCK-element slices of each chunk. Gradient checks draw
 # points from [-GRADCHECK_BOX, GRADCHECK_BOX]^2 farther than BOUNDARY_EPS from
 # every kink line and pass below GRADCHECK_TOL. The network check compares
 # NET_GRADCHECK_COORDS random parameter coordinates against central
@@ -94,11 +96,16 @@ def mc_constants(act: Activation, n: int, seed: int = 0) -> MonteCarloEstimate:
     moments = StreamingMoments()
     rng = np.random.default_rng(seed)
     remaining = int(n)
+    values = np.empty(min(MC_CHUNK, remaining))
     while remaining > 0:
         k = min(MC_CHUNK, remaining)
         x = rng.standard_normal(k)
         y = rng.standard_normal(k)
-        moments.update(apply(act, x, y))
+        # The gate's temporaries are block-sized, so they stay in cache; the
+        # moments still see the whole chunk, so every rounding is unchanged.
+        for i in range(0, k, BLOCK):
+            values[i:i + BLOCK] = apply(act, x[i:i + BLOCK], y[i:i + BLOCK])
+        moments.update(values[:k])
         remaining -= k
     return MonteCarloEstimate(mean=moments.mean, std=moments.std, n=int(n),
                               se_mean=moments.std / math.sqrt(n))
@@ -122,7 +129,7 @@ class GridCompareReport:
 
 def _kink_distance(x, y):
     """Distance from (x, y) to the nearest of the lines x=0, y=0, x=y, x=-y."""
-    # In place: on a grid every temporary is a full surface.
+    # In place: on a grid band every temporary is a band-sized surface.
     d = np.abs(x - y)
     np.minimum(d, np.abs(x + y), out=d)
     d /= math.sqrt(2)
@@ -137,33 +144,50 @@ def grid_compare(kind: str, half_range: float = 10.0, step: float = 0.01, csv_pa
     than EXCLUSION (and than WIDE_EXCLUSION) from the lines x=0, y=0,
     x=y, x=-y (the approximate gates' kink lines). ``keep_surfaces`` puts
     the exact and approximate surfaces, indexed [x, y], in the report.
+
+    The grid is walked in bands of rows holding about BLOCK cells, and each
+    band is folded into the maxima (and the CSV) before the next is formed,
+    so no full surface exists unless ``keep_surfaces`` asks for one.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     axes = -half_range + step * np.arange(int(round(2 * half_range / step)) + 1)
-    x, y = np.meshgrid(axes, axes, indexing="ij", sparse=True)
-    exact = apply(Activation(kind, "il"), x, y)
-    approx = apply(Activation(kind, "ail"), x, y)
-    signed = approx - exact
-    if csv_path is not None:
-        cols = np.column_stack([np.broadcast_to(x, signed.shape).ravel(),
-                                np.broadcast_to(y, signed.shape).ravel(),
-                                exact.ravel(), approx.ravel(), signed.ravel()])
-        np.savetxt(csv_path, cols, delimiter=",", header="x,y,exact,approx,diff",
-                   comments="", fmt="%.12g")
-        del cols
-    diff = np.abs(signed, out=signed)
+    n = axes.size
+    y = axes[np.newaxis, :]
+    exact_act, approx_act = Activation(kind, "il"), Activation(kind, "ail")
+    surfaces = (np.empty((n, n)), np.empty((n, n))) if keep_surfaces else (None, None)
+    best, best_at, masked, wide = -math.inf, (0, 0), 0.0, 0.0
+    rows = max(1, BLOCK // n)
+    with open(csv_path, "w") if csv_path is not None else contextlib.nullcontext() as csv:
+        for r in range(0, n, rows):
+            x = axes[r:r + rows, np.newaxis]
+            exact = apply(exact_act, x, y)
+            approx = apply(approx_act, x, y)
+            if keep_surfaces:
+                surfaces[0][r:r + rows] = exact
+                surfaces[1][r:r + rows] = approx
+            signed = approx - exact
+            if csv is not None:
+                cols = np.column_stack([np.broadcast_to(x, signed.shape).ravel(),
+                                        np.broadcast_to(y, signed.shape).ravel(),
+                                        exact.ravel(), approx.ravel(), signed.ravel()])
+                np.savetxt(csv, cols, delimiter=",", header="" if r else "x,y,exact,approx,diff",
+                           comments="", fmt="%.12g")
+            diff = np.abs(signed, out=signed)
+            # Strict > keeps the first maximum in row-major order, as argmax
+            # over the whole grid would.
+            k = int(diff.argmax())
+            if diff.flat[k] > best:
+                best, best_at = float(diff.flat[k]), (r + k // n, k % n)
+            distance = _kink_distance(x, y)
+            masked = max(masked, float(np.max(diff, where=distance > EXCLUSION, initial=0.0)))
+            wide = max(wide, float(np.max(diff, where=distance > WIDE_EXCLUSION, initial=0.0)))
 
-    i, j = np.unravel_index(int(diff.argmax()), diff.shape)
-    distance = _kink_distance(x, y)
-
+    i, j = best_at
     return GridCompareReport(
-        kind=kind, max_abs_diff=float(diff[i, j]), argmax=(float(axes[i]), float(axes[j])),
-        masked_max_abs_diff=float(np.max(diff, where=distance > EXCLUSION, initial=0.0)),
-        wide_masked_max_abs_diff=float(np.max(diff, where=distance > WIDE_EXCLUSION,
-                                              initial=0.0)),
-        exact=exact if keep_surfaces else None,
-        approx=approx if keep_surfaces else None,
+        kind=kind, max_abs_diff=best, argmax=(float(axes[i]), float(axes[j])),
+        masked_max_abs_diff=masked, wide_masked_max_abs_diff=wide,
+        exact=surfaces[0], approx=surfaces[1],
     )
 
 

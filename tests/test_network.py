@@ -92,6 +92,57 @@ def test_backward_requires_training_forward():
         net.backward(np.ones((2, 1)))
 
 
+def test_backward_needs_one_forward_each():
+    # Batch norm's backward overwrites what its forward cached.
+    net = Network([Affine(4, 4), BatchNorm(4), ActBlock(parse_spec("or_il")), Affine(2, 1)],
+                  seed=0)
+    net.forward(np.random.default_rng(0).standard_normal((8, 4)), training=True)
+    net.backward(np.ones((8, 1)))
+    with pytest.raises(RuntimeError):
+        net.backward(np.ones((8, 1)))
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_forward_leaves_caller_input_unchanged(training):
+    # Batch norm writes over its input, which is never the caller's array.
+    net = Network([Affine(4, 4), BatchNorm(4), BatchNorm(4), ActBlock(parse_spec("xnor_il")),
+                   Affine(2, 2), BatchNorm(2)], seed=1)
+    x = np.random.default_rng(1).standard_normal((8, 4))
+    before = x.copy()
+    out = net.forward(x, training=training)
+    assert np.array_equal(x, before)
+    assert not np.shares_memory(out, x)
+
+
+def test_batchnorm_in_place_matches_out_of_place_formulas():
+    # Forward and backward written over their inputs keep every bit of the
+    # textbook expressions.
+    rng = np.random.default_rng(5)
+    net = Network([Affine(3, 6), BatchNorm(6)], seed=5)
+    bn = net.layers[1]
+    bn.gamma[:] = rng.uniform(0.5, 2.0, 6)
+    bn.beta[:] = rng.standard_normal(6)
+    z = rng.standard_normal((16, 6)) * 3.0 + 1.0
+    up = rng.standard_normal((16, 6))
+
+    mean, var = z.mean(axis=0), z.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + bn.spec.epsilon)
+    xhat = (z - mean) * inv_std
+    out_ref = bn.gamma * xhat + bn.beta
+    dxhat = up * bn.gamma
+    dz_ref = (inv_std / 16) * (16 * dxhat - dxhat.sum(axis=0)
+                               - xhat * (dxhat * xhat).sum(axis=0))
+    gamma_ref, beta_ref = (up * xhat).sum(axis=0), up.sum(axis=0)
+
+    assert np.array_equal(bn.forward(z.copy(), True), out_ref)
+    assert np.array_equal(bn.backward(up), dz_ref)
+    assert np.array_equal(bn.grad_gamma, gamma_ref)
+    assert np.array_equal(bn.grad_beta, beta_ref)
+    run_mean, run_var = bn.running_mean.copy(), bn.running_var.copy()
+    eval_ref = bn.gamma * ((z - run_mean) * (1.0 / np.sqrt(run_var + bn.spec.epsilon))) + bn.beta
+    assert np.array_equal(bn.forward(z.copy(), False), eval_ref)
+
+
 def test_backward_zero_upstream_and_linearity():
     net = Network(parity_specs(), seed=3)
     x = np.random.default_rng(3).uniform(-1, 1, (8, 4))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from logitgates import data
+from logitgates import data, train
 from logitgates.experiments import build_network
 from logitgates.ensemble import parse_spec
 from logitgates.network import ActBlock, Affine, BatchNorm, Network
@@ -134,11 +134,17 @@ def reference_steps(params, grads, state, optimizer, lr, weight_decay, **kw):
             param -= lr * v
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("weight_decay, block", [(0.0, None), (0.01, None), (0.0, 7), (0.01, 7)],
+                         ids=["0.0", "0.01", "0.0-block7", "0.01-block7"])
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_flat_steps_match_per_array_reference_bit_for_bit(optimizer, weight_decay):
+def test_flat_steps_match_per_array_reference_bit_for_bit(optimizer, weight_decay, block,
+                                                          monkeypatch):
     # Without decay the step reads flat_grads itself; with decay it reads a
-    # scratch buffer that it later overwrites with its own temporaries.
+    # scratch buffer that it later overwrites with its own temporaries. With
+    # 7-element blocks the 106-element store spans 16 blocks and the 62-element
+    # decayed prefix ends mid-block.
+    if block is not None:
+        monkeypatch.setattr(train, "BLOCK", block)
     specs = [Affine(4, 8), BatchNorm(8), ActBlock(parse_spec("xnor_ail")),
              Affine(4, 6), BatchNorm(6), ActBlock(parse_spec("or_ail")), Affine(3, 2)]
     net = Network(specs, seed=8)
@@ -162,6 +168,7 @@ def test_flat_steps_match_per_array_reference_bit_for_bit(optimizer, weight_deca
         for name, p, g, _ in net.parameters():
             assert np.array_equal(p, ref[name][0]), (name, step)
             assert np.array_equal(g, grads[name]), (name, step)
+    assert (net.flat_params.size, net.n_decayed) == (106, 62)
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])

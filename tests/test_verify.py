@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from logitgates.activations import Activation, NORMALIZATION_TABLE
+from logitgates import verify
+from logitgates.activations import GATE_KINDS, Activation, NORMALIZATION_TABLE, apply
 from logitgates.ensemble import parse_spec
 from logitgates.network import ActBlock, Affine, BatchNorm, Network
 from logitgates.verify import (
@@ -71,6 +73,19 @@ class TestMonteCarloConstants:
         with pytest.raises(ValueError):
             mc_constants(Activation("relu", "raw"), 1000)
 
+    def test_blocked_gate_pass_keeps_every_bit(self, monkeypatch):
+        # The gate runs on 1000-element slices of 2500-sample chunks; the
+        # moments still see whole chunks drawn in the same order.
+        monkeypatch.setattr(verify, "MC_CHUNK", 2500)
+        monkeypatch.setattr(verify, "BLOCK", 1000)
+        act = Activation("xnor", "il", True)
+        rng = np.random.default_rng(4)
+        moments = StreamingMoments()
+        for k in (2500, 2500, 1000):
+            moments.update(apply(act, rng.standard_normal(k), rng.standard_normal(k)))
+        est = mc_constants(act, 6000, seed=4)
+        assert (est.mean, est.std) == (moments.mean, moments.std)
+
 
 class TestGridCompare:
     def test_and_origin_exceeds_one_strictly(self):
@@ -105,6 +120,50 @@ class TestGridCompare:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             grid_compare("and", step=0.0)
+
+    @pytest.mark.parametrize("block", [7, 20])
+    @pytest.mark.parametrize("kind", GATE_KINDS)
+    def test_bands_match_whole_grid(self, kind, block, monkeypatch, tmp_path):
+        # 9 rows in bands of 1 or 2; xnor's maximum ties at the four corners,
+        # in the first and the last band, and the first in row-major order wins.
+        monkeypatch.setattr(verify, "BLOCK", block)
+        axes = -1.0 + 0.25 * np.arange(9)
+        x, y = np.meshgrid(axes, axes, indexing="ij", sparse=True)
+        exact = apply(Activation(kind, "il"), x, y)
+        approx = apply(Activation(kind, "ail"), x, y)
+        signed = approx - exact
+        diff = np.abs(signed)
+        i, j = np.unravel_index(int(diff.argmax()), diff.shape)
+        distance = verify._kink_distance(x, y)
+        ref_csv = tmp_path / "whole.csv"
+        np.savetxt(ref_csv, np.column_stack([np.broadcast_to(x, diff.shape).ravel(),
+                                             np.broadcast_to(y, diff.shape).ravel(),
+                                             exact.ravel(), approx.ravel(), signed.ravel()]),
+                   delimiter=",", header="x,y,exact,approx,diff", comments="", fmt="%.12g")
+        if kind == "xnor":
+            assert np.count_nonzero(diff == diff.max()) == 4
+
+        rep = grid_compare(kind, half_range=1.0, step=0.25, csv_path=tmp_path / "bands.csv",
+                           keep_surfaces=True)
+        assert rep.max_abs_diff == diff[i, j]
+        assert rep.argmax == (axes[i], axes[j])
+        assert rep.masked_max_abs_diff == np.max(diff, where=distance > verify.EXCLUSION,
+                                                 initial=0.0)
+        assert rep.wide_masked_max_abs_diff == np.max(diff, where=distance > verify.WIDE_EXCLUSION,
+                                                      initial=0.0)
+        assert np.array_equal(rep.exact, exact) and np.array_equal(rep.approx, approx)
+        assert (tmp_path / "bands.csv").read_bytes() == ref_csv.read_bytes()
+
+    def test_default_grid_peaks_below_one_surface(self):
+        # A 2001 x 2001 surface is 32 MB; the bands keep the peak far below it.
+        tracemalloc.start()
+        try:
+            rep = grid_compare("and")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.exact is None
+        assert peak < 2001 * 2001 * 8, peak
 
 
 class TestGradcheck:
