@@ -243,16 +243,6 @@ _GATES = {
 GATE_KINDS = tuple(kind for kind, family in _GATES if family == "il")
 
 
-def family_label(family: str, normalized: bool) -> str:
-    """The family as written in names: 'il', 'ail', 'raw', or 'nil'/'nail' when normalized."""
-    return "n" + family if normalized else family
-
-
-def parse_family(label: str) -> tuple[str, bool]:
-    """Inverse of family_label: (family, normalized)."""
-    return (label[1:], True) if label in ("nil", "nail") else (label, False)
-
-
 @dataclass(frozen=True)
 class Activation:
     """A gate or baseline nonlinearity plus its normalization mode.
@@ -277,25 +267,16 @@ class Activation:
         return 1 if self.kind == "relu" else 2
 
     @property
+    def label(self) -> str:
+        """The family as written in names: 'il', 'ail', 'raw', or 'nil'/'nail' when normalized."""
+        return "n" + self.family if self.normalized else self.family
+
+    @property
     def name(self) -> str:
-        if self.family == "raw":
-            return self.kind
-        return f"{self.kind}_{family_label(self.family, self.normalized)}"
+        return self.kind if self.family == "raw" else f"{self.kind}_{self.label}"
 
     def __str__(self) -> str:
         return self.name
-
-
-def parse_activation(name: str) -> Activation:
-    """Inverse of Activation.name (e.g. 'or_ail', 'xnor_nil', 'relu')."""
-    name = name.strip().lower()
-    if (name, "raw") in _GATES:
-        return Activation(name)
-    kind, _, label = name.rpartition("_")
-    family, normalized = parse_family(label)
-    if family != "raw" and (kind, family) in _GATES:
-        return Activation(kind, family, normalized)
-    raise ValueError(f"cannot parse activation name {name!r}")
 
 
 def apply(act: Activation, x, y=None, grad: bool = False):

@@ -8,7 +8,11 @@ Operands are adjacent channel pairs (2i, 2i+1). Two strategies:
   in act order (n_c -> m * n_c/2).
 
 A lone 1-input activation (relu) passes through elementwise; mixing 1-input
-and 2-input kinds in one ensemble is rejected.
+and 2-input kinds, or two families, in one ensemble is rejected.
+
+The text form is the only grammar: a single activation is its name
+('xnor_nail', 'relu'), an ensemble is family:kinds:strategy
+('nail:or+and+xnor:d', 'ail:or+xnor:p').
 """
 
 from dataclasses import dataclass
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import activations as A
-from .activations import Activation, family_label, parse_activation, parse_family
+from .activations import Activation
 
 _STRATEGY_SUFFIX = {"partition": "p", "duplication": "d"}
 _SUFFIX_STRATEGY = {v: k for k, v in _STRATEGY_SUFFIX.items()}
@@ -24,7 +28,10 @@ _SUFFIX_STRATEGY = {v: k for k, v in _STRATEGY_SUFFIX.items()}
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Ordered activations plus the channel-routing strategy."""
+    """Ordered activations of one family plus the channel-routing strategy.
+
+    This is an activation block's layer spec in a network.
+    """
 
     acts: tuple[Activation, ...]
     strategy: str = "duplication"
@@ -40,6 +47,9 @@ class EnsembleSpec:
             raise ValueError("1-input activations cannot be ensembled")
         if arities == {1, 2}:
             raise ValueError("cannot mix 1-input and 2-input activations")
+        labels = {act.label for act in self.acts}
+        if len(labels) > 1:
+            raise ValueError(f"an ensemble takes a single family, got {sorted(labels)}")
 
     @property
     def m(self) -> int:
@@ -69,29 +79,27 @@ class EnsembleSpec:
         """Canonical text form, e.g. 'or_ail' or 'nail:or+and+xnor:d'."""
         if self.m == 1:
             return self.acts[0].name
-        first = self.acts[0]
-        if any((a.family, a.normalized) != (first.family, first.normalized) for a in self.acts):
-            raise ValueError("text form requires a single family across the ensemble")
-        family = family_label(first.family, first.normalized)
         kinds = "+".join(a.kind for a in self.acts)
-        return f"{family}:{kinds}:{_STRATEGY_SUFFIX[self.strategy]}"
+        return f"{self.acts[0].label}:{kinds}:{_STRATEGY_SUFFIX[self.strategy]}"
 
     def __str__(self) -> str:
         return self.name
 
 
 def parse_spec(text: str) -> EnsembleSpec:
-    """Parse the canonical text form (family prefix, +-joined kinds, strategy)."""
+    """Inverse of EnsembleSpec.name: 'or_ail', 'relu' or 'nail:or+and+xnor:d'."""
     text = text.strip().lower()
     parts = text.split(":")
-    if len(parts) == 1:
-        return EnsembleSpec((parse_activation(parts[0]),))
+    if len(parts) == 1:  # an activation name: kind_label, or a raw kind alone
+        kind, _, label = text.rpartition("_")
+        parts = [label, kind, "d"] if label in ("il", "ail", "nil", "nail") else ["raw", text, "d"]
     if len(parts) != 3:
         raise ValueError(f"malformed ensemble spec {text!r}")
-    family, kinds, suffix = parts
+    label, kinds, suffix = parts
     if suffix not in _SUFFIX_STRATEGY:
         raise ValueError(f"unknown strategy suffix {suffix!r} in {text!r}")
-    family, normalized = parse_family(family)
+    normalized = label in ("nil", "nail")
+    family = label[1:] if normalized else label
     acts = tuple(Activation(kind, family, normalized) for kind in kinds.split("+"))
     return EnsembleSpec(acts, _SUFFIX_STRATEGY[suffix])
 

@@ -10,7 +10,7 @@ import numpy as np
 from . import data
 from .data import Dataset
 from .ensemble import parse_spec
-from .network import ActBlock, Affine, BatchNorm, Network
+from .network import Affine, BatchNorm, Network
 from .numerics import sigmoid
 from .train import TrainConfig, TrainReport, evaluate, fit
 
@@ -46,8 +46,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASK_DIMS:
             raise ValueError(f"unknown task {self.task!r}")
-        if min(self.n_train, self.n_val) < 0:
-            raise ValueError("n_train and n_val must be >= 0")
+        for key in ("n_train", "n_val"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.train.loss != DEFAULT_LOSS[self.task]:
+            raise ValueError(f"train.loss: {self.task} trains on {DEFAULT_LOSS[self.task]!r}, "
+                             f"got {self.train.loss!r}")
         try:
             parse_spec(self.activation)  # validates the text form
         except ValueError as exc:
@@ -124,21 +128,24 @@ def resolve_config(path_or_name: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def build_network(task: str, widths, activation: str, seed: int,
-                  batch_norm: bool = False) -> Network:
+def _layer_specs(task: str, widths, activation: str, batch_norm: bool) -> list:
     """Affine -> [batch norm] -> activation block per width, then the head."""
     input_width, output_width = TASK_DIMS[task]
     spec = parse_spec(activation)
     layers = []
     current = input_width
-    for w in widths:
-        layers.append(Affine(current, int(w)))
+    for w in map(int, widths):
+        layers.append(Affine(current, w))
         if batch_norm:
-            layers.append(BatchNorm(int(w)))
-        layers.append(ActBlock(spec))
-        current = spec.out_channels(int(w))
-    layers.append(Affine(current, output_width))
-    return Network(layers, seed=seed)
+            layers.append(BatchNorm(w))
+        layers.append(spec)
+        current = spec.out_channels(w)
+    return layers + [Affine(current, output_width)]
+
+
+def build_network(task: str, widths, activation: str, seed: int,
+                  batch_norm: bool = False) -> Network:
+    return Network(_layer_specs(task, widths, activation, batch_norm), seed=seed)
 
 
 def param_count(net: Network) -> int:
@@ -147,16 +154,9 @@ def param_count(net: Network) -> int:
 
 def param_count_for(task: str, widths, activation: str, batch_norm: bool = False) -> int:
     """Trainable parameter count of build_network's output, without building it."""
-    input_width, output_width = TASK_DIMS[task]
-    spec = parse_spec(activation)
-    total = 0
-    current = input_width
-    for w in widths:
-        total += current * w + w          # affine
-        if batch_norm:
-            total += 2 * w                # gamma, beta
-        current = spec.out_channels(int(w))
-    return total + current * output_width + output_width
+    layers = _layer_specs(task, widths, activation, batch_norm)
+    return (sum((s.n_in + 1) * s.n_out for s in layers if isinstance(s, Affine))
+            + sum(2 * s.channels for s in layers if isinstance(s, BatchNorm)))
 
 
 def equal_param_relu_widths(reference: Network, task: str, n_hidden: int,

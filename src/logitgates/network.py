@@ -2,7 +2,9 @@
 
 Forward and backward passes are explicit; each layer caches what its own
 backward needs when run in training mode. Parameter layout, initialization,
-and the save format are all deterministic for a given seed.
+and the save format are all deterministic for a given seed. The layer specs
+are Affine, BatchNorm and, for an activation block, ensemble.EnsembleSpec;
+each gives its output width for an input width with ``out_channels``.
 
 Every trainable array and its gradient is a view into one of two contiguous
 buffers, ``Network.flat_params`` and ``Network.flat_grads``, so an optimizer
@@ -35,6 +37,11 @@ class Affine:
         if min(self.n_in, self.n_out) < 1:
             raise ValueError(f"affine widths must be >= 1, got {self.n_in} -> {self.n_out}")
 
+    def out_channels(self, n_c: int) -> int:
+        if n_c != self.n_in:
+            raise ValueError(f"affine expects {self.n_in} channels, gets {n_c}")
+        return self.n_out
+
 
 @dataclass(frozen=True)
 class BatchNorm:
@@ -50,13 +57,13 @@ class BatchNorm:
         if not 0 < self.epsilon <= 1:  # also rejects nan and inf
             raise ValueError(f"batch norm epsilon must lie in (0, 1], got {self.epsilon}")
 
+    def out_channels(self, n_c: int) -> int:
+        if n_c != self.channels:
+            raise ValueError(f"batch norm over {self.channels} channels, gets {n_c}")
+        return n_c
 
-@dataclass(frozen=True)
-class ActBlock:
-    spec: EnsembleSpec
 
-
-LayerSpec = Affine | BatchNorm | ActBlock
+LayerSpec = Affine | BatchNorm | EnsembleSpec
 
 
 class _AffineLayer:
@@ -150,19 +157,19 @@ class _BatchNormLayer:
 
 
 class _ActLayer:
-    def __init__(self, spec: ActBlock, rng: np.random.Generator):
+    def __init__(self, spec: EnsembleSpec, rng: np.random.Generator):
         self.spec = spec
         self._partials = None
 
     def forward(self, z, training):
         if not training:
             self._partials = None
-            return ensemble.forward(self.spec.spec, z)
-        out, self._partials = ensemble.forward(self.spec.spec, z, training=True)
+            return ensemble.forward(self.spec, z)
+        out, self._partials = ensemble.forward(self.spec, z, training=True)
         return out
 
     def backward(self, dout):
-        return ensemble.backward(self.spec.spec, self._partials, dout)
+        return ensemble.backward(self.spec, self._partials, dout)
 
     def params(self):
         return []
@@ -175,29 +182,7 @@ def _as_matrix(data) -> np.ndarray:
     return m
 
 
-_LAYER_TYPES = {Affine: _AffineLayer, BatchNorm: _BatchNormLayer, ActBlock: _ActLayer}
-
-
-def _chain_widths(specs, input_width=None):
-    """Walk the layer chain, validating that channel counts line up."""
-    widths = []
-    current = input_width
-    for i, spec in enumerate(specs):
-        if isinstance(spec, Affine):
-            if current is not None and spec.n_in != current:
-                raise ValueError(f"layer {i}: affine expects {spec.n_in} channels, gets {current}")
-            current = spec.n_out
-        elif isinstance(spec, BatchNorm):
-            if current is not None and spec.channels != current:
-                raise ValueError(f"layer {i}: batch norm over {spec.channels} channels, gets {current}")
-        elif isinstance(spec, ActBlock):
-            if current is None:
-                raise ValueError("activation block cannot be the first layer")
-            current = spec.spec.out_channels(current)
-        else:
-            raise TypeError(f"unknown layer spec {spec!r}")
-        widths.append(current)
-    return widths
+_LAYER_TYPES = {Affine: _AffineLayer, BatchNorm: _BatchNormLayer, EnsembleSpec: _ActLayer}
 
 
 class Network:
@@ -211,8 +196,13 @@ class Network:
         first = self.specs[0]
         if not isinstance(first, Affine):
             raise ValueError("first layer must be affine (it fixes the input width)")
-        self.input_width = first.n_in
-        self.output_width = _chain_widths(self.specs, first.n_in)[-1]
+        width = self.input_width = first.n_in
+        for i, spec in enumerate(self.specs):
+            try:
+                width = spec.out_channels(width)
+            except ValueError as exc:
+                raise ValueError(f"layer {i}: {exc}") from exc
+        self.output_width = width
         rng = np.random.default_rng(self.seed)
         self.layers = [_LAYER_TYPES[type(s)](s, rng) for s in self.specs]
         self._training_cache = False
@@ -334,8 +324,8 @@ def spec_to_dict(spec: LayerSpec) -> dict:
     if isinstance(spec, BatchNorm):
         return {"type": "batch_norm", "channels": spec.channels,
                 "momentum": spec.momentum, "epsilon": spec.epsilon}
-    if isinstance(spec, ActBlock):
-        return {"type": "act", "spec": spec.spec.name}
+    if isinstance(spec, EnsembleSpec):
+        return {"type": "act", "spec": spec.name}
     raise TypeError(f"unknown layer spec {spec!r}")
 
 
@@ -346,5 +336,5 @@ def spec_from_dict(d: dict) -> LayerSpec:
     if t == "batch_norm":
         return BatchNorm(d["channels"], d["momentum"], d["epsilon"])
     if t == "act":
-        return ActBlock(parse_spec(d["spec"]))
+        return parse_spec(d["spec"])
     raise ValueError(f"unknown layer type {t!r}")

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import activations as A
 from .activations import Activation, NORMALIZATION_TABLE, apply, gradient
-from .network import ActBlock, Affine, BatchNorm, Network
+from .ensemble import EnsembleSpec
+from .network import Affine, BatchNorm, Network
 from .numerics import BLOCK, sigmoid
 
 # Fixed settings of the checks. Monte Carlo draws MC_CHUNK samples at a time,
@@ -291,8 +292,8 @@ def weight_correlations(net: Network, layer_index: int, seed: int = 0):
     follow = layer_index + 1
     while follow < len(net.specs) and isinstance(net.specs[follow], BatchNorm):
         follow += 1
-    if follow >= len(net.specs) or not isinstance(net.specs[follow], ActBlock) \
-            or net.specs[follow].spec.elementwise:
+    if follow >= len(net.specs) or not isinstance(net.specs[follow], EnsembleSpec) \
+            or net.specs[follow].elementwise:
         raise ValueError(f"layer {layer_index} does not feed a 2-input activation block")
 
     w = net.layers[layer_index].weight  # (in, out): column c is feature c

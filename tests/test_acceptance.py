@@ -37,7 +37,7 @@ from logitgates.experiments import (
     run_experiment,
     task_datasets,
 )
-from logitgates.network import ActBlock, Affine, Network
+from logitgates.network import Affine, Network
 from logitgates.numerics import sigmoid
 from logitgates.train import TrainConfig, evaluate, fit
 from logitgates.verify import (
@@ -250,7 +250,7 @@ def test_criterion_7_gradient_correctness():
         for strategy in ("p", "d"):
             spec_text = f"{family}:or+and+xnor:{strategy}"
             spec = parse_spec(spec_text)
-            net = Network([Affine(6, 12), ActBlock(spec),
+            net = Network([Affine(6, 12), spec,
                            Affine(spec.out_channels(12), 2)], seed=31)
             x = rng.uniform(-2, 2, (12, 6))
             err = gradcheck_network(net, x, seed=31)
@@ -260,8 +260,8 @@ def test_criterion_7_gradient_correctness():
         for family in ("il", "ail"):
             for suffix in ("", "n"):
                 name = f"{kind}_{suffix}{family}"
-                net = Network([Affine(4, 4), ActBlock(parse_spec(name)),
-                               Affine(2, 2), ActBlock(parse_spec(name)),
+                net = Network([Affine(4, 4), parse_spec(name),
+                               Affine(2, 2), parse_spec(name),
                                Affine(1, 1)], seed=37)
                 x = rng.uniform(-2, 2, (16, 4))
                 err = gradcheck_network(net, x, seed=37)

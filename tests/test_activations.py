@@ -12,7 +12,6 @@ from logitgates.activations import (
     NORMALIZATION_TABLE,
     apply,
     gradient,
-    parse_activation,
 )
 from logitgates.numerics import LOGIT_CLAMP, sigmoid
 from logitgates.verify import all_activation_variants
@@ -387,10 +386,6 @@ class TestNormalization:
 
 
 class TestActivationType:
-    def test_names_round_trip(self):
-        for act in all_activation_variants():
-            assert parse_activation(act.name) == act
-
     def test_invalid_combinations(self):
         with pytest.raises(ValueError):
             Activation("relu", "il")
@@ -398,8 +393,6 @@ class TestActivationType:
             Activation("max", "raw", normalized=True)
         with pytest.raises(ValueError):
             Activation("and", "raw")
-        with pytest.raises(ValueError):
-            parse_activation("nand_il")
 
     def test_arity_contracts(self):
         with pytest.raises(ValueError):

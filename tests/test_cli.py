@@ -170,6 +170,14 @@ def test_help_exists_for_every_subcommand(capsys):
         assert capsys.readouterr().out
 
 
+def test_exported_names_resolve():
+    # A name deleted from the package cannot stay in its export list.
+    import logitgates
+
+    assert len(set(logitgates.__all__)) == len(logitgates.__all__)
+    assert [name for name in logitgates.__all__ if not hasattr(logitgates, name)] == []
+
+
 def test_write_pgm_scaling(tmp_path):
     path = tmp_path / "t.pgm"
     write_pgm(path, np.array([[0.0, 1.0], [2.0, 4.0]]))

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from logitgates.activations import Activation, apply
 from logitgates.ensemble import EnsembleSpec, backward, forward, parse_spec
+from logitgates.experiments import bundled_config_path
+from logitgates.verify import all_activation_variants
 
 OR_AIL = Activation("or", "ail")
 AND_AIL = Activation("and", "ail")
@@ -71,8 +75,6 @@ def test_single_act_strategies_identical():
     parse_spec("il:or+and+xnor:d"),
     parse_spec("nil:or+and+xnor:d"),
     parse_spec("ail:or+and+xnor:d"),
-    EnsembleSpec((Activation("xnor", "il"), OR_AIL, Activation("and", "il", normalized=True),
-                  Activation("max"), Activation("or", "il")), "duplication"),
 ], ids=lambda spec: "+".join(a.name for a in spec.acts))
 def test_duplication_block_equals_per_activation_apply(spec):
     # The block applies each act to the whole pair list and joins the results;
@@ -119,10 +121,29 @@ def test_backward_matches_finite_differences(text, n_c):
 
 
 def test_spec_text_round_trip():
-    for text in ("or_ail", "xnor_nail", "relu", "max", "nail:or+and+xnor:d",
-                 "ail:or+xnor:p", "il:or+and:d", "raw:max+min:d", "nil:xnor+or:p"):
+    # parse_spec is the one grammar: it reads every activation's name and
+    # every ensemble's text form back into the spec that wrote it.
+    texts = ["or_ail", "xnor_nail", "relu", "max", "nail:or+and+xnor:d",
+             "ail:or+xnor:p", "il:or+and:d", "raw:max+min:d", "nil:xnor+or:p"]
+    texts += [json.loads(path.read_text())["activation"]
+              for path in sorted(bundled_config_path("xor2_xnor_nail").parent.glob("*.json"))]
+    for text in texts:
         spec = parse_spec(text)
+        assert spec.name == text
         assert parse_spec(spec.name) == spec
+    for act in all_activation_variants():
+        assert parse_spec(act.name) == EnsembleSpec((act,))
+        assert parse_spec(act.name).name == act.name
+
+
+def test_mixed_family_ensemble_rejected_on_construction():
+    # The text form names one family per ensemble, so a spec that mixes
+    # families could be trained but not saved; it is not constructible.
+    for acts in ((Activation("xnor", "il"), OR_AIL),
+                 (OR_AIL, Activation("and", "ail", normalized=True)),
+                 (Activation("max"), AND_AIL)):
+        with pytest.raises(ValueError, match="single family"):
+            EnsembleSpec(acts, "duplication")
 
 
 def test_relu_block_is_elementwise():
@@ -139,10 +160,9 @@ def test_invalid_specs():
         EnsembleSpec((), "duplication")
     with pytest.raises(ValueError):
         EnsembleSpec((Activation("relu", "raw"), OR_AIL), "duplication")
-    with pytest.raises(ValueError):
-        parse_spec("ail:or+and")
-    with pytest.raises(ValueError):
-        parse_spec("nail:or:q")
+    for text in ("nand_il", "and_raw", "ail:or+and", "nail:or:q"):
+        with pytest.raises(ValueError):
+            parse_spec(text)
     with pytest.raises(ValueError):
         spec = EnsembleSpec((OR_AIL,), "duplication")
         backward(spec, forward(spec, np.zeros((2, 4)), training=True)[1], np.zeros((2, 3)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from logitgates import data
+from logitgates.cli import main
 from logitgates.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -18,14 +19,14 @@ from logitgates.experiments import (
     run_experiment,
     task_datasets,
 )
-from logitgates.network import ActBlock, Affine, BatchNorm
+from logitgates.network import Affine, BatchNorm
 from logitgates.train import TrainConfig
 
 
 def test_build_network_shapes():
     net = build_network("parity4", [4, 2], "xnor_ail", seed=0)
     assert [type(s).__name__ for s in net.specs] == [
-        "Affine", "ActBlock", "Affine", "ActBlock", "Affine"]
+        "Affine", "EnsembleSpec", "Affine", "EnsembleSpec", "Affine"]
     assert net.input_width == 4 and net.output_width == 1
 
     net = build_network("mnist", [256, 256], "ail:or+and+xnor:d", seed=0, batch_norm=True)
@@ -77,6 +78,9 @@ def test_config_errors_name_the_key():
                      (good | {"train": {"epochs": 0, "batch_size": 8}}, "epochs"),
                      (good | {"widths": [4, 0]}, "widths"),
                      (good | {"n_train": -1}, "n_train"),
+                     (good | {"n_train": 0}, "n_train"),
+                     ({"task": "nested_xnor8", "activation": "relu", "widths": [8], "n_val": 0,
+                       "train": {"epochs": 1, "batch_size": 8}}, "n_val"),
                      (good | {"train": {"epochs": 1, "batch_size": 8, "seed": -1}}, "seed"),
                      ({"task": "parity4", "activation": "relu", "train": {}}, "widths")]:
         with pytest.raises(ConfigError, match=key):
@@ -140,12 +144,27 @@ def test_task_datasets_val_differs_from_train():
 
 
 def test_empty_validation_set_rejected_before_training():
-    # evaluate never sees an empty set: Dataset rejects one when it is built
-    cfg = config_from_dict({"task": "nested_xnor8", "activation": "xnor_ail",
-                            "widths": [8], "n_train": 64, "n_val": 0,
-                            "train": {"epochs": 1, "batch_size": 8, "seed": 1}})
-    with pytest.raises(ValueError, match="non-empty"):
-        task_datasets(cfg)
+    # evaluate never sees an empty set: the config that asks for one is refused
+    with pytest.raises(ConfigError, match="n_val"):
+        config_from_dict({"task": "nested_xnor8", "activation": "xnor_ail",
+                          "widths": [8], "n_train": 64, "n_val": 0,
+                          "train": {"epochs": 1, "batch_size": 8, "seed": 1}})
+
+
+@pytest.mark.parametrize("task, loss", [
+    ("mnist", "mse"), ("parity4", "mse"), ("nested_xnor8", "cross-entropy"),
+])
+def test_config_loss_must_be_the_task_loss(tmp_path, task, loss):
+    # fit trains on train.loss and evaluate reports the task's loss; a config
+    # where the two differ is refused before anything is built.
+    raw = {"task": task, "activation": "relu", "widths": [8], "n_train": 16,
+           "train": {"epochs": 1, "batch_size": 8, "loss": loss}}
+    with pytest.raises(ConfigError, match="loss"):
+        config_from_dict(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["train", str(path), "--out-dir", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_experiment_writes_artifacts(tmp_path):

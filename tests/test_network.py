@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from logitgates.ensemble import parse_spec
-from logitgates.network import ActBlock, Affine, BatchNorm, ModelFormatError, Network
+from logitgates.network import Affine, BatchNorm, ModelFormatError, Network
 from logitgates.verify import gradcheck_network
 
 
 def xnor_block():
-    return ActBlock(parse_spec("xnor_ail"))
+    return parse_spec("xnor_ail")
 
 
 def parity_specs():
@@ -47,6 +47,16 @@ def test_inconsistent_chain_rejected():
         Network([Affine(4, 4), BatchNorm(8)], seed=0)
 
 
+@pytest.mark.parametrize("specs, message", [
+    ([Affine(4, 4), BatchNorm(4), Affine(3, 2)], "affine expects 3 channels, gets 4"),
+    ([Affine(4, 4), xnor_block(), BatchNorm(4)], "batch norm over 4 channels, gets 2"),
+    ([Affine(4, 3), BatchNorm(3), xnor_block()], "duplication needs an even channel count"),
+], ids=["affine", "batch_norm", "activation"])
+def test_width_mismatch_names_its_layer(specs, message):
+    with pytest.raises(ValueError, match=f"^layer 2: {message}"):
+        Network(specs, seed=0)
+
+
 def test_zero_weight_network_outputs_bias():
     net = Network([Affine(3, 2)], seed=0)
     net.layers[0].weight[:] = 0.0
@@ -64,7 +74,7 @@ def test_single_affine_is_matmul_plus_bias():
 
 def test_or_ail_block_reduces_to_relu_on_zero_operand():
     # second operand forced to 0 => block output is max(first operand, 0)
-    net = Network([Affine(2, 2), ActBlock(parse_spec("or_ail"))], seed=0)
+    net = Network([Affine(2, 2), parse_spec("or_ail")], seed=0)
     net.layers[0].weight[:] = np.array([[1.0, 0.0], [0.0, 0.0]])
     net.layers[0].bias[:] = 0.0
     x = np.linspace(-3, 3, 13).reshape(-1, 1)
@@ -94,7 +104,7 @@ def test_backward_requires_training_forward():
 
 def test_backward_needs_one_forward_each():
     # Batch norm's backward overwrites what its forward cached.
-    net = Network([Affine(4, 4), BatchNorm(4), ActBlock(parse_spec("or_il")), Affine(2, 1)],
+    net = Network([Affine(4, 4), BatchNorm(4), parse_spec("or_il"), Affine(2, 1)],
                   seed=0)
     net.forward(np.random.default_rng(0).standard_normal((8, 4)), training=True)
     net.backward(np.ones((8, 1)))
@@ -105,7 +115,7 @@ def test_backward_needs_one_forward_each():
 @pytest.mark.parametrize("training", [False, True])
 def test_forward_leaves_caller_input_unchanged(training):
     # Batch norm writes over its input, which is never the caller's array.
-    net = Network([Affine(4, 4), BatchNorm(4), BatchNorm(4), ActBlock(parse_spec("xnor_il")),
+    net = Network([Affine(4, 4), BatchNorm(4), BatchNorm(4), parse_spec("xnor_il"),
                    Affine(2, 2), BatchNorm(2)], seed=1)
     x = np.random.default_rng(1).standard_normal((8, 4))
     before = x.copy()
@@ -167,8 +177,8 @@ def test_backward_zero_upstream_and_linearity():
     "and_nil", "or_nil", "xnor_nil", "and_nail", "or_nail", "xnor_nail",
 ])
 def test_end_to_end_gradcheck_single_acts(spec_text):
-    specs = [Affine(4, 4), ActBlock(parse_spec(spec_text)),
-             Affine(2, 2), ActBlock(parse_spec(spec_text)), Affine(1, 1)]
+    specs = [Affine(4, 4), parse_spec(spec_text),
+             Affine(2, 2), parse_spec(spec_text), Affine(1, 1)]
     net = Network(specs, seed=11)
     x = np.random.default_rng(11).uniform(-2, 2, (16, 4))
     assert gradcheck_network(net, x, seed=11) < 1e-4
@@ -177,7 +187,7 @@ def test_end_to_end_gradcheck_single_acts(spec_text):
 @pytest.mark.parametrize("spec_text", ["ail:or+and+xnor:d", "nail:or+xnor:p",
                                        "il:or+xnor:d", "raw:max+min:d"])
 def test_end_to_end_gradcheck_ensembles(spec_text):
-    specs = [Affine(6, 12), ActBlock(parse_spec(spec_text))]
+    specs = [Affine(6, 12), parse_spec(spec_text)]
     spec = parse_spec(spec_text)
     width = spec.out_channels(12)
     specs.append(Affine(width, 2))
@@ -187,7 +197,7 @@ def test_end_to_end_gradcheck_ensembles(spec_text):
 
 
 def test_end_to_end_gradcheck_with_batchnorm():
-    specs = [Affine(4, 8), BatchNorm(8), ActBlock(parse_spec("or_ail")), Affine(4, 2)]
+    specs = [Affine(4, 8), BatchNorm(8), parse_spec("or_ail"), Affine(4, 2)]
     net = Network(specs, seed=17)
     x = np.random.default_rng(17).uniform(-2, 2, (32, 4))
     assert gradcheck_network(net, x, seed=17) < 1e-4
@@ -201,9 +211,9 @@ def test_whole_network_finite_difference_64_coords():
 
 def test_actblock_channel_counts():
     # width-C affine + 2->1 block halves; 2-act duplication preserves C
-    net = Network([Affine(4, 8), ActBlock(parse_spec("or_ail")), Affine(4, 1)], seed=0)
+    net = Network([Affine(4, 8), parse_spec("or_ail"), Affine(4, 1)], seed=0)
     assert net.forward(np.zeros((2, 4))).shape == (2, 1)
-    net = Network([Affine(4, 8), ActBlock(parse_spec("ail:or+and:d")), Affine(8, 1)], seed=0)
+    net = Network([Affine(4, 8), parse_spec("ail:or+and:d"), Affine(8, 1)], seed=0)
     assert net.forward(np.zeros((2, 4))).shape == (2, 1)
 
 
@@ -222,7 +232,7 @@ def test_evaluation_pass_leaves_no_layer_cache():
     # What a layer keeps for its backward pass (its underscore attributes)
     # is dropped by an evaluation pass, so an evaluated network holds no
     # batch-sized arrays.
-    specs = [Affine(4, 8), BatchNorm(8), ActBlock(parse_spec("il:or+and:d")), Affine(8, 2)]
+    specs = [Affine(4, 8), BatchNorm(8), parse_spec("il:or+and:d"), Affine(8, 2)]
     net = Network(specs, seed=3)
     x = np.random.default_rng(3).standard_normal((32, 4))
 
@@ -237,7 +247,7 @@ def test_evaluation_pass_leaves_no_layer_cache():
 
 
 def test_save_load_round_trip(tmp_path):
-    specs = [Affine(4, 8), BatchNorm(8), ActBlock(parse_spec("nail:or+and+xnor:d")),
+    specs = [Affine(4, 8), BatchNorm(8), parse_spec("nail:or+and+xnor:d"),
              Affine(12, 3)]
     net = Network(specs, seed=9)
     net.forward(np.random.default_rng(9).standard_normal((32, 4)), training=True)
@@ -262,7 +272,7 @@ def _assert_flat_store(net):
 
 
 def test_flat_store_holds_every_parameter_and_gradient(tmp_path):
-    specs = [Affine(4, 8), BatchNorm(8), ActBlock(parse_spec("or_ail")), Affine(4, 2)]
+    specs = [Affine(4, 8), BatchNorm(8), parse_spec("or_ail"), Affine(4, 2)]
     net = Network(specs, seed=3)
     _assert_flat_store(net)
     net.forward(np.random.default_rng(3).standard_normal((16, 4)), training=True)
@@ -297,7 +307,7 @@ def test_malformed_model_files_raise_one_error_type(tmp_path):
     # Every truncation of the header fails, and seeded single-byte flips of
     # it either load or fail; a failure is always ModelFormatError, never a
     # parser's own exception.
-    specs = [Affine(6, 8), BatchNorm(8), ActBlock(parse_spec("il:or+and+xnor:d")), Affine(12, 2)]
+    specs = [Affine(6, 8), BatchNorm(8), parse_spec("il:or+and+xnor:d"), Affine(12, 2)]
     path = tmp_path / "model.bin"
     Network(specs, seed=5).save(path)
     good = path.read_bytes()
@@ -347,7 +357,7 @@ def test_layer_specs_accept_range_ends():
 ])
 def test_load_rejects_out_of_range_layer_specs(tmp_path, old, new):
     path = tmp_path / "model.bin"
-    Network([Affine(6, 8), BatchNorm(8), ActBlock(parse_spec("or_ail")), Affine(4, 2)],
+    Network([Affine(6, 8), BatchNorm(8), parse_spec("or_ail"), Affine(4, 2)],
             seed=5).save(path)
     good = path.read_bytes()
     assert good.count(old) == 1 and len(old) == len(new)

@@ -7,7 +7,7 @@ import pytest
 from logitgates import data, train
 from logitgates.experiments import build_network
 from logitgates.ensemble import parse_spec
-from logitgates.network import ActBlock, Affine, BatchNorm, Network
+from logitgates.network import Affine, BatchNorm, Network
 from logitgates.numerics import sigmoid
 from logitgates.train import (
     AdamState,
@@ -145,8 +145,8 @@ def test_flat_steps_match_per_array_reference_bit_for_bit(optimizer, weight_deca
     # decayed prefix ends mid-block.
     if block is not None:
         monkeypatch.setattr(train, "BLOCK", block)
-    specs = [Affine(4, 8), BatchNorm(8), ActBlock(parse_spec("xnor_ail")),
-             Affine(4, 6), BatchNorm(6), ActBlock(parse_spec("or_ail")), Affine(3, 2)]
+    specs = [Affine(4, 8), BatchNorm(8), parse_spec("xnor_ail"),
+             Affine(4, 6), BatchNorm(6), parse_spec("or_ail"), Affine(3, 2)]
     net = Network(specs, seed=8)
     rng = np.random.default_rng(8)
     ref = {name: (p.copy(), decayed) for name, p, _, decayed in net.parameters()}
@@ -175,7 +175,7 @@ def test_flat_steps_match_per_array_reference_bit_for_bit(optimizer, weight_deca
 def test_optimizer_steps_allocate_nothing(optimizer):
     # From the second step on, the temporaries go into the optimizer state's
     # scratch buffers, and flat_grads is only read.
-    net = Network([Affine(128, 128), BatchNorm(128), ActBlock(parse_spec("or_ail")),
+    net = Network([Affine(128, 128), BatchNorm(128), parse_spec("or_ail"),
                    Affine(64, 10)], seed=9)
     rng = np.random.default_rng(9)
     net.forward(rng.standard_normal((32, 128)), training=True)

@@ -7,7 +7,7 @@ import pytest
 from logitgates import verify
 from logitgates.activations import GATE_KINDS, Activation, NORMALIZATION_TABLE, apply
 from logitgates.ensemble import parse_spec
-from logitgates.network import ActBlock, Affine, BatchNorm, Network
+from logitgates.network import Affine, BatchNorm, Network
 from logitgates.verify import (
     MonteCarloEstimate,
     StreamingMoments,
@@ -204,7 +204,7 @@ class TestBayesIdentities:
 
 class TestWeightCorrelations:
     def _net(self):
-        return Network([Affine(6, 8), BatchNorm(8), ActBlock(parse_spec("xnor_ail")),
+        return Network([Affine(6, 8), BatchNorm(8), parse_spec("xnor_ail"),
                         Affine(4, 1)], seed=0)
 
     def test_orthogonal_rows_give_zero(self):
@@ -224,14 +224,14 @@ class TestWeightCorrelations:
         assert paired[0] == pytest.approx(-1.0)
 
     def test_contract_violation(self):
-        net = Network([Affine(4, 4), ActBlock(parse_spec("relu")), Affine(4, 1)], seed=0)
+        net = Network([Affine(4, 4), parse_spec("relu"), Affine(4, 1)], seed=0)
         with pytest.raises(ValueError):
             weight_correlations(net, 0)
         with pytest.raises(ValueError):
             weight_correlations(self._net(), 3)  # head affine feeds nothing
 
     def test_random_pairs_of_untrained_net_center_near_zero(self):
-        net = Network([Affine(64, 64), ActBlock(parse_spec("xnor_ail")), Affine(32, 1)],
+        net = Network([Affine(64, 64), parse_spec("xnor_ail"), Affine(32, 1)],
                       seed=4)
         _, random_pairs = weight_correlations(net, 0, seed=4)
         assert abs(np.mean(random_pairs)) < 0.15
@@ -270,6 +270,6 @@ def test_random_pair_cosines_near_zero_after_training():
 
 def test_weight_correlations_single_pair_layer():
     # two output columns = one operand pair: no non-partner pairs to sample
-    net = Network([Affine(3, 2), ActBlock(parse_spec("xnor_ail")), Affine(1, 1)], seed=0)
+    net = Network([Affine(3, 2), parse_spec("xnor_ail"), Affine(1, 1)], seed=0)
     paired, random_pairs = weight_correlations(net, 0)
     assert paired.shape == (1,) and random_pairs.size == 0
