@@ -42,6 +42,8 @@ class EnsembleSpec:
         object.__setattr__(self, "acts", tuple(self.acts))
         if self.strategy not in _STRATEGY_SUFFIX:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if len(self.acts) == 1:  # one act routes alike either way; the text form says duplication
+            object.__setattr__(self, "strategy", "duplication")
         arities = {act.arity for act in self.acts}
         if arities == {1} and len(self.acts) != 1:
             raise ValueError("1-input activations cannot be ensembled")

@@ -56,6 +56,10 @@ class ExperimentConfig:
             parse_spec(self.activation)  # validates the text form
         except ValueError as exc:
             raise ValueError(f"activation: {exc}") from exc
+        try:
+            _layer_specs(self.task, self.widths, self.activation, self.batch_norm)
+        except ValueError as exc:  # a width the activation cannot route
+            raise ValueError(f"widths: {exc}") from exc
 
 
 class ConfigError(ValueError):

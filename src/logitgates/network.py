@@ -272,9 +272,6 @@ class Network:
                 ))
         return out
 
-    def zero_grads(self):
-        self.flat_grads.fill(0.0)
-
     # -- serialization ------------------------------------------------------
 
     def _arrays(self):

@@ -100,6 +100,10 @@ def test_train_config_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     for text in ('{"task": "unknown-task"}', "{not json", '[1, 2]',
                  '{"task": "xor2", "activation": "relu", "widths": [2], "bogus": 1,'
+                 ' "train": {"epochs": 1, "batch_size": 4}}',
+                 '{"task": "parity4", "activation": "ail:or+and+xnor:p", "widths": [4, 2],'
+                 ' "train": {"epochs": 1, "batch_size": 4}}',
+                 '{"task": "parity4", "activation": "xnor_ail", "widths": [5],'
                  ' "train": {"epochs": 1, "batch_size": 4}}'):
         bad.write_text(text)
         assert main(["train", str(bad)]) == 2
@@ -114,7 +118,7 @@ def test_train_nan_abort_exit_3(tmp_path):
         "widths": [8, 8, 8],
         "n_train": 64,
         "train": {"epochs": 3, "batch_size": 16, "max_lr": 1e160,
-                  "optimizer": "sgd", "schedule": "constant", "seed": 0, "loss": "mse"},
+                  "seed": 0, "loss": "mse"},
     }
     path = tmp_path / "explode.json"
     path.write_text(json.dumps(cfg))

@@ -6,6 +6,7 @@ import pytest
 from logitgates.activations import Activation, apply
 from logitgates.ensemble import EnsembleSpec, backward, forward, parse_spec
 from logitgates.experiments import bundled_config_path
+from logitgates.network import Affine, Network
 from logitgates.verify import all_activation_variants
 
 OR_AIL = Activation("or", "ail")
@@ -120,17 +121,22 @@ def test_backward_matches_finite_differences(text, n_c):
     assert (np.abs(ana - fd) / scale).max() < 1e-5
 
 
-def test_spec_text_round_trip():
+def test_spec_text_round_trip(tmp_path):
     # parse_spec is the one grammar: it reads every activation's name and
-    # every ensemble's text form back into the spec that wrote it.
+    # every ensemble's text form back into the spec that wrote it. A single
+    # activation routes alike under either strategy, so its ':p' form names
+    # the same spec as its activation name, and a saved network reloads it.
     texts = ["or_ail", "xnor_nail", "relu", "max", "nail:or+and+xnor:d",
              "ail:or+xnor:p", "il:or+and:d", "raw:max+min:d", "nil:xnor+or:p"]
     texts += [json.loads(path.read_text())["activation"]
               for path in sorted(bundled_config_path("xor2_xnor_nail").parent.glob("*.json"))]
-    for text in texts:
+    for text, name in [(t, t) for t in texts] + [("ail:or:p", "or_ail"), ("raw:relu:p", "relu")]:
         spec = parse_spec(text)
-        assert spec.name == text
+        assert spec.name == name
         assert parse_spec(spec.name) == spec
+        net = Network([Affine(2, 4), spec], seed=0)
+        net.save(tmp_path / "model.bin")
+        assert Network.load(tmp_path / "model.bin").specs == net.specs
     for act in all_activation_variants():
         assert parse_spec(act.name) == EnsembleSpec((act,))
         assert parse_spec(act.name).name == act.name

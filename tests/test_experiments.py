@@ -82,7 +82,15 @@ def test_config_errors_name_the_key():
                      ({"task": "nested_xnor8", "activation": "relu", "widths": [8], "n_val": 0,
                        "train": {"epochs": 1, "batch_size": 8}}, "n_val"),
                      (good | {"train": {"epochs": 1, "batch_size": 8, "seed": -1}}, "seed"),
-                     ({"task": "parity4", "activation": "relu", "train": {}}, "widths")]:
+                     ({"task": "parity4", "activation": "relu", "train": {}}, "widths"),
+                     (good | {"activation": "ail:or+and+xnor:p", "widths": [4, 2]}, "widths"),
+                     (good | {"activation": "xnor_ail", "widths": [5]}, "widths"),
+                     (good | {"train": {"epochs": 1, "batch_size": 8, "optimizer": "sgd"}},
+                      "train.optimizer"),
+                     (good | {"train": {"epochs": 1, "batch_size": 8, "schedule": "constant"}},
+                      "train.schedule"),
+                     (good | {"train": {"epochs": 1, "batch_size": 8, "beta1": 0.9}},
+                      "train.beta1")]:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(raw)
     with pytest.raises(ConfigError, match="config must be an object"):

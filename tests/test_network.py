@@ -286,16 +286,6 @@ def test_flat_store_holds_every_parameter_and_gradient(tmp_path):
     assert np.array_equal(loaded.flat_params, net.flat_params)
 
 
-def test_zero_grads_clears_flat_buffer():
-    net = Network(parity_specs(), seed=2)
-    net.forward(np.random.default_rng(2).uniform(-1, 1, (8, 4)), training=True)
-    net.backward(np.ones((8, 1)))
-    assert np.any(net.flat_grads != 0)
-    net.zero_grads()
-    assert not np.any(net.flat_grads)
-    assert all(not np.any(g) for _, _, g, _ in net.parameters())
-
-
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a model")

@@ -20,28 +20,30 @@ from logitgates.train import (
     fit,
     mse,
     one_cycle_lr,
-    sgd_step,
-    SgdState,
 )
 
 
 class TestOneCycle:
     def test_endpoints_and_peak(self):
-        total, max_lr, pf = 100, 0.01, 0.3
-        assert one_cycle_lr(0, total, max_lr, pf) == pytest.approx(max_lr / 25)
-        assert one_cycle_lr(30, total, max_lr, pf) == pytest.approx(max_lr)
-        final = one_cycle_lr(total - 1, total, max_lr, pf)
+        total, max_lr = 100, 0.01
+        assert one_cycle_lr(0, total, max_lr) == pytest.approx(max_lr / 25)
+        assert one_cycle_lr(30, total, max_lr) == pytest.approx(max_lr)
+        final = one_cycle_lr(total - 1, total, max_lr)
         assert abs(final - max_lr / 1e4) <= 0.01 * (max_lr / 1e4)
+        # the shortest runs: a lone warm-up step, then a warm-up and a final step
+        assert one_cycle_lr(0, 1, max_lr) == pytest.approx(max_lr / 25)
+        assert one_cycle_lr(1, 2, max_lr) == pytest.approx(max_lr / 1e4)
 
     def test_shape(self):
-        lrs = [one_cycle_lr(s, 200, 0.1, 0.25) for s in range(200)]
-        peak = int(0.25 * 200)
+        lrs = [one_cycle_lr(s, 200, 0.1) for s in range(200)]
+        peak = int(0.3 * 200)
+        assert max(lrs) == lrs[peak]
         assert all(b >= a for a, b in zip(lrs[:peak], lrs[1:peak + 1]))
         assert all(b <= a for a, b in zip(lrs[peak:-1], lrs[peak + 1:]))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            one_cycle_lr(100, 100, 0.01, 0.3)
+            one_cycle_lr(100, 100, 0.01)
 
 
 def reference_adam(param, grad, m, v, t, lr, b1, b2, eps):
@@ -73,7 +75,7 @@ class TestAdam:
             _, dz = mse(z, target)
             net.backward(dz)
             grads = {name: g.copy() for name, _, g, _ in net.parameters()}
-            adam_step(net, state, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
+            adam_step(net, state, lr=0.05)
             for name in refs:
                 p, m, v = refs[name]
                 p, m, v = reference_adam(p, grads[name], m, v, t, 0.05, 0.9, 0.999, 1e-8)
@@ -81,7 +83,7 @@ class TestAdam:
                 live = dict((n, q) for n, q, _, _ in net.parameters())[name]
                 assert np.allclose(live, p, rtol=1e-12, atol=1e-15), (name, t)
 
-    def test_zero_grads_zero_decay_leaves_params(self):
+    def test_zero_gradient_zero_decay_leaves_params(self):
         net = Network([Affine(2, 2)], seed=2)
         before = [p.copy() for _, p, _, _ in net.parameters()]
         net.forward(np.zeros((4, 2)), training=True)
@@ -110,35 +112,26 @@ class TestAdam:
         assert np.array_equal(net.layers[0].bias, np.ones(2))  # untouched
 
 
-def reference_steps(params, grads, state, optimizer, lr, weight_decay, **kw):
-    """The per-array optimizer loops, one dict entry per named parameter."""
-    if optimizer == "adam":
-        state["t"] = state.get("t", 0) + 1
-        bc1 = 1.0 - kw["beta1"] ** state["t"]
-        bc2 = 1.0 - kw["beta2"] ** state["t"]
+def reference_steps(params, grads, state, lr, weight_decay):
+    """The per-array Adam loop, one dict entry per named parameter."""
+    state["t"] = state.get("t", 0) + 1
+    bc1 = 1.0 - 0.9 ** state["t"]
+    bc2 = 1.0 - 0.999 ** state["t"]
     for name, (param, decayed) in params.items():
         grad = grads[name]
         g = grad + weight_decay * param if (weight_decay and decayed) else grad
-        if optimizer == "adam":
-            m = state.setdefault("m." + name, np.zeros_like(param))
-            v = state.setdefault("v." + name, np.zeros_like(param))
-            m *= kw["beta1"]
-            m += (1 - kw["beta1"]) * g
-            v *= kw["beta2"]
-            v += (1 - kw["beta2"]) * g * g
-            param -= lr * (m / bc1) / (np.sqrt(v / bc2) + kw["eps"])
-        else:
-            v = state.setdefault("v." + name, np.zeros_like(param))
-            v *= kw["momentum"]
-            v += g
-            param -= lr * v
+        m = state.setdefault("m." + name, np.zeros_like(param))
+        v = state.setdefault("v." + name, np.zeros_like(param))
+        m *= 0.9
+        m += (1 - 0.9) * g
+        v *= 0.999
+        v += (1 - 0.999) * g * g
+        param -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
 
 @pytest.mark.parametrize("weight_decay, block", [(0.0, None), (0.01, None), (0.0, 7), (0.01, 7)],
                          ids=["0.0", "0.01", "0.0-block7", "0.01-block7"])
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_flat_steps_match_per_array_reference_bit_for_bit(optimizer, weight_decay, block,
-                                                          monkeypatch):
+def test_flat_steps_match_per_array_reference_bit_for_bit(weight_decay, block, monkeypatch):
     # Without decay the step reads flat_grads itself; with decay it reads a
     # scratch buffer that it later overwrites with its own temporaries. With
     # 7-element blocks the 106-element store spans 16 blocks and the 62-element
@@ -151,28 +144,22 @@ def test_flat_steps_match_per_array_reference_bit_for_bit(optimizer, weight_deca
     rng = np.random.default_rng(8)
     ref = {name: (p.copy(), decayed) for name, p, _, decayed in net.parameters()}
     ref_state = {}
-    state = AdamState() if optimizer == "adam" else SgdState()
-    kw = (dict(beta1=0.9, beta2=0.999, eps=1e-8) if optimizer == "adam"
-          else dict(momentum=0.9))
+    state = AdamState()
     for step in range(6):
         lr = 0.05 / (step + 1)
         z = net.forward(rng.standard_normal((16, 4)), training=True)
         _, dz = mse(z, rng.standard_normal((16, 2)))
         net.backward(dz)
         grads = {name: g.copy() for name, _, g, _ in net.parameters()}
-        reference_steps(ref, grads, ref_state, optimizer, lr, weight_decay, **kw)
-        if optimizer == "adam":
-            adam_step(net, state, lr, weight_decay=weight_decay, **kw)
-        else:
-            sgd_step(net, state, lr, weight_decay=weight_decay, **kw)
+        reference_steps(ref, grads, ref_state, lr, weight_decay)
+        adam_step(net, state, lr, weight_decay=weight_decay)
         for name, p, g, _ in net.parameters():
             assert np.array_equal(p, ref[name][0]), (name, step)
             assert np.array_equal(g, grads[name]), (name, step)
     assert (net.flat_params.size, net.n_decayed) == (106, 62)
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_optimizer_steps_allocate_nothing(optimizer):
+def test_adam_step_allocates_nothing():
     # From the second step on, the temporaries go into the optimizer state's
     # scratch buffers, and flat_grads is only read.
     net = Network([Affine(128, 128), BatchNorm(128), parse_spec("or_ail"),
@@ -180,34 +167,17 @@ def test_optimizer_steps_allocate_nothing(optimizer):
     rng = np.random.default_rng(9)
     net.forward(rng.standard_normal((32, 128)), training=True)
     net.backward(rng.standard_normal((32, 10)))
-    state, step = (AdamState(), adam_step) if optimizer == "adam" else (SgdState(), sgd_step)
-    step(net, state, 0.01, weight_decay=0.01)
+    state = AdamState()
+    adam_step(net, state, 0.01, weight_decay=0.01)
     grads = net.flat_grads.copy()
     tracemalloc.start()
     try:
-        step(net, state, 0.01, weight_decay=0.01)
+        adam_step(net, state, 0.01, weight_decay=0.01)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < net.flat_params.nbytes / 4, (peak, net.flat_params.nbytes)
     assert np.array_equal(net.flat_grads, grads)
-
-
-def test_sgd_momentum_accumulates():
-    net = Network([Affine(1, 1)], seed=5)
-    net.layers[0].weight[:] = 1.0
-    state = SgdState()
-    for _ in range(2):
-        net.forward(np.ones((1, 1)), training=True)
-        net.backward(np.ones((1, 1)))
-    # two steps with constant grad g=1: v1=1, v2=1.9 -> w = 1 - lr*(1+1.9)
-    net.forward(np.ones((1, 1)), training=True)
-    net.backward(np.ones((1, 1)))
-    sgd_step(net, state, lr=0.1, momentum=0.9)
-    net.forward(np.ones((1, 1)), training=True)
-    net.backward(np.ones((1, 1)))
-    sgd_step(net, state, lr=0.1, momentum=0.9)
-    assert net.layers[0].weight[0, 0] == pytest.approx(1 - 0.1 * (1 + 1.9))
 
 
 class TestLosses:
@@ -351,15 +321,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0, batch_size=4)
     with pytest.raises(ValueError):
-        TrainConfig(epochs=1, batch_size=4, peak_fraction=1.5)
-    with pytest.raises(ValueError):
         TrainConfig(epochs=1, batch_size=4, loss="hinge")
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, batch_size=4, max_lr=-0.1)
-    for bad in (dict(schedule="one_cycle"), dict(optimizer="rmsprop"),
-                dict(beta1=1.5), dict(beta1=-0.1), dict(beta2=1.0),
-                dict(momentum=1.0), dict(momentum=-0.5), dict(eps=0.0), dict(seed=-1)):
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=1, batch_size=4, **bad)
-    TrainConfig(epochs=1, batch_size=4, schedule="constant", optimizer="sgd",
-                beta1=0.0, momentum=0.0)
+    with pytest.raises(ValueError):
+        TrainConfig(epochs=1, batch_size=4, seed=-1)
+    TrainConfig(epochs=1, batch_size=4, max_lr=0.0, weight_decay=0.0, seed=0)
