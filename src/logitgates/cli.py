@@ -11,6 +11,7 @@ import numpy as np
 
 from . import verify
 from .activations import GATE_KINDS
+from .data import IdxFormatError
 from .experiments import ConfigError, resolve_config, run_experiment
 from .train import NaNLossError
 
@@ -107,7 +108,7 @@ def _cmd_train(args) -> int:
     except NaNLossError as exc:
         print(f"train: aborted: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IdxFormatError) as exc:
         print(f"train: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(report.final | report.extras, sort_keys=True))

@@ -1,5 +1,6 @@
 """Synthetic task generators and MNIST IDX ingestion."""
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -147,12 +148,21 @@ class IdxFormatError(ValueError):
 
 
 def _read_exact(f, count, path, what):
-    data = f.read(count)
+    # Header counts are untrusted: compare them with the bytes left in the
+    # file before asking read() for that many.
+    offset = f.tell()
+    left = os.fstat(f.fileno()).st_size - offset
+    data = f.read(count) if count <= left else b""
     if len(data) != count:
         raise IdxFormatError(
-            f"{path}: truncated {what} (wanted {count} bytes at offset {f.tell() - len(data)}, got {len(data)})"
+            f"{path}: truncated {what} (wanted {count} bytes at offset {offset}, {left} left)"
         )
     return data
+
+
+def _check_dims(path, *dims):
+    if min(dims) < 0:
+        raise IdxFormatError(f"{path}: negative size in header ({' x '.join(map(str, dims))})")
 
 
 def read_idx_images(path) -> np.ndarray:
@@ -161,6 +171,7 @@ def read_idx_images(path) -> np.ndarray:
         magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, path, "header"))
         if magic != IDX_IMAGES_MAGIC:
             raise IdxFormatError(f"{path}: bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
+        _check_dims(path, count, rows, cols)
         payload = _read_exact(f, count * rows * cols, path, "pixel payload")
         return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
 
@@ -170,6 +181,7 @@ def read_idx_labels(path) -> np.ndarray:
         magic, count = struct.unpack(">ii", _read_exact(f, 8, path, "header"))
         if magic != IDX_LABELS_MAGIC:
             raise IdxFormatError(f"{path}: bad label magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
+        _check_dims(path, count)
         payload = _read_exact(f, count, path, "label payload")
         return np.frombuffer(payload, dtype=np.uint8)
 
@@ -198,5 +210,7 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
             f"count mismatch: {images_path} has {images.shape[0]} images, "
             f"{labels_path} has {labels.shape[0]} labels"
         )
+    if images.shape[0] == 0:
+        raise IdxFormatError(f"{images_path}: no images")
     flat = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
     return Dataset(flat, labels, "classification", n_classes=10)

@@ -3,7 +3,11 @@
 Everything here recomputes a quantity by a second route: Monte Carlo sampling
 for the standardization constants, dense grids for the approximation bound,
 central finite differences for gradients, and direct probability-space
-evaluation for the gate identities.
+evaluation for the gate identities (AND, OR and XNOR).
+
+The Monte Carlo constants of every gate come from one stream: each chunk of
+standard-normal operands is drawn once and shared by all the gates being
+estimated, so the table's six rows cost one set of draws, not six.
 """
 
 import contextlib
@@ -19,13 +23,13 @@ from .network import Affine, BatchNorm, Network
 from .numerics import BLOCK, sigmoid
 
 # Fixed settings of the checks. Monte Carlo draws MC_CHUNK samples at a time,
-# so its memory does not grow with the sample count, and evaluates the gate
-# on BLOCK-element slices of each chunk. Gradient checks draw
-# points from [-GRADCHECK_BOX, GRADCHECK_BOX]^2 farther than BOUNDARY_EPS from
-# every kink line and pass below GRADCHECK_TOL. The network check compares
-# NET_GRADCHECK_COORDS random parameter coordinates against central
-# differences of step NET_GRADCHECK_STEP. The identity check draws its
-# operands from [-BAYES_BOX, BAYES_BOX].
+# so its memory does not grow with the sample count or the number of gates,
+# and evaluates each gate on BLOCK-element slices of each chunk. Gradient
+# checks draw points from [-GRADCHECK_BOX, GRADCHECK_BOX]^2 farther than
+# BOUNDARY_EPS from every kink line and pass below GRADCHECK_TOL. The network
+# check compares NET_GRADCHECK_COORDS random parameter coordinates against
+# central differences of step NET_GRADCHECK_STEP. The identity check draws
+# its operands from [-BAYES_BOX, BAYES_BOX].
 MC_CHUNK = 1_000_000
 BOUNDARY_EPS = 1e-3
 GRADCHECK_BOX = 8.0
@@ -90,11 +94,17 @@ class MonteCarloEstimate:
     se_mean: float
 
 
-def mc_constants(act: Activation, n: int, seed: int = 0) -> MonteCarloEstimate:
-    """Sample mean/std of act(x, y) under independent standard-normal operands."""
-    if act.arity != 2:
+def mc_constants(acts, n: int, seed: int = 0) -> dict[str, MonteCarloEstimate]:
+    """Sample mean/std of each act(x, y) under independent standard-normal operands.
+
+    Every act sees the same draws: each chunk of x and y is drawn once and
+    every act is evaluated on it in turn, so an act's estimate has the bits
+    that a call for that act alone gives. Returns estimates by act name.
+    """
+    acts = {act.name: act for act in acts}
+    if any(act.arity != 2 for act in acts.values()):
         raise ValueError("constants are defined for 2-input activations")
-    moments = StreamingMoments()
+    moments = {name: StreamingMoments() for name in acts}
     rng = np.random.default_rng(seed)
     remaining = int(n)
     values = np.empty(min(MC_CHUNK, remaining))
@@ -102,14 +112,18 @@ def mc_constants(act: Activation, n: int, seed: int = 0) -> MonteCarloEstimate:
         k = min(MC_CHUNK, remaining)
         x = rng.standard_normal(k)
         y = rng.standard_normal(k)
-        # The gate's temporaries are block-sized, so they stay in cache; the
-        # moments still see the whole chunk, so every rounding is unchanged.
-        for i in range(0, k, BLOCK):
-            values[i:i + BLOCK] = apply(act, x[i:i + BLOCK], y[i:i + BLOCK])
-        moments.update(values[:k])
+        chunk = values[:k]
+        for name, act in acts.items():
+            # The gate's temporaries are block-sized, so they stay in cache;
+            # the moments still see the whole chunk, so every rounding is
+            # unchanged.
+            for i in range(0, k, BLOCK):
+                chunk[i:i + BLOCK] = apply(act, x[i:i + BLOCK], y[i:i + BLOCK])
+            moments[name].update(chunk)
         remaining -= k
-    return MonteCarloEstimate(mean=moments.mean, std=moments.std, n=int(n),
-                              se_mean=moments.std / math.sqrt(n))
+    return {name: MonteCarloEstimate(mean=m.mean, std=m.std, n=int(n),
+                                     se_mean=m.std / math.sqrt(n))
+            for name, m in moments.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +334,20 @@ def weight_correlations(net: Network, layer_index: int, seed: int = 0):
 
 
 def bayes_identity_check(n: int = 10_000, seed: int = 0) -> float:
-    """Max abs error of sigma(and_il) = sigma(x)sigma(y) and the OR analogue."""
+    """Max abs error of the exact gates' probability identities.
+
+    sigma(and_il) = sigma(x)sigma(y), sigma(or_il) = 1 - sigma(-x)sigma(-y)
+    and sigma(xnor_il) = sigma(x)sigma(y) + sigma(-x)sigma(-y).
+    """
     rng = np.random.default_rng(seed)
     x = rng.uniform(-BAYES_BOX, BAYES_BOX, size=n)
     y = rng.uniform(-BAYES_BOX, BAYES_BOX, size=n)
-    err_and = np.abs(sigmoid(A.and_il(x, y)) - sigmoid(x) * sigmoid(y))
-    err_or = np.abs(sigmoid(A.or_il(x, y)) - (1.0 - sigmoid(-x) * sigmoid(-y)))
-    return float(max(err_and.max(), err_or.max()))
+    both = sigmoid(x) * sigmoid(y)
+    neither = sigmoid(-x) * sigmoid(-y)
+    err_and = np.abs(sigmoid(A.and_il(x, y)) - both)
+    err_or = np.abs(sigmoid(A.or_il(x, y)) - (1.0 - neither))
+    err_xnor = np.abs(sigmoid(A.xnor_il(x, y)) - (both + neither))
+    return float(max(err_and.max(), err_or.max(), err_xnor.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +369,12 @@ def constants_report(n: int = 10_000_000, seed: int = 0, table: dict | None = No
     Returns (check results, estimates by activation name).
     """
     table = NORMALIZATION_TABLE if table is None else table
+    rows = [(Activation(kind, family), ref) for (kind, family), ref in sorted(table.items())]
+    estimates = mc_constants([act for act, _ in rows], n, seed)
     results = []
-    estimates = {}
-    for (kind, family), (mean_ref, std_ref) in sorted(table.items()):
-        act = Activation(kind, family)
-        est = mc_constants(act, n, seed)
-        estimates[act.name] = est
-        label = f"{kind.upper()}_{family.upper()}"
+    for act, (mean_ref, std_ref) in rows:
+        est = estimates[act.name]
+        label = act.name.upper()
         mean_err = abs(est.mean - mean_ref)
         results.append(CheckResult(f"{label} mean", mean_err,
                                    min(4 * est.se_mean, 2e-3),

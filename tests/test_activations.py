@@ -60,8 +60,11 @@ class TestExactGates:
         x, y = rand_points(10_000, box=20.0, seed=3)
         err_and = np.abs(sigmoid(A.and_il(x, y)) - sigmoid(x) * sigmoid(y))
         err_or = np.abs(sigmoid(A.or_il(x, y)) - (1 - sigmoid(-x) * sigmoid(-y)))
+        err_xnor = np.abs(sigmoid(A.xnor_il(x, y))
+                          - (sigmoid(x) * sigmoid(y) + sigmoid(-x) * sigmoid(-y)))
         assert err_and.max() < 1e-12
         assert err_or.max() < 1e-12
+        assert err_xnor.max() < 1e-12
 
     def test_scalar_operands_give_0d_results(self):
         for gate in (A.and_il, A.or_il, A.xnor_il):

@@ -126,6 +126,26 @@ def test_train_nan_abort_exit_3(tmp_path):
     assert rc == 3
 
 
+def test_train_malformed_idx_exit_2(tmp_path, capsys):
+    from logitgates.data import write_idx_images, write_idx_labels
+
+    mnist = tmp_path / "mnist"
+    mnist.mkdir()
+    for prefix in ("train", "t10k"):
+        write_idx_images(mnist / f"{prefix}-images-idx3-ubyte", np.zeros((4, 28, 28), np.uint8))
+        write_idx_labels(mnist / f"{prefix}-labels-idx1-ubyte", np.zeros(4, np.uint8))
+    images = mnist / "train-images-idx3-ubyte"
+    images.write_bytes(images.read_bytes()[:-100])
+    cfg = {"task": "mnist", "activation": "relu", "widths": [4], "mnist_dir": str(mnist),
+           "train": {"epochs": 1, "batch_size": 4}}
+    path = tmp_path / "truncated.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["train", str(path), "--out-dir", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("train: ") and "truncated pixel payload" in err[0]
+
+
 def test_report_command(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

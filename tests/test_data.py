@@ -1,9 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from logitgates import data
 from logitgates.data import (
     Dataset,
+    IDX_IMAGES_MAGIC,
+    IDX_LABELS_MAGIC,
     IdxFormatError,
     gen_nested_xnor8,
     gen_parity4,
@@ -14,6 +18,7 @@ from logitgates.data import (
     nested_xnor_il_logit_naive,
     parity4_lattice,
     read_idx_images,
+    read_idx_labels,
     write_idx_images,
     write_idx_labels,
     xor2_grid,
@@ -131,6 +136,49 @@ class TestIdx:
         ip.write_bytes(raw[:-100])
         with pytest.raises(IdxFormatError, match="offset"):
             read_idx_images(ip)
+
+    @pytest.mark.parametrize("dims", [(-1, -1, 3), (-5, 28, 28), (1, 28, -28), (1 << 30,) * 3],
+                             ids=str)
+    def test_bad_image_header_sizes_rejected(self, tmp_path, dims):
+        path = tmp_path / "imgs"
+        path.write_bytes(struct.pack(">iiii", IDX_IMAGES_MAGIC, *dims) + bytes(784))
+        with pytest.raises(IdxFormatError, match="negative|truncated"):
+            read_idx_images(path)
+
+    @pytest.mark.parametrize("count", [-1, -(1 << 31), 1 << 30], ids=str)
+    def test_bad_label_header_count_rejected(self, tmp_path, count):
+        path = tmp_path / "lbls"
+        path.write_bytes(struct.pack(">ii", IDX_LABELS_MAGIC, count) + bytes(10))
+        with pytest.raises(IdxFormatError, match="negative|truncated"):
+            read_idx_labels(path)
+
+    @pytest.mark.parametrize("reader, header, ndim", [(read_idx_images, 16, 3),
+                                                      (read_idx_labels, 8, 1)],
+                             ids=["images", "labels"])
+    def test_fuzzed_headers_raise_only_idx_format_error(self, tmp_path, reader, header, ndim):
+        # Seeded flips of one to three header bytes either parse into a
+        # well-formed uint8 array of the header's shape or fail with
+        # IdxFormatError, never with a reader's own exception.
+        ip, lp, _, _ = self._write_pair(tmp_path, n=3)
+        good = (ip if reader is read_idx_images else lp).read_bytes()
+        bad = tmp_path / "bad"
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            flipped = bytearray(good)
+            for pos in rng.integers(0, header, rng.integers(1, 4)):
+                flipped[pos] = rng.integers(0, 256)
+            bad.write_bytes(flipped)
+            try:
+                arr = reader(bad)
+            except IdxFormatError:
+                continue
+            dims = struct.unpack(">" + "i" * ndim, flipped[4:header])
+            assert arr.dtype == np.uint8 and arr.shape == dims
+
+    def test_empty_pair_rejected(self, tmp_path):
+        ip, lp, _, _ = self._write_pair(tmp_path, n=0)
+        with pytest.raises(IdxFormatError, match="no images"):
+            load_mnist_idx(ip, lp)
 
     def test_count_mismatch(self, tmp_path):
         ip, lp, _, _ = self._write_pair(tmp_path)

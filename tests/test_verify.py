@@ -43,48 +43,72 @@ class TestStreamingMoments:
         assert mom.std == pytest.approx(values.std(), rel=1e-6)
 
 
+def _mc(act, n, seed):
+    return mc_constants([act], n, seed=seed)[act.name]
+
+
 class TestMonteCarloConstants:
     def test_estimate_fields(self):
-        est = mc_constants(Activation("xnor", "ail"), 100_000, seed=0)
+        est = _mc(Activation("xnor", "ail"), 100_000, seed=0)
         assert isinstance(est, MonteCarloEstimate)
         assert est.n == 100_000
         assert est.se_mean == pytest.approx(est.std / math.sqrt(est.n))
 
     def test_or_ail_against_table(self):
-        est = mc_constants(Activation("or", "ail"), 10_000_000, seed=0)
+        est = _mc(Activation("or", "ail"), 10_000_000, seed=0)
         assert abs(est.mean - 0.68104) <= 4 * est.se_mean
         assert abs(est.std - 0.97229) <= 2e-3
 
     def test_xnor_il_against_table(self):
-        est = mc_constants(Activation("xnor", "il"), 10_000_000, seed=1)
+        est = _mc(Activation("xnor", "il"), 10_000_000, seed=1)
         assert abs(est.mean - 0.0) <= 4 * est.se_mean
         assert abs(est.std - 0.36641) <= 2e-3
 
     def test_xnor_ail_closed_form_std(self):
-        est = mc_constants(Activation("xnor", "ail"), 10_000_000, seed=2)
+        est = _mc(Activation("xnor", "ail"), 10_000_000, seed=2)
         assert abs(est.std - math.sqrt(1 - 2 / math.pi)) <= 2e-3
 
     def test_seed_determinism(self):
-        a = mc_constants(Activation("and", "ail"), 100_000, seed=3)
-        b = mc_constants(Activation("and", "ail"), 100_000, seed=3)
+        a = _mc(Activation("and", "ail"), 100_000, seed=3)
+        b = _mc(Activation("and", "ail"), 100_000, seed=3)
         assert (a.mean, a.std) == (b.mean, b.std)
 
-    def test_rejects_one_input_kind(self):
-        with pytest.raises(ValueError):
-            mc_constants(Activation("relu", "raw"), 1000)
+    def test_shared_stream_matches_one_act_calls(self, monkeypatch):
+        # Three chunks (40k, 40k, 20k, the last shorter than a BLOCK), each
+        # shared by seven gates: every estimate has the bits of a call that
+        # draws the stream for its gate alone.
+        monkeypatch.setattr(verify, "MC_CHUNK", 40_000)
+        acts = [Activation(kind, family) for kind, family in sorted(NORMALIZATION_TABLE)]
+        acts.append(Activation("xnor", "il", True))
+        shared = mc_constants(acts, 100_000, seed=5)
+        assert len(shared) == len(acts)
+        for act in acts:
+            assert shared[act.name] == _mc(act, 100_000, seed=5)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_rejects_one_input_kind_anywhere(self, position):
+        acts = [Activation("and", "il"), Activation("or", "ail")]
+        acts.insert(position, Activation("relu", "raw"))
+        with pytest.raises(ValueError, match="2-input"):
+            mc_constants(acts, 1000)
 
     def test_blocked_gate_pass_keeps_every_bit(self, monkeypatch):
-        # The gate runs on 1000-element slices of 2500-sample chunks; the
-        # moments still see whole chunks drawn in the same order.
+        # Two gates run on 1000-element slices of the chunks they share, the
+        # last of which is shorter than a chunk and not a whole number of
+        # slices; each gate's moments still see whole chunks drawn in the
+        # same order.
         monkeypatch.setattr(verify, "MC_CHUNK", 2500)
         monkeypatch.setattr(verify, "BLOCK", 1000)
-        act = Activation("xnor", "il", True)
+        acts = [Activation("xnor", "il", True), Activation("and", "ail")]
         rng = np.random.default_rng(4)
-        moments = StreamingMoments()
-        for k in (2500, 2500, 1000):
-            moments.update(apply(act, rng.standard_normal(k), rng.standard_normal(k)))
-        est = mc_constants(act, 6000, seed=4)
-        assert (est.mean, est.std) == (moments.mean, moments.std)
+        moments = [StreamingMoments() for _ in acts]
+        for k in (2500, 2500, 1700):
+            x, y = rng.standard_normal(k), rng.standard_normal(k)
+            for act, mom in zip(acts, moments):
+                mom.update(apply(act, x, y))
+        est = mc_constants(acts, 6700, seed=4)
+        for act, mom in zip(acts, moments):
+            assert (est[act.name].mean, est[act.name].std) == (mom.mean, mom.std)
 
 
 class TestGridCompare:
