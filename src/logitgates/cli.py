@@ -41,22 +41,14 @@ def write_pgm(path, values: np.ndarray):
 
 
 def _cmd_grid(args) -> int:
-    try:
-        report = verify.grid_compare(args.kind, args.range, args.step,
-                                     csv_path=args.out, keep_surfaces=bool(args.pgm))
-    except OSError as exc:
-        print(f"grid: cannot write output: {exc}", file=sys.stderr)
-        return 1
+    report = verify.grid_compare(args.kind, args.range, args.step,
+                                 csv_path=args.out, keep_surfaces=bool(args.pgm))
     if args.pgm:
         if args.family == "both":
             surface = report.approx - report.exact
         else:
             surface = report.exact if args.family == "il" else report.approx
-        try:
-            write_pgm(args.pgm, surface)
-        except OSError as exc:
-            print(f"grid: cannot write PGM: {exc}", file=sys.stderr)
-            return 1
+        write_pgm(args.pgm, surface)
     print(f"grid {args.kind}: strict max |approx - exact| = {report.max_abs_diff:.6f} "
           f"at {report.argmax}; off-boundary max = {report.masked_max_abs_diff:.6f}")
     return 0
@@ -108,7 +100,7 @@ def _cmd_train(args) -> int:
     except NaNLossError as exc:
         print(f"train: aborted: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, IdxFormatError) as exc:
+    except (OSError, IdxFormatError) as exc:  # OSError: missing data or an unusable --out-dir
         print(f"train: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(report.final | report.extras, sort_keys=True))
@@ -199,7 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an output path that cannot be written; the message names it
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

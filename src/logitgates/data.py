@@ -2,7 +2,7 @@
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class Dataset:
     targets: np.ndarray           # (n, t) float64, or (n,) int labels
     task: str                     # "binary" | "classification" | "regression"
     n_classes: int | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -62,8 +61,7 @@ def gen_parity4(n: int, seed: int) -> Dataset:
     x = rng.uniform(-1.0, 1.0, size=(n, 4))
     while np.any(x == 0.0):
         x[x == 0.0] = rng.uniform(-1.0, 1.0, size=int((x == 0.0).sum()))
-    return Dataset(x, _parity_labels(x), "binary",
-                   meta={"positive_class": "even count of positive inputs"})
+    return Dataset(x, _parity_labels(x), "binary")
 
 
 def parity4_lattice() -> Dataset:
@@ -116,7 +114,7 @@ def gen_nested_xnor8(n: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2.0, 2.0, size=(n, 8))
     t = nested_xnor_ail_logit(x).reshape(-1, 1)
-    return Dataset(x, t, "regression", meta={"pairs": [list(p) for p in NESTED_PAIRS]})
+    return Dataset(x, t, "regression")
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +200,8 @@ def write_idx_labels(path, labels: np.ndarray):
 
 
 def load_mnist_idx(images_path, labels_path) -> Dataset:
-    """Load an IDX image/label pair: pixels scaled to [0, 1], flattened."""
+    """Load an MNIST-shaped IDX pair (28x28 images, labels 0-9): pixels scaled
+    to [0, 1], flattened."""
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
@@ -212,5 +211,10 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
         )
     if images.shape[0] == 0:
         raise IdxFormatError(f"{images_path}: no images")
+    if images.shape[1:] != (28, 28):
+        raise IdxFormatError(f"{images_path}: images are {images.shape[1]}x{images.shape[2]}, "
+                             "not 28x28")
+    if labels.max() >= 10:
+        raise IdxFormatError(f"{labels_path}: label {labels.max()} is not a digit 0-9")
     flat = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
     return Dataset(flat, labels, "classification", n_classes=10)

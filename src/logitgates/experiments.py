@@ -12,7 +12,7 @@ from .data import Dataset
 from .ensemble import parse_spec
 from .network import Affine, BatchNorm, Network
 from .numerics import sigmoid
-from .train import TrainConfig, TrainReport, evaluate, fit
+from .train import TrainConfig, TrainReport, fit
 
 MNIST_DIR_ENV_VAR = "LOGITGATES_MNIST_DIR"
 
@@ -220,6 +220,9 @@ def task_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir=None) -> tuple[TrainReport, Network]:
+    out = Path(output_dir) if output_dir else (Path(cfg.output_dir) if cfg.output_dir else None)
+    if out is not None:  # before any data is read, so an unusable path fails before the work
+        out.mkdir(parents=True, exist_ok=True)
     train_ds, val_ds = task_datasets(cfg)
     net = build_network(cfg.task, cfg.widths, cfg.activation, cfg.train.seed,
                         cfg.batch_norm)
@@ -229,18 +232,15 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> tuple[TrainReport,
     report.extras["widths"] = list(cfg.widths)
     report.extras["param_count"] = param_count(net)
 
+    # The validation split is parity4's sign lattice and xor2's four training
+    # points, so fit has scored them already.
     if cfg.task == "parity4":
-        lattice = data.parity4_lattice()
-        _, acc = evaluate(net, lattice)
-        report.extras["lattice_accuracy"] = acc
-        report.extras["lattice_correct"] = int(round(acc * lattice.n))
+        acc = report.extras["lattice_accuracy"] = report.final["val_accuracy"]
+        report.extras["lattice_correct"] = int(round(acc * val_ds.n))
     elif cfg.task == "xor2":
-        _, acc = evaluate(net, val_ds)
-        report.extras["train_points_correct"] = int(round(acc * 4))
+        report.extras["train_points_correct"] = int(round(report.final["val_accuracy"] * val_ds.n))
 
-    out = Path(output_dir) if output_dir else (Path(cfg.output_dir) if cfg.output_dir else None)
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(report.to_json())
         (out / "curves.csv").write_text(report.to_csv())
         net.save(out / "model.bin")

@@ -266,19 +266,12 @@ def fit(net: Network, train_ds: Dataset, config: TrainConfig, val_ds: Dataset | 
                       config.weight_decay)
             step += 1
             batch_losses.append(loss)
-        train_loss, train_metric = evaluate(net, train_ds)
-        epoch_rows.append({
-            "epoch": epoch,
-            "mean_batch_loss": float(np.mean(batch_losses)),
-            "train_loss": train_loss,
-            f"train_{metric_name(train_ds.task)}": train_metric,
-        })
+        epoch_rows.append({"epoch": epoch, "mean_batch_loss": float(np.mean(batch_losses))})
 
-    final = {"train_loss": train_loss,
-             f"train_{metric_name(train_ds.task)}": train_metric}
-    if val_ds is not None:
-        val_loss, val_metric = evaluate(net, val_ds)
-        final["val_loss"] = val_loss
-        final[f"val_{metric_name(val_ds.task)}"] = val_metric
+    final = {}  # each split is scored once, on the trained weights
+    for split, ds in (("train", train_ds), ("val", val_ds)):
+        if ds is not None:
+            loss, metric = evaluate(net, ds)
+            final |= {f"{split}_loss": loss, f"{split}_{metric_name(ds.task)}": metric}
     return TrainReport(task=train_ds.task, config=asdict(config),
                        epochs=epoch_rows, final=final)

@@ -173,9 +173,11 @@ def test_criterion_4_xor_single_hidden_layer():
 def test_criterion_5_normalization_constants():
     t0 = time.time()
     lines = []
-    for i, ((kind, family), (mean_ref, std_ref)) in enumerate(sorted(NORMALIZATION_TABLE.items())):
-        act = Activation(kind, family)
-        est = mc_constants([act], 10_000_000, seed=100 + i)[act.name]
+    rows = sorted(NORMALIZATION_TABLE.items())
+    acts = [Activation(kind, family) for (kind, family), _ in rows]
+    estimates = mc_constants(acts, 10_000_000, seed=100)  # one stream for every row
+    for act, ((kind, family), (mean_ref, std_ref)) in zip(acts, rows):
+        est = estimates[act.name]
         mean_dev = abs(est.mean - mean_ref)
         std_dev = abs(est.std - std_ref)
         lines.append(f"{kind}_{family}: |dmean|={mean_dev:.2e} (4se={4 * est.se_mean:.2e}) "

@@ -36,10 +36,14 @@ def test_grid_diff_column_matches_verify(tmp_path):
     assert np.abs(cols[:, 4]).max() == pytest.approx(rep.max_abs_diff, abs=1e-9)
 
 
-def test_grid_unwritable_path_fails(tmp_path):
-    rc = main(["grid", "--kind", "or", "--range", "1", "--step", "0.5",
-               "--out", str(tmp_path / "missing_dir" / "x.csv")])
-    assert rc == 1
+def test_grid_unwritable_path_fails(tmp_path, capsys):
+    missing = tmp_path / "missing_dir"
+    argv = ["grid", "--kind", "or", "--range", "1", "--step", "0.5"]
+    for outputs in (["--out", str(missing / "x.csv")],
+                    ["--out", str(tmp_path / "x.csv"), "--pgm", str(missing / "x.pgm")]):
+        assert main(argv + outputs) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("grid: ") and str(missing) in err[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -126,24 +130,60 @@ def test_train_nan_abort_exit_3(tmp_path):
     assert rc == 3
 
 
-def test_train_malformed_idx_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("side, cut, message", [(28, 100, "truncated pixel payload"),
+                                                (5, 0, "images are 5x5, not 28x28")],
+                         ids=["truncated", "5x5"])
+def test_train_malformed_idx_exit_2(tmp_path, capsys, side, cut, message):
     from logitgates.data import write_idx_images, write_idx_labels
 
     mnist = tmp_path / "mnist"
     mnist.mkdir()
     for prefix in ("train", "t10k"):
-        write_idx_images(mnist / f"{prefix}-images-idx3-ubyte", np.zeros((4, 28, 28), np.uint8))
+        write_idx_images(mnist / f"{prefix}-images-idx3-ubyte", np.zeros((4, side, side), np.uint8))
         write_idx_labels(mnist / f"{prefix}-labels-idx1-ubyte", np.zeros(4, np.uint8))
     images = mnist / "train-images-idx3-ubyte"
-    images.write_bytes(images.read_bytes()[:-100])
+    raw = images.read_bytes()
+    images.write_bytes(raw[:len(raw) - cut])
     cfg = {"task": "mnist", "activation": "relu", "widths": [4], "mnist_dir": str(mnist),
            "train": {"epochs": 1, "batch_size": 4}}
-    path = tmp_path / "truncated.json"
+    path = tmp_path / "malformed.json"
     path.write_text(json.dumps(cfg))
     rc = main(["train", str(path), "--out-dir", str(tmp_path / "run")])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("train: ") and "truncated pixel payload" in err[0]
+    assert len(err) == 1 and err[0].startswith("train: ") and message in err[0]
+
+
+def test_train_unusable_out_dir_fails_before_reading_data(tmp_path, capsys, monkeypatch):
+    import logitgates.experiments as experiments
+
+    def no_data(cfg):
+        raise AssertionError("data read before the output directory was made")
+
+    monkeypatch.setattr(experiments, "task_datasets", no_data)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out_dir in (blocker / "run", blocker):
+        assert main(["train", "xor2_xnor_nail", "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("train: ") and str(blocker) in err[0]
+
+
+def test_verify_unwritable_json_out_fails(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "x.json"
+    assert main(["verify", "--bayes", "--json-out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("verify: ") and str(out) in err[0]
+
+
+def test_report_unwritable_out_fails(tmp_path, capsys):
+    run = tmp_path / "runs" / "a"
+    run.mkdir(parents=True)
+    (run / "report.json").write_text(json.dumps({"final": {"val_accuracy": 0.5}}))
+    out = tmp_path / "missing_dir" / "summary.md"
+    assert main(["report", "--in", str(tmp_path / "runs"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("report: ") and str(out) in err[0]
 
 
 def test_report_command(tmp_path):

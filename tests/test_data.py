@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -178,6 +179,22 @@ class TestIdx:
     def test_empty_pair_rejected(self, tmp_path):
         ip, lp, _, _ = self._write_pair(tmp_path, n=0)
         with pytest.raises(IdxFormatError, match="no images"):
+            load_mnist_idx(ip, lp)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (28, 27), (784, 1)], ids=str)
+    def test_non_mnist_image_size_rejected(self, tmp_path, shape):
+        ip, lp = tmp_path / "imgs", tmp_path / "lbls"
+        write_idx_images(ip, np.zeros((4, *shape), np.uint8))
+        write_idx_labels(lp, np.zeros(4, np.uint8))
+        with pytest.raises(IdxFormatError, match=re.escape(str(ip)) + ": images are .*not 28x28"):
+            load_mnist_idx(ip, lp)
+
+    @pytest.mark.parametrize("label", [10, 12, 255])
+    def test_label_out_of_range_rejected(self, tmp_path, label):
+        ip, lp, _, labels = self._write_pair(tmp_path)
+        labels[3] = label
+        write_idx_labels(lp, labels)
+        with pytest.raises(IdxFormatError, match=re.escape(f"{lp}: label {label} ")):
             load_mnist_idx(ip, lp)
 
     def test_count_mismatch(self, tmp_path):

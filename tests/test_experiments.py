@@ -1,11 +1,12 @@
 import json
 import re
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from logitgates import data
+from logitgates import data, train
 from logitgates.cli import main
 from logitgates.experiments import (
     ConfigError,
@@ -209,6 +210,33 @@ def test_run_experiment_writes_artifacts(tmp_path):
     loaded = Network.load(tmp_path / "model.bin")
     x = np.random.default_rng(0).uniform(-1, 1, (4, 4))
     assert np.array_equal(loaded.forward(x), net.forward(x))
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("task, activation, widths", [
+    ("parity4", "xnor_ail", [4, 2]), ("xor2", "xnor_nail", [2]), ("nested_xnor8", "xnor_ail", [8]),
+], ids=["parity4", "xor2", "nested_xnor8"])
+def test_each_split_is_evaluated_once(monkeypatch, task, activation, widths, epochs):
+    # fit scores the training set and the validation split once each, after
+    # the last epoch, and run_experiment takes parity4's lattice and xor2's
+    # points from that validation score. Every logitgates module that holds
+    # evaluate gets the counter, so a pass of its own would be counted too.
+    real, scored = train.evaluate, []
+
+    def counting(net, ds):
+        scored.append(ds.n)
+        return real(net, ds)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("logitgates") and getattr(module, "evaluate", None) is real:
+            monkeypatch.setattr(module, "evaluate", counting)
+    cfg = config_from_dict({"task": task, "activation": activation, "widths": widths,
+                            "n_train": 32, "n_val": 16,
+                            "train": {"epochs": epochs, "batch_size": 8, "seed": 0}})
+    train_ds, val_ds = task_datasets(cfg)
+    report, _ = run_experiment(cfg)
+    assert scored == [train_ds.n, val_ds.n]
+    assert [list(row) for row in report.epochs] == [["epoch", "mean_batch_loss"]] * epochs
 
 
 def _write_synthetic_mnist(root, n_train=1536, n_test=512):
