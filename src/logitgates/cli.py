@@ -41,6 +41,8 @@ def write_pgm(path, values: np.ndarray):
 
 
 def _cmd_grid(args) -> int:
+    if args.pgm:
+        open(args.pgm, "wb").close()  # an unwritable path fails before the grid
     report = verify.grid_compare(args.kind, args.range, args.step,
                                  csv_path=args.out, keep_surfaces=bool(args.pgm))
     if args.pgm:
@@ -57,6 +59,8 @@ def _cmd_grid(args) -> int:
 def _cmd_verify(args) -> int:
     suites = ("constants", "gradients", "diff_bound", "bayes")
     selected = [name for name in suites if getattr(args, name)] or suites
+    if args.json_out:
+        open(args.json_out, "w").close()  # an unwritable path fails before the suites
     results = []
     estimates = {}
     if "constants" in selected:

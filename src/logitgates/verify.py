@@ -163,19 +163,25 @@ def grid_compare(kind: str, half_range: float = 10.0, step: float = 0.01, csv_pa
     The grid is walked in bands of rows holding about BLOCK cells, and each
     band is folded into the maxima (and the CSV) before the next is formed,
     so no full surface exists unless ``keep_surfaces`` asks for one.
+
+    Bit-exactly commutative gates on one shared axis make the grid its own
+    transpose, so unless a CSV or the surfaces need whole rows, the band from
+    row r evaluates columns r: only. The first maximum in row-major order is
+    at (m, j >= m), m the least coordinate of any maximum, so its band has it.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     axes = -half_range + step * np.arange(int(round(2 * half_range / step)) + 1)
     n = axes.size
-    y = axes[np.newaxis, :]
     exact_act, approx_act = Activation(kind, "il"), Activation(kind, "ail")
     surfaces = (np.empty((n, n)), np.empty((n, n))) if keep_surfaces else (None, None)
+    whole_rows = csv_path is not None or keep_surfaces
     best, best_at, masked, wide = -math.inf, (0, 0), 0.0, 0.0
     rows = max(1, BLOCK // n)
     with open(csv_path, "w") if csv_path is not None else contextlib.nullcontext() as csv:
         for r in range(0, n, rows):
-            x = axes[r:r + rows, np.newaxis]
+            c = 0 if whole_rows else r
+            x, y = axes[r:r + rows, np.newaxis], axes[np.newaxis, c:]
             exact = apply(exact_act, x, y)
             approx = apply(approx_act, x, y)
             if keep_surfaces:
@@ -191,9 +197,9 @@ def grid_compare(kind: str, half_range: float = 10.0, step: float = 0.01, csv_pa
             diff = np.abs(signed, out=signed)
             # Strict > keeps the first maximum in row-major order, as argmax
             # over the whole grid would.
-            k = int(diff.argmax())
+            k, w = int(diff.argmax()), n - c
             if diff.flat[k] > best:
-                best, best_at = float(diff.flat[k]), (r + k // n, k % n)
+                best, best_at = float(diff.flat[k]), (r + k // w, c + k % w)
             distance = _kink_distance(x, y)
             masked = max(masked, float(np.max(diff, where=distance > EXCLUSION, initial=0.0)))
             wide = max(wide, float(np.max(diff, where=distance > WIDE_EXCLUSION, initial=0.0)))

@@ -172,6 +172,9 @@ class TestExactGateProperties:
             lo = -1.0 if kind == "xnor" else 0.0
             assert lo <= gx <= 1.0 and lo <= gy <= 1.0, kind
 
+    # The ail gates' sum branch overflows to an infinity near the float64
+    # limit, in either operand order.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in add")
     @PROPERTY
     @given(FINITE, FINITE)
     def test_duality_and_commutativity_bit_exact(self, x, y):
@@ -180,6 +183,9 @@ class TestExactGateProperties:
         for gate in EXACT_GATES.values():
             value, gx, gy = gate(x, y, grad=True)
             assert gate(y, x, grad=True) == (value, gy, gx)
+        # grid_compare's half-grid walk needs both families symmetric.
+        for gate in APPROX_GATES.values():
+            assert gate(y, x) == gate(x, y)
 
     @PROPERTY
     @given(FINITE, FINITE)

@@ -36,12 +36,21 @@ def test_grid_diff_column_matches_verify(tmp_path):
     assert np.abs(cols[:, 4]).max() == pytest.approx(rep.max_abs_diff, abs=1e-9)
 
 
-def test_grid_unwritable_path_fails(tmp_path, capsys):
+def _never_runs(*args, **kwargs):
+    raise AssertionError("ran before the output path was opened")
+
+
+def test_grid_unwritable_path_fails(tmp_path, capsys, monkeypatch):
+    # grid_compare opens the CSV before its first band; the PGM path is
+    # opened before grid_compare is called.
     missing = tmp_path / "missing_dir"
     argv = ["grid", "--kind", "or", "--range", "1", "--step", "0.5"]
-    for outputs in (["--out", str(missing / "x.csv")],
-                    ["--out", str(tmp_path / "x.csv"), "--pgm", str(missing / "x.pgm")]):
-        assert main(argv + outputs) == 1
+    for outputs, patched in ((["--out", str(missing / "x.csv")], "apply"),
+                             (["--out", str(tmp_path / "x.csv"), "--pgm", str(missing / "x.pgm")],
+                              "grid_compare")):
+        with monkeypatch.context() as m:
+            m.setattr(verify, patched, _never_runs)
+            assert main(argv + outputs) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("grid: ") and str(missing) in err[0]
 
@@ -169,9 +178,11 @@ def test_train_unusable_out_dir_fails_before_reading_data(tmp_path, capsys, monk
         assert len(err) == 1 and err[0].startswith("train: ") and str(blocker) in err[0]
 
 
-def test_verify_unwritable_json_out_fails(tmp_path, capsys):
+def test_verify_unwritable_json_out_fails(tmp_path, capsys, monkeypatch):
+    for suite in ("constants_report", "gradients_suite", "diff_bound_suite", "bayes_suite"):
+        monkeypatch.setattr(verify, suite, _never_runs)
     out = tmp_path / "missing_dir" / "x.json"
-    assert main(["verify", "--bayes", "--json-out", str(out)]) == 1
+    assert main(["verify", "--json-out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("verify: ") and str(out) in err[0]
 

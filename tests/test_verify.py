@@ -177,6 +177,38 @@ class TestGridCompare:
                                                       initial=0.0)
         assert np.array_equal(rep.exact, exact) and np.array_equal(rep.approx, approx)
         assert (tmp_path / "bands.csv").read_bytes() == ref_csv.read_bytes()
+        # With neither output, each band evaluates only the columns from its
+        # first row on; every field keeps the whole grid's bits.
+        half = grid_compare(kind, half_range=1.0, step=0.25)
+        assert (half.max_abs_diff, half.argmax, half.masked_max_abs_diff,
+                half.wide_masked_max_abs_diff) == (rep.max_abs_diff, rep.argmax,
+                                                   rep.masked_max_abs_diff,
+                                                   rep.wide_masked_max_abs_diff)
+
+    @pytest.mark.parametrize("i, j", [(2, 3), (3, 4)])
+    def test_half_grid_finds_an_off_diagonal_maximum(self, i, j, monkeypatch):
+        # The gate differences peak on the diagonal (or tie with it) on every
+        # grid, so a symmetric stand-in peaks only at the mirrored cells (i, j)
+        # and (j, i). Bands are rows 2-3, 4-5, ... of 9 columns: (2, 3) and
+        # (3, 2) share a band; (3, 4) is in the second row of a band that
+        # starts at column 2, and (4, 3) lies left of its band's first column.
+        axes = -1.0 + 0.25 * np.arange(9)
+        pair_sum, pair_product = axes[i] + axes[j], axes[i] * axes[j]
+
+        def stand_in(act, x, y):
+            if act.family == "il":
+                return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+            return 1.0 / (1.0 + (x + y - pair_sum) ** 2 + (x * y - pair_product) ** 2)
+
+        monkeypatch.setattr(verify, "BLOCK", 20)
+        monkeypatch.setattr(verify, "apply", stand_in)
+        whole = grid_compare("and", half_range=1.0, step=0.25, keep_surfaces=True)
+        diff = whole.approx - whole.exact
+        assert np.argwhere(diff == diff.max()).tolist() == [[i, j], [j, i]]
+        half = grid_compare("and", half_range=1.0, step=0.25)
+        assert half.argmax == whole.argmax == (axes[i], axes[j])
+        assert (half.max_abs_diff, half.masked_max_abs_diff, half.wide_masked_max_abs_diff) \
+            == (whole.max_abs_diff, whole.masked_max_abs_diff, whole.wide_masked_max_abs_diff)
 
     def test_default_grid_peaks_below_one_surface(self):
         # A 2001 x 2001 surface is 32 MB; the bands keep the peak far below it.
