@@ -54,12 +54,13 @@ def _negated(out, grad):
 
 
 def and_ail(x, y, grad=False):
-    """x + y in the both-negative quadrant, min(x, y) elsewhere."""
+    """min(x, y, x + y): x + y in the both-negative quadrant, min(x, y) elsewhere."""
     x, y = _f64(x), _f64(y)
-    in_sum = (x <= 0) & (y <= 0)
-    value = np.where(in_sum, x + y, np.minimum(x, y))
+    # This operand order keeps x + y's +0.0 at (+-0.0, -+0.0); (inf, -inf) gives NaN.
+    value = np.minimum(np.minimum(x, y), x + y)
     if not grad:
         return value
+    in_sum = (x <= 0) & (y <= 0)
     x_branch = x <= y
     return value, (in_sum | x_branch).astype(np.float64), (in_sum | ~x_branch).astype(np.float64)
 

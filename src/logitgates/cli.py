@@ -43,8 +43,8 @@ def write_pgm(path, values: np.ndarray):
 def _cmd_grid(args) -> int:
     if args.pgm:
         open(args.pgm, "wb").close()  # an unwritable path fails before the grid
-    report = verify.grid_compare(args.kind, args.range, args.step,
-                                 csv_path=args.out, keep_surfaces=bool(args.pgm))
+    [report] = verify.grid_compare([args.kind], args.range, args.step,
+                                   csv_path=args.out, keep_surfaces=bool(args.pgm))
     if args.pgm:
         if args.family == "both":
             surface = report.approx - report.exact

@@ -151,65 +151,76 @@ def _kink_distance(x, y):
     return np.minimum(d, np.minimum(np.abs(x), np.abs(y)), out=d)
 
 
-def grid_compare(kind: str, half_range: float = 10.0, step: float = 0.01, csv_path=None,
-                 keep_surfaces: bool = False) -> GridCompareReport:
-    """Evaluate exact and approximate gates once over a square grid.
+def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01, csv_path=None,
+                 keep_surfaces: bool = False) -> list[GridCompareReport]:
+    """Evaluate exact and approximate gates once over a square grid, per kind.
 
-    Reports the strict max |approx - exact| plus the max over cells farther
-    than EXCLUSION (and than WIDE_EXCLUSION) from the lines x=0, y=0,
-    x=y, x=-y (the approximate gates' kink lines). ``keep_surfaces`` puts
-    the exact and approximate surfaces, indexed [x, y], in the report.
+    Returns one report per kind in ``kinds``, in order. Each reports the
+    strict max |approx - exact| plus the max over cells farther than
+    EXCLUSION (and than WIDE_EXCLUSION) from the lines x=0, y=0, x=y, x=-y
+    (the approximate gates' kink lines). ``keep_surfaces`` puts the exact and
+    approximate surfaces, indexed [x, y], in the report. The CSV and the
+    surfaces are per kind, so with either ``kinds`` must hold exactly one.
 
-    The grid is walked in bands of rows holding about BLOCK cells, and each
-    band is folded into the maxima (and the CSV) before the next is formed,
-    so no full surface exists unless ``keep_surfaces`` asks for one.
+    The grid is walked once, in bands of rows holding about BLOCK cells. Each
+    band forms its distances to the kink lines and both exclusion masks once,
+    then folds every kind's difference into that kind's maxima (and the CSV)
+    before the next band is formed, so no full surface exists unless
+    ``keep_surfaces`` asks for one.
 
     Bit-exactly commutative gates on one shared axis make the grid its own
     transpose, so unless a CSV or the surfaces need whole rows, the band from
     row r evaluates columns r: only. The first maximum in row-major order is
     at (m, j >= m), m the least coordinate of any maximum, so its band has it.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(half_range) and half_range >= 0):
+        raise ValueError(f"half_range must be finite and non-negative, got {half_range!r}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+    whole_rows = csv_path is not None or keep_surfaces
+    if whole_rows and len(kinds) != 1:
+        raise ValueError(f"a CSV or surfaces hold one kind, got {len(kinds)}")
     axes = -half_range + step * np.arange(int(round(2 * half_range / step)) + 1)
     n = axes.size
-    exact_act, approx_act = Activation(kind, "il"), Activation(kind, "ail")
-    surfaces = (np.empty((n, n)), np.empty((n, n))) if keep_surfaces else (None, None)
-    whole_rows = csv_path is not None or keep_surfaces
-    best, best_at, masked, wide = -math.inf, (0, 0), 0.0, 0.0
+    gates = [(Activation(kind, "il"), Activation(kind, "ail")) for kind in kinds]
+    # Each report folds the running maxima of its kind in place.
+    corner = (float(axes[0]), float(axes[0]))
+    reports = [GridCompareReport(kind, -math.inf, corner, 0.0, 0.0) for kind in kinds]
+    if keep_surfaces:
+        reports[0].exact, reports[0].approx = np.empty((n, n)), np.empty((n, n))
     rows = max(1, BLOCK // n)
     with open(csv_path, "w") if csv_path is not None else contextlib.nullcontext() as csv:
         for r in range(0, n, rows):
             c = 0 if whole_rows else r
             x, y = axes[r:r + rows, np.newaxis], axes[np.newaxis, c:]
-            exact = apply(exact_act, x, y)
-            approx = apply(approx_act, x, y)
-            if keep_surfaces:
-                surfaces[0][r:r + rows] = exact
-                surfaces[1][r:r + rows] = approx
-            signed = approx - exact
-            if csv is not None:
-                cols = np.column_stack([np.broadcast_to(x, signed.shape).ravel(),
-                                        np.broadcast_to(y, signed.shape).ravel(),
-                                        exact.ravel(), approx.ravel(), signed.ravel()])
-                np.savetxt(csv, cols, delimiter=",", header="" if r else "x,y,exact,approx,diff",
-                           comments="", fmt="%.12g")
-            diff = np.abs(signed, out=signed)
-            # Strict > keeps the first maximum in row-major order, as argmax
-            # over the whole grid would.
-            k, w = int(diff.argmax()), n - c
-            if diff.flat[k] > best:
-                best, best_at = float(diff.flat[k]), (r + k // w, c + k % w)
             distance = _kink_distance(x, y)
-            masked = max(masked, float(np.max(diff, where=distance > EXCLUSION, initial=0.0)))
-            wide = max(wide, float(np.max(diff, where=distance > WIDE_EXCLUSION, initial=0.0)))
-
-    i, j = best_at
-    return GridCompareReport(
-        kind=kind, max_abs_diff=best, argmax=(float(axes[i]), float(axes[j])),
-        masked_max_abs_diff=masked, wide_masked_max_abs_diff=wide,
-        exact=surfaces[0], approx=surfaces[1],
-    )
+            outside, wide_outside = distance > EXCLUSION, distance > WIDE_EXCLUSION
+            for rep, (exact_act, approx_act) in zip(reports, gates):
+                exact = apply(exact_act, x, y)
+                approx = apply(approx_act, x, y)
+                if keep_surfaces:
+                    rep.exact[r:r + rows] = exact
+                    rep.approx[r:r + rows] = approx
+                signed = approx - exact
+                if csv is not None:
+                    cols = np.column_stack([np.broadcast_to(x, signed.shape).ravel(),
+                                            np.broadcast_to(y, signed.shape).ravel(),
+                                            exact.ravel(), approx.ravel(), signed.ravel()])
+                    np.savetxt(csv, cols, delimiter=",",
+                               header="" if r else "x,y,exact,approx,diff",
+                               comments="", fmt="%.12g")
+                diff = np.abs(signed, out=signed)
+                # Strict > keeps the first maximum in row-major order, as
+                # argmax over the whole grid would.
+                k, w = int(diff.argmax()), n - c
+                if diff.flat[k] > rep.max_abs_diff:
+                    rep.max_abs_diff = float(diff.flat[k])
+                    rep.argmax = (float(axes[r + k // w]), float(axes[c + k % w]))
+                rep.masked_max_abs_diff = max(rep.masked_max_abs_diff, float(
+                    np.max(diff, where=outside, initial=0.0)))
+                rep.wide_masked_max_abs_diff = max(rep.wide_masked_max_abs_diff, float(
+                    np.max(diff, where=wide_outside, initial=0.0)))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +416,7 @@ def gradients_suite(seed: int = 0) -> list[CheckResult]:
 def diff_bound_suite() -> list[CheckResult]:
     bound = 1.0 + 1e-9
     results = []
-    for kind in A.GATE_KINDS:
-        rep = grid_compare(kind)
+    for kind, rep in zip(A.GATE_KINDS, grid_compare(A.GATE_KINDS)):
         if kind == "xnor":
             results.append(CheckResult(f"diff {kind} (eps={EXCLUSION:g})",
                                        rep.masked_max_abs_diff, bound,

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -14,7 +15,7 @@ from logitgates.activations import (
     gradient,
 )
 from logitgates.numerics import LOGIT_CLAMP, sigmoid
-from logitgates.verify import all_activation_variants
+from logitgates.verify import all_activation_variants, grid_compare
 
 LN3 = 1.0986122886681096914
 
@@ -236,7 +237,46 @@ def test_broadcast_operands_match_full_arrays():
             assert np.array_equal(got, want), act.name
 
 
+def _quadrant_select(x, y):
+    """and_ail as a branch select: x + y where both operands are <= 0, min(x, y) elsewhere."""
+    return np.where((x <= 0) & (y <= 0), x + y, np.minimum(x, y))
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).view(np.uint64)
+
+
+# The sum overflows to an infinity near the float64 limit, and inf + -inf is NaN.
+@pytest.mark.filterwarnings("ignore:overflow encountered in add")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in add")
 class TestApproxGates:
+    @PROPERTY
+    @given(FINITE, FINITE)
+    def test_and_or_match_quadrant_select(self, x, y):
+        # min(x, y, x + y) keeps the select's bits, signed zeros included;
+        # or_ail is its De Morgan dual.
+        for gate, want in ((A.and_ail, _quadrant_select(x, y)),
+                           (A.or_ail, -_quadrant_select(-x, -y))):
+            assert _bits(gate(x, y)) == _bits(want), gate.__name__
+            assert _bits(gate(x, y, grad=True)[0]) == _bits(want), gate.__name__
+
+    def test_and_or_special_operands(self):
+        # Signed zeros, ties, subnormals, sums past the float64 range,
+        # infinities and NaN, every ordered pair.
+        values = [0.0, -0.0, 5e-324, -5e-324, 1.5, -1.5, 1e308, -1e308,
+                  math.inf, -math.inf, math.nan]
+        x, y = np.array([(a, b) for a in values for b in values]).T
+        # Unlike the select, which gave -inf, inf - inf is NaN, as in and_il;
+        # a NaN operand propagates.
+        undefined = np.isnan(x) | np.isnan(y) | (np.isinf(x) & (x == -y))
+        for gate, want in ((A.and_ail, _quadrant_select(x, y)),
+                           (A.or_ail, -_quadrant_select(-x, -y))):
+            got = gate(x, y)
+            assert np.isnan(got[undefined]).all(), gate.__name__
+            assert np.array_equal(_bits(got[~undefined]), _bits(want[~undefined])), gate.__name__
+        assert np.isnan(A.and_il(np.array([math.inf, -math.inf]),
+                                 np.array([-math.inf, math.inf]))).all()
+
     def test_and_ail_branches(self):
         assert A.and_ail(-1.0, -2.0) == -3.0
         assert A.and_ail(1.0, 2.0) == 1.0
@@ -277,15 +317,15 @@ class TestApproxGates:
             assert np.array_equal(apply(act, x, y), apply(act, y, x)), act.name
 
 
-class TestApproximationBound:
-    def setup_method(self):
-        axes = np.arange(-10.0, 10.0 + 0.005, 0.01)
-        self.x, self.y = np.meshgrid(axes, axes, indexing="ij")
+@functools.cache
+def _default_grid():
+    """Reports by kind over the grid verify --diff-bound checks, from one walk."""
+    return {rep.kind: rep for rep in grid_compare(A.GATE_KINDS, 10.0, 0.01)}
 
+
+class TestApproximationBound:
     def _max_diff(self, kind):
-        il = apply(Activation(kind, "il"), self.x, self.y)
-        ail = apply(Activation(kind, "ail"), self.x, self.y)
-        return np.abs(ail - il).max()
+        return _default_grid()[kind].max_abs_diff
 
     def test_xnor_bound_holds_strictly(self):
         assert self._max_diff("xnor") <= 1.0 + 1e-9

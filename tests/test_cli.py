@@ -32,7 +32,7 @@ def test_grid_diff_column_matches_verify(tmp_path):
     out = tmp_path / "and.csv"
     main(["grid", "--kind", "and", "--range", "3", "--step", "0.1", "--out", str(out)])
     cols = np.loadtxt(out, delimiter=",", skiprows=1)
-    rep = verify.grid_compare("and", 3.0, 0.1)
+    [rep] = verify.grid_compare(["and"], 3.0, 0.1)
     assert np.abs(cols[:, 4]).max() == pytest.approx(rep.max_abs_diff, abs=1e-9)
 
 

@@ -9,6 +9,7 @@ from logitgates.activations import GATE_KINDS, Activation, NORMALIZATION_TABLE, 
 from logitgates.ensemble import parse_spec
 from logitgates.network import Affine, BatchNorm, Network
 from logitgates.verify import (
+    GridCompareReport,
     MonteCarloEstimate,
     StreamingMoments,
     bayes_identity_check,
@@ -111,14 +112,18 @@ class TestMonteCarloConstants:
             assert (est[act.name].mean, est[act.name].std) == (mom.mean, mom.std)
 
 
+def _never_runs(*args, **kwargs):
+    raise AssertionError("a gate ran")
+
+
 class TestGridCompare:
     def test_and_origin_exceeds_one_strictly(self):
-        rep = grid_compare("and", half_range=3.0, step=0.05)
+        [rep] = grid_compare(["and"], half_range=3.0, step=0.05)
         assert rep.max_abs_diff == pytest.approx(LN3, abs=1e-9)
         assert rep.argmax == (0.0, 0.0)
 
     def test_xnor_bounded_by_one(self):
-        rep = grid_compare("xnor", half_range=10.0, step=0.05)
+        [rep] = grid_compare(["xnor"], half_range=10.0, step=0.05)
         assert rep.max_abs_diff <= 1.0 + 1e-9
 
     def test_relative_difference_decays_outward(self):
@@ -134,16 +139,29 @@ class TestGridCompare:
 
     def test_csv_schema(self, tmp_path):
         path = tmp_path / "grid.csv"
-        rep = grid_compare("or", half_range=1.0, step=0.5, csv_path=path)
+        [rep] = grid_compare(["or"], half_range=1.0, step=0.5, csv_path=path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,exact,approx,diff"
         assert len(lines) == 1 + 5 * 5
         cols = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.abs(np.abs(cols[:, 4]).max() - rep.max_abs_diff) < 1e-9
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            grid_compare("and", step=0.0)
+    @pytest.mark.parametrize("arg, value", [
+        ("step", 0.0), ("step", -0.1), ("step", math.inf), ("step", math.nan),
+        ("half_range", -1.0), ("half_range", math.inf), ("half_range", math.nan),
+    ])
+    def test_rejects_bad_step(self, arg, value, monkeypatch):
+        monkeypatch.setattr(verify, "apply", _never_runs)
+        with pytest.raises(ValueError, match=arg):
+            grid_compare(["and"], **{arg: value})
+
+    @pytest.mark.parametrize("csv, keep_surfaces", [(True, False), (False, True)])
+    def test_outputs_hold_one_kind(self, csv, keep_surfaces, tmp_path):
+        path = tmp_path / "two.csv"
+        with pytest.raises(ValueError, match="one kind"):
+            grid_compare(["and", "or"], half_range=1.0, step=0.5,
+                         csv_path=path if csv else None, keep_surfaces=keep_surfaces)
+        assert not path.exists()
 
     @pytest.mark.parametrize("block", [7, 20])
     @pytest.mark.parametrize("kind", GATE_KINDS)
@@ -167,8 +185,8 @@ class TestGridCompare:
         if kind == "xnor":
             assert np.count_nonzero(diff == diff.max()) == 4
 
-        rep = grid_compare(kind, half_range=1.0, step=0.25, csv_path=tmp_path / "bands.csv",
-                           keep_surfaces=True)
+        [rep] = grid_compare([kind], half_range=1.0, step=0.25, csv_path=tmp_path / "bands.csv",
+                             keep_surfaces=True)
         assert rep.max_abs_diff == diff[i, j]
         assert rep.argmax == (axes[i], axes[j])
         assert rep.masked_max_abs_diff == np.max(diff, where=distance > verify.EXCLUSION,
@@ -178,12 +196,13 @@ class TestGridCompare:
         assert np.array_equal(rep.exact, exact) and np.array_equal(rep.approx, approx)
         assert (tmp_path / "bands.csv").read_bytes() == ref_csv.read_bytes()
         # With neither output, each band evaluates only the columns from its
-        # first row on; every field keeps the whole grid's bits.
-        half = grid_compare(kind, half_range=1.0, step=0.25)
-        assert (half.max_abs_diff, half.argmax, half.masked_max_abs_diff,
-                half.wide_masked_max_abs_diff) == (rep.max_abs_diff, rep.argmax,
-                                                   rep.masked_max_abs_diff,
-                                                   rep.wide_masked_max_abs_diff)
+        # first row on; every field keeps the whole grid's bits, also when one
+        # walk serves every kind.
+        [half] = grid_compare([kind], half_range=1.0, step=0.25)
+        shared = grid_compare(GATE_KINDS, half_range=1.0, step=0.25)[GATE_KINDS.index(kind)]
+        for got in (half, shared):
+            assert got == GridCompareReport(kind, rep.max_abs_diff, rep.argmax,
+                                            rep.masked_max_abs_diff, rep.wide_masked_max_abs_diff)
 
     @pytest.mark.parametrize("i, j", [(2, 3), (3, 4)])
     def test_half_grid_finds_an_off_diagonal_maximum(self, i, j, monkeypatch):
@@ -202,23 +221,29 @@ class TestGridCompare:
 
         monkeypatch.setattr(verify, "BLOCK", 20)
         monkeypatch.setattr(verify, "apply", stand_in)
-        whole = grid_compare("and", half_range=1.0, step=0.25, keep_surfaces=True)
+        [whole] = grid_compare(["and"], half_range=1.0, step=0.25, keep_surfaces=True)
         diff = whole.approx - whole.exact
         assert np.argwhere(diff == diff.max()).tolist() == [[i, j], [j, i]]
-        half = grid_compare("and", half_range=1.0, step=0.25)
-        assert half.argmax == whole.argmax == (axes[i], axes[j])
-        assert (half.max_abs_diff, half.masked_max_abs_diff, half.wide_masked_max_abs_diff) \
-            == (whole.max_abs_diff, whole.masked_max_abs_diff, whole.wide_masked_max_abs_diff)
+        assert whole.argmax == (axes[i], axes[j])
+        # Every kind sees the same stand-in, so a walk for all of them gives
+        # the whole grid's fields for each.
+        for half in grid_compare(["and"], half_range=1.0, step=0.25) \
+                + grid_compare(GATE_KINDS, half_range=1.0, step=0.25):
+            assert (half.max_abs_diff, half.argmax, half.masked_max_abs_diff,
+                    half.wide_masked_max_abs_diff) == (whole.max_abs_diff, whole.argmax,
+                                                       whole.masked_max_abs_diff,
+                                                       whole.wide_masked_max_abs_diff)
 
     def test_default_grid_peaks_below_one_surface(self):
-        # A 2001 x 2001 surface is 32 MB; the bands keep the peak far below it.
+        # A 2001 x 2001 surface is 32 MB; the bands keep the peak far below
+        # it, also with every kind folded in one walk.
         tracemalloc.start()
         try:
-            rep = grid_compare("and")
+            reps = grid_compare(GATE_KINDS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rep.exact is None
+        assert all(rep.exact is None for rep in reps)
         assert peak < 2001 * 2001 * 8, peak
 
 
