@@ -180,7 +180,9 @@ def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01, csv_path=N
     whole_rows = csv_path is not None or keep_surfaces
     if whole_rows and len(kinds) != 1:
         raise ValueError(f"a CSV or surfaces hold one kind, got {len(kinds)}")
-    axes = -half_range + step * np.arange(int(round(2 * half_range / step)) + 1)
+    if not math.isfinite(count := 2 * half_range / step):
+        raise ValueError(f"half_range {half_range!r} / step {step!r} overflows the point count")
+    axes = -half_range + step * np.arange(int(round(count)) + 1)
     n = axes.size
     gates = [(Activation(kind, "il"), Activation(kind, "ail")) for kind in kinds]
     # Each report folds the running maxima of its kind in place.
@@ -245,25 +247,30 @@ class GradcheckReport:
     max_rel_err: float
 
 
-def gradcheck_activation(act: Activation, n_points: int = 10_000, seed: int = 0,
-                         h: float = 1e-5) -> GradcheckReport:
-    """Compare analytical partials with central differences at interior points."""
-    pts = _interior_points(n_points, seed)
-    x, y = pts[:, 0], pts[:, 1]
-    if act.arity == 1:
-        ana = (gradient(act, x),)
-        fd = ((apply(act, x + h) - apply(act, x - h)) / (2 * h),)
-    else:
-        ana = gradient(act, x, y)
-        fd = (
-            (apply(act, x + h, y) - apply(act, x - h, y)) / (2 * h),
-            (apply(act, x, y + h) - apply(act, x, y - h)) / (2 * h),
-        )
-    worst = 0.0
-    for a, f in zip(ana, fd):
-        scale = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
-        worst = max(worst, float((np.abs(a - f) / scale).max()))
-    return GradcheckReport(name=act.name, max_rel_err=worst)
+def gradcheck_activation(acts, n_points: int = 10_000, seed: int = 0) -> list[GradcheckReport]:
+    """Analytical partials of each act vs central differences; one report per act.
+
+    One draw of interior points serves every act. The step is 1e-5, or 1e-6 for
+    the signed geometric mean, whose curvature diverges along the axes.
+    """
+    x, y = _interior_points(n_points, seed).T
+    x.flags.writeable = y.flags.writeable = False  # a gate writing into its operands raises
+    reports = []
+    for act in acts:
+        h = 1e-6 if act.kind == "signed_geomean" else 1e-5
+        if act.arity == 1:
+            ana = (gradient(act, x),)
+            fd = ((apply(act, x + h) - apply(act, x - h)) / (2 * h),)
+        else:
+            ana = gradient(act, x, y)
+            fd = ((apply(act, x + h, y) - apply(act, x - h, y)) / (2 * h),
+                  (apply(act, x, y + h) - apply(act, x, y - h)) / (2 * h))
+        worst = 0.0
+        for a, f in zip(ana, fd):
+            scale = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
+            worst = np.maximum(worst, (np.abs(a - f) / scale).max())  # max() would drop a NaN
+        reports.append(GradcheckReport(name=act.name, max_rel_err=float(worst)))
+    return reports
 
 
 def gradcheck_network(net: Network, x: np.ndarray, seed: int = 0) -> float:
@@ -402,15 +409,9 @@ def constants_report(n: int = 10_000_000, seed: int = 0, table: dict | None = No
 
 
 def gradients_suite(seed: int = 0) -> list[CheckResult]:
-    results = []
-    for act in all_activation_variants():
-        # The signed geometric mean's curvature diverges along the axes, so
-        # the difference step must shrink for the comparison to be valid.
-        h = 1e-6 if act.kind == "signed_geomean" else 1e-5
-        rep = gradcheck_activation(act, seed=seed, h=h)
-        results.append(CheckResult(f"grad {rep.name}", rep.max_rel_err, GRADCHECK_TOL,
-                                   rep.max_rel_err < GRADCHECK_TOL))
-    return results
+    return [CheckResult(f"grad {rep.name}", rep.max_rel_err, GRADCHECK_TOL,
+                        rep.max_rel_err < GRADCHECK_TOL)
+            for rep in gradcheck_activation(all_activation_variants(), seed=seed)]
 
 
 def diff_bound_suite() -> list[CheckResult]:

@@ -55,6 +55,16 @@ def test_grid_unwritable_path_fails(tmp_path, capsys, monkeypatch):
         assert len(err) == 1 and err[0].startswith("grid: ") and str(missing) in err[0]
 
 
+@pytest.mark.parametrize("grid_range, step", [("1e308", "1"), ("1e300", "1e-10")])
+def test_grid_overflowing_point_count_exits_2(grid_range, step, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["grid", "--kind", "and", "--range", grid_range, "--step", step, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("grid: ") and "half_range" in err[0], err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["grid", "--kind", "and", "--step", "0"],
     ["grid", "--kind", "and", "--range", "-1"],

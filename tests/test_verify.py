@@ -149,11 +149,13 @@ class TestGridCompare:
     @pytest.mark.parametrize("arg, value", [
         ("step", 0.0), ("step", -0.1), ("step", math.inf), ("step", math.nan),
         ("half_range", -1.0), ("half_range", math.inf), ("half_range", math.nan),
+        # finite, but the point count 2 * half_range / step overflows to inf
+        ("half_range", 1e308), ("step", 1e-10),
     ])
     def test_rejects_bad_step(self, arg, value, monkeypatch):
         monkeypatch.setattr(verify, "apply", _never_runs)
         with pytest.raises(ValueError, match=arg):
-            grid_compare(["and"], **{arg: value})
+            grid_compare(["and"], **{"half_range": 1e300, arg: value})
 
     @pytest.mark.parametrize("csv, keep_surfaces", [(True, False), (False, True)])
     def test_outputs_hold_one_kind(self, csv, keep_surfaces, tmp_path):
@@ -249,10 +251,53 @@ class TestGridCompare:
 
 class TestGradcheck:
     def test_all_kinds_pass(self):
-        for act in (Activation("and", "il"), Activation("xnor", "ail"),
-                    Activation("or", "il", normalized=True)):
-            rep = gradcheck_activation(act, n_points=2000, seed=0)
-            assert rep.max_rel_err < 1e-5, act.name
+        acts = (Activation("and", "il"), Activation("xnor", "ail"),
+                Activation("or", "il", normalized=True))
+        reps = gradcheck_activation(acts, n_points=2000, seed=0)
+        assert [rep.name for rep in reps] == [act.name for act in acts]
+        for rep in reps:
+            assert rep.max_rel_err < 1e-5, rep.name
+
+    @pytest.mark.parametrize("seed", [0, 49])
+    def test_shared_points_match_one_act_calls(self, seed):
+        acts = verify.all_activation_variants()
+        reps = gradcheck_activation(acts, seed=seed)
+        assert len(reps) == len(acts) == 16
+        for act, rep in zip(acts, reps):
+            [alone] = gradcheck_activation([act], seed=seed)
+            assert rep.name == alone.name == act.name
+            assert rep.max_rel_err == alone.max_rel_err, act.name
+
+    def test_suite_draws_points_once(self, monkeypatch):
+        draws = []
+        draw = verify._interior_points
+        monkeypatch.setattr(verify, "_interior_points",
+                            lambda n, seed: draws.append(seed) or draw(n, seed))
+        results = verify.gradients_suite(seed=3)
+        assert draws == [3]
+        assert len(results) == 16 and all(r.passed for r in results)
+
+    def test_nan_partial_fails(self, monkeypatch):
+        gradient = verify.gradient
+        monkeypatch.setattr(verify, "gradient", lambda act, x, y: (
+            np.full_like(x, np.nan), gradient(act, x, y)[1]))
+        [rep] = gradcheck_activation([Activation("and", "il")], n_points=10)
+        assert math.isnan(rep.max_rel_err)
+
+    def test_no_acts_give_no_reports(self):
+        assert gradcheck_activation([]) == []
+
+    @pytest.mark.parametrize("operand", [0, 1])
+    def test_gate_writing_into_an_operand_raises(self, operand, monkeypatch):
+        gradient = verify.gradient
+
+        def writes_into_operand(act, *operands):
+            operands[operand][0] = 0.0
+            return gradient(act, *operands)
+
+        monkeypatch.setattr(verify, "gradient", writes_into_operand)
+        with pytest.raises(ValueError, match="read-only"):
+            gradcheck_activation([Activation("and", "il")], n_points=10)
 
     def test_xnor_il_specific_point(self):
         act = Activation("xnor", "il")
