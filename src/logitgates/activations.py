@@ -211,9 +211,10 @@ def xnor_il(x, y, grad=False):
 # Standardization constants under independent N(0, 1) operands
 # ---------------------------------------------------------------------------
 
-# Exact-gate rows are empirical reference constants (Monte Carlo, ~6e8
+# Exact-gate rows are empirical 5-digit reference constants (Monte Carlo, ~6e8
 # samples); they are data, not formulas, and the verification suite re-checks
-# them by independent sampling. Approximate-gate rows use the closed forms.
+# them by quadrature, which puts them within 2e-5 of the exact moments.
+# Approximate-gate rows use the closed forms.
 OR_AIL_MEAN = 1.0 / math.sqrt(2.0 * math.pi) + 1.0 / (2.0 * math.sqrt(math.pi))
 OR_AIL_STD = math.sqrt(5.0 / 4.0 - 1.0 / (math.sqrt(2.0) * math.pi) - 1.0 / (4.0 * math.pi))
 XNOR_AIL_STD = math.sqrt(1.0 - 2.0 / math.pi)

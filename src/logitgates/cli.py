@@ -1,9 +1,13 @@
 """Command-line interface: grid export, verification suites, training, reports."""
 
 import argparse
+import contextlib
+import errno
 import json
 import math
+import os
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -29,6 +33,37 @@ def _number(kind, positive: bool):
     return parse
 
 
+@contextlib.contextmanager
+def _output(path):
+    """Yield a temporary path beside ``path``, moved onto it only if the block returns.
+
+    The temporary file is made on entry, so an unwritable path fails before
+    any work; if the block raises, it is removed and ``path`` is untouched.
+    A None path yields None.
+    """
+    if path is None:
+        yield None
+        return
+    target = Path(os.path.realpath(path))  # a symlink is written through, as open() would
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    except OSError as exc:  # name the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    os.close(fd)
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() would have given the file
+        yield tmp
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_pgm(path, values: np.ndarray):
     """8-bit binary PGM, min-max scaled over the grid."""
     values = np.asarray(values, dtype=np.float64)
@@ -41,20 +76,19 @@ def write_pgm(path, values: np.ndarray):
 
 
 def _cmd_grid(args) -> int:
-    if args.pgm:
-        open(args.pgm, "wb").close()  # an unwritable path fails before the grid
     try:
-        [report] = verify.grid_compare([args.kind], args.range, args.step,
-                                       csv_path=args.out, keep_surfaces=bool(args.pgm))
+        with _output(args.out) as csv_path, _output(args.pgm) as pgm_path:
+            [report] = verify.grid_compare([args.kind], args.range, args.step, csv_path=csv_path,
+                                           keep_surfaces=pgm_path is not None)
+            if pgm_path is not None:
+                if args.family == "both":
+                    surface = report.approx - report.exact
+                else:
+                    surface = report.exact if args.family == "il" else report.approx
+                write_pgm(pgm_path, surface)
     except ValueError as exc:  # a range too wide for its step
         print(f"grid: {exc}", file=sys.stderr)
         return 2
-    if args.pgm:
-        if args.family == "both":
-            surface = report.approx - report.exact
-        else:
-            surface = report.exact if args.family == "il" else report.approx
-        write_pgm(args.pgm, surface)
     print(f"grid {args.kind}: strict max |approx - exact| = {report.max_abs_diff:.6f} "
           f"at {report.argmax}; off-boundary max = {report.masked_max_abs_diff:.6f}")
     return 0
@@ -63,34 +97,34 @@ def _cmd_grid(args) -> int:
 def _cmd_verify(args) -> int:
     suites = ("constants", "gradients", "diff_bound", "bayes")
     selected = [name for name in suites if getattr(args, name)] or suites
-    if args.json_out:
-        open(args.json_out, "w").close()  # an unwritable path fails before the suites
-    results = []
-    estimates = {}
-    if "constants" in selected:
-        const_results, estimates = verify.constants_report(n=args.n, seed=args.seed)
-        results += const_results
-    if "gradients" in selected:
-        results += verify.gradients_suite(seed=args.seed)
-    if "diff_bound" in selected:
-        results += verify.diff_bound_suite()
-    if "bayes" in selected:
-        results += verify.bayes_suite(seed=args.seed)
-    width = max(len(r.name) for r in results)
-    ok = True
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        bound = "reported" if r.bound == float("inf") else f"<= {r.bound:.3e}"
-        print(f"{status}  {r.name:<{width}}  value={r.value:.6e}  {bound}")
-        ok &= r.passed
-    print("all checks passed" if ok else "FAILURES present")
-    if args.json_out:
-        payload = {
-            "passed": ok,
-            "checks": [asdict(r) for r in results],
-            "estimates": {name: asdict(e) for name, e in estimates.items()},
-        }
-        Path(args.json_out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with _output(args.json_out) as json_path:
+        results = []
+        moments = {}
+        if "constants" in selected:
+            const_results, moments = verify.constants_report()
+            results += const_results
+        if "gradients" in selected:
+            results += verify.gradients_suite(seed=args.seed)
+        if "diff_bound" in selected:
+            results += verify.diff_bound_suite()
+        if "bayes" in selected:
+            results += verify.bayes_suite(seed=args.seed)
+        width = max(len(r.name) for r in results)
+        ok = True
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            bound = "reported" if r.bound == float("inf") else f"<= {r.bound:.3e}"
+            print(f"{status}  {r.name:<{width}}  value={r.value:.6e}  {bound}")
+            ok &= r.passed
+        print("all checks passed" if ok else "FAILURES present")
+        if json_path is not None:
+            payload = {
+                "passed": ok,
+                "checks": [asdict(r) for r in results],
+                "estimates": {name: {"mean": mean, "std": std}
+                              for name, (mean, std) in moments.items()},
+            }
+            Path(json_path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0 if ok else 1
 
 
@@ -176,11 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--gradients", action="store_true")
     v.add_argument("--diff-bound", dest="diff_bound", action="store_true")
     v.add_argument("--bayes", action="store_true")
-    v.add_argument("--n", type=_number(int, positive=True), default=10_000_000,
-                   help="Monte Carlo sample count")
-    v.add_argument("--seed", type=_number(int, positive=False), default=0)
+    v.add_argument("--n", type=_number(int, positive=True), default=None,
+                   help="accepted and ignored: the constants are checked by quadrature")
+    v.add_argument("--seed", type=_number(int, positive=False), default=0,
+                   help="seed of the gradient and identity check points")
     v.add_argument("--json-out", dest="json_out", default=None,
-                   help="also write checks and Monte Carlo estimates as JSON")
+                   help="also write the checks and the quadrature means and stds as JSON")
     v.set_defaults(func=_cmd_verify)
 
     t = sub.add_parser("train", help="run a training experiment from a config")

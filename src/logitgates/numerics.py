@@ -12,8 +12,8 @@ import numpy as np
 LOGIT_CLAMP = 1e15
 
 # Elements per block in the loops that walk large arrays a slice at a time
-# (verify's grids and Monte Carlo chunks, the optimizer step): 256 KB of
-# float64, so a block's temporaries stay in a core's L2 cache.
+# (verify's grids, the optimizer step): 256 KB of float64, so a block's
+# temporaries stay in a core's L2 cache.
 BLOCK = 1 << 15
 
 

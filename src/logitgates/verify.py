@@ -1,13 +1,13 @@
 """Independent numerical checks of the analytical claims the library rests on.
 
-Everything here recomputes a quantity by a second route: Monte Carlo sampling
-for the standardization constants, dense grids for the approximation bound,
-central finite differences for gradients, and direct probability-space
-evaluation for the gate identities (AND, OR and XNOR).
+Everything here recomputes a quantity by a second route: quadrature for the
+standardization constants, dense grids for the approximation bound, central
+finite differences for gradients, and direct probability-space evaluation
+for the gate identities (AND, OR and XNOR).
 
-The Monte Carlo constants of every gate come from one stream: each chunk of
-standard-normal operands is drawn once and shared by all the gates being
-estimated, so the table's six rows cost one set of draws, not six.
+One deterministic quadrature rule gives the mean and std of every gate under
+independent standard-normal operands, so the table's six rows cost six gate
+calls on a few thousand points and need no seed.
 """
 
 import contextlib
@@ -22,15 +22,20 @@ from .ensemble import EnsembleSpec
 from .network import Affine, BatchNorm, Network
 from .numerics import BLOCK, sigmoid
 
-# Fixed settings of the checks. Monte Carlo draws MC_CHUNK samples at a time,
-# so its memory does not grow with the sample count or the number of gates,
-# and evaluates each gate on BLOCK-element slices of each chunk. Gradient
-# checks draw points from [-GRADCHECK_BOX, GRADCHECK_BOX]^2 farther than
-# BOUNDARY_EPS from every kink line and pass below GRADCHECK_TOL. The network
-# check compares NET_GRADCHECK_COORDS random parameter coordinates against
-# central differences of step NET_GRADCHECK_STEP. The identity check draws
-# its operands from [-BAYES_BOX, BAYES_BOX].
-MC_CHUNK = 1_000_000
+# Fixed settings of the checks. The constants come from a polar quadrature
+# rule of QUADRATURE_NODES nodes per axis and sector, on radii up to
+# QUADRATURE_RADIUS. Each row passes within CONSTANTS_TOL of its family:
+# the ail rows are closed forms, checked to rounding; the il rows are
+# empirical 5-digit data, up to 2e-5 from the quadrature, checked to the 5e-5
+# that the closed forms meet against their published digits.
+# Gradient checks draw points from [-GRADCHECK_BOX, GRADCHECK_BOX]^2 farther
+# than BOUNDARY_EPS from every kink line and pass below GRADCHECK_TOL. The
+# network check compares NET_GRADCHECK_COORDS random parameter coordinates
+# against central differences of step NET_GRADCHECK_STEP. The identity check
+# draws its operands from [-BAYES_BOX, BAYES_BOX].
+QUADRATURE_NODES = 32
+QUADRATURE_RADIUS = 12.0
+CONSTANTS_TOL = {"ail": 1e-12, "il": 5e-5}
 BOUNDARY_EPS = 1e-3
 GRADCHECK_BOX = 8.0
 GRADCHECK_TOL = 1e-5
@@ -49,81 +54,48 @@ WIDE_EXCLUSION = 0.10
 
 
 # ---------------------------------------------------------------------------
-# Streaming moments (single pass, merge-based so chunks don't lose precision)
+# Moments under independent standard-normal operands, by quadrature
 # ---------------------------------------------------------------------------
 
 
-class StreamingMoments:
-    """Numerically stable running mean/variance over chunked data."""
+def _polar_rule(nodes: int):
+    """Points and weights of a product rule for E[f(X, Y)], X and Y iid N(0, 1).
 
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def update(self, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64).ravel()
-        k = values.size
-        if k == 0:
-            return
-        chunk_mean = float(values.mean())
-        chunk_m2 = float(((values - chunk_mean) ** 2).sum())
-        if self.n == 0:
-            self.n, self.mean, self.m2 = k, chunk_mean, chunk_m2
-            return
-        delta = chunk_mean - self.mean
-        total = self.n + k
-        self.m2 += chunk_m2 + delta * delta * (self.n * k / total)
-        self.mean += delta * (k / total)
-        self.n = total
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / self.n if self.n > 0 else float("nan")
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-
-@dataclass
-class MonteCarloEstimate:
-    mean: float
-    std: float
-    n: int
-    se_mean: float
-
-
-def mc_constants(acts, n: int, seed: int = 0) -> dict[str, MonteCarloEstimate]:
-    """Sample mean/std of each act(x, y) under independent standard-normal operands.
-
-    Every act sees the same draws: each chunk of x and y is drawn once and
-    every act is evaluated on it in turn, so an act's estimate has the bits
-    that a call for that act alone gives. Returns estimates by act name.
+    In polar coordinates: Gauss-Legendre with ``nodes`` nodes in the angle on
+    each of the eight pi/4 sectors between the lines x=0, y=0, x=y and x=-y,
+    where the ail gates kink, so every gate is smooth on every sector; and
+    Gauss-Legendre with ``nodes`` nodes in the radius on [0, QUADRATURE_RADIUS]
+    against the density r exp(-r^2/2) / (2 pi). The mass beyond the radius,
+    exp(-QUADRATURE_RADIUS^2 / 2), is below 1e-31.
     """
-    acts = {act.name: act for act in acts}
-    if any(act.arity != 2 for act in acts.values()):
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = (t + 1) / 2, w / 2  # nodes and weights on [0, 1]
+    sector = math.pi / 4
+    theta = sector * (np.arange(8)[:, np.newaxis] + u).ravel()
+    r = QUADRATURE_RADIUS * u
+    r_weight = QUADRATURE_RADIUS * w * r * np.exp(-r * r / 2) / (2 * math.pi)
+    x = np.outer(np.cos(theta), r).ravel()
+    y = np.outer(np.sin(theta), r).ravel()
+    return x, y, np.outer(np.tile(sector * w, 8), r_weight).ravel()
+
+
+def normal_moments(acts) -> dict[str, tuple[float, float]]:
+    """Mean and std of each act(x, y) under independent standard-normal operands.
+
+    One polar rule of QUADRATURE_NODES nodes per axis and sector serves every
+    act. The sums are correctly rounded (math.fsum), so no summation order can
+    move a bit. Returns (mean, std) by act name.
+    """
+    if any(act.arity != 2 for act in acts):
         raise ValueError("constants are defined for 2-input activations")
-    moments = {name: StreamingMoments() for name in acts}
-    rng = np.random.default_rng(seed)
-    remaining = int(n)
-    values = np.empty(min(MC_CHUNK, remaining))
-    while remaining > 0:
-        k = min(MC_CHUNK, remaining)
-        x = rng.standard_normal(k)
-        y = rng.standard_normal(k)
-        chunk = values[:k]
-        for name, act in acts.items():
-            # The gate's temporaries are block-sized, so they stay in cache;
-            # the moments still see the whole chunk, so every rounding is
-            # unchanged.
-            for i in range(0, k, BLOCK):
-                chunk[i:i + BLOCK] = apply(act, x[i:i + BLOCK], y[i:i + BLOCK])
-            moments[name].update(chunk)
-        remaining -= k
-    return {name: MonteCarloEstimate(mean=m.mean, std=m.std, n=int(n),
-                                     se_mean=m.std / math.sqrt(n))
-            for name, m in moments.items()}
+    x, y, w = _polar_rule(QUADRATURE_NODES)
+    moments = {}
+    for act in acts:
+        g = apply(act, x, y)
+        mean = math.fsum(w * g)
+        g -= mean
+        moments[act.name] = (mean, math.sqrt(math.fsum(w * g * g)))
+    return moments
 
 
 # ---------------------------------------------------------------------------
@@ -387,25 +359,21 @@ class CheckResult:
     passed: bool
 
 
-def constants_report(n: int = 10_000_000, seed: int = 0, table: dict | None = None):
-    """Monte Carlo vs tabulated constants: mean within 4 SE and 2e-3, std within 2e-3.
+def constants_report(table: dict | None = None):
+    """Quadrature vs tabulated constants: one mean and one std check per row.
 
-    Returns (check results, estimates by activation name).
+    Returns (check results, (mean, std) by activation name).
     """
     table = NORMALIZATION_TABLE if table is None else table
     rows = [(Activation(kind, family), ref) for (kind, family), ref in sorted(table.items())]
-    estimates = mc_constants([act for act, _ in rows], n, seed)
+    moments = normal_moments([act for act, _ in rows])
     results = []
-    for act, (mean_ref, std_ref) in rows:
-        est = estimates[act.name]
-        label = act.name.upper()
-        mean_err = abs(est.mean - mean_ref)
-        results.append(CheckResult(f"{label} mean", mean_err,
-                                   min(4 * est.se_mean, 2e-3),
-                                   mean_err <= min(4 * est.se_mean, 2e-3)))
-        std_err = abs(est.std - std_ref)
-        results.append(CheckResult(f"{label} std", std_err, 2e-3, std_err <= 2e-3))
-    return results, estimates
+    for act, refs in rows:
+        bound = CONSTANTS_TOL[act.family]
+        for quantity, value, ref in zip(("mean", "std"), moments[act.name], refs):
+            err = abs(value - ref)
+            results.append(CheckResult(f"{act.name.upper()} {quantity}", err, bound, err <= bound))
+    return results, moments
 
 
 def gradients_suite(seed: int = 0) -> list[CheckResult]:

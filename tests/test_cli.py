@@ -1,9 +1,12 @@
+import itertools
 import json
+import os
 
 import numpy as np
 import pytest
 
 import logitgates.verify as verify
+from logitgates.activations import apply
 from logitgates.cli import main, write_pgm
 
 
@@ -57,12 +60,12 @@ def test_grid_unwritable_path_fails(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("grid_range, step", [("1e308", "1"), ("1e300", "1e-10")])
 def test_grid_overflowing_point_count_exits_2(grid_range, step, tmp_path, capsys):
-    out = tmp_path / "x.csv"
-    argv = ["grid", "--kind", "and", "--range", grid_range, "--step", step, "--out", str(out)]
+    argv = ["grid", "--kind", "and", "--range", grid_range, "--step", step,
+            "--out", str(tmp_path / "x.csv"), "--pgm", str(tmp_path / "x.pgm")]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("grid: ") and "half_range" in err[0], err
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []  # neither output, nor a temporary file
 
 
 @pytest.mark.parametrize("argv", [
@@ -94,18 +97,28 @@ def test_verify_fault_injection_names_quantity(monkeypatch, capsys):
     mean, _ = broken[("or", "ail")]
     broken[("or", "ail")] = (mean, 1.5)
     monkeypatch.setattr(verify, "NORMALIZATION_TABLE", broken)
-    rc = main(["verify", "--constants", "--n", "200000", "--seed", "0"])
+    rc = main(["verify", "--constants"])
     out = capsys.readouterr().out
     assert rc == 1
     assert any("FAIL" in line and "OR_AIL std" in line for line in out.splitlines())
 
 
 def test_verify_seed_reproducible(capsys):
-    main(["verify", "--constants", "--n", "100000", "--seed", "7"])
+    main(["verify", "--gradients", "--bayes", "--seed", "7"])
     first = capsys.readouterr().out
-    main(["verify", "--constants", "--n", "100000", "--seed", "7"])
+    main(["verify", "--gradients", "--bayes", "--seed", "7"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_verify_ignores_sample_count(tmp_path, capsys):
+    # The benchmark's command line still passes --n; it changes nothing.
+    runs = []
+    for extra in (["--n", "2000000"], []):
+        out = tmp_path / f"verify{len(runs)}.json"
+        assert main(["verify", "--constants", *extra, "--seed", "0", "--json-out", str(out)]) == 0
+        runs.append((capsys.readouterr().out, out.read_text()))
+    assert runs[0] == runs[1]
 
 
 def test_train_bundled_xor_config(tmp_path, capsys):
@@ -273,15 +286,64 @@ def test_write_pgm_scaling(tmp_path):
 
 
 def test_verify_json_out(tmp_path):
-    # n here is far below what the absolute tolerances are calibrated for, so
-    # only the JSON payload contract is asserted, not a pass verdict
     out = tmp_path / "verify.json"
-    rc = main(["verify", "--constants", "--n", "100000", "--seed", "1",
-               "--json-out", str(out)])
+    rc = main(["verify", "--constants", "--json-out", str(out)])
     payload = json.loads(out.read_text())
-    assert payload["passed"] == (rc == 0)
-    assert {"mean", "std", "n", "se_mean"} <= set(payload["estimates"]["or_ail"])
+    assert rc == 0 and payload["passed"] is True
+    assert len(payload["estimates"]) == 6
+    assert set(payload["estimates"]["or_ail"]) == {"mean", "std"}
     assert len(payload["checks"]) == 12
+
+
+def test_outputs_get_the_mode_open_gives(tmp_path):
+    # Outputs are written to a temporary file and moved into place; the file
+    # still gets the mode the umask allows, as open() would give it.
+    out = tmp_path / "verify.json"
+    umask = os.umask(0o027)
+    try:
+        assert main(["verify", "--bayes", "--json-out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o640
+
+
+def test_output_through_symlink_replaces_its_target(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("earlier")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["verify", "--bayes", "--json-out", str(link)]) == 0
+    assert link.is_symlink() and json.loads(target.read_text())["passed"] is True
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def _fails_on_call(k, fn):
+    calls = itertools.count(1)
+
+    def run(*args, **kwargs):
+        if next(calls) == k:
+            raise RuntimeError("failed partway")
+        return fn(*args, **kwargs)
+
+    return run
+
+
+def test_failed_grid_leaves_no_partial_csv(tmp_path, monkeypatch):
+    # The first of five bands of rows is written before the second fails.
+    monkeypatch.setattr(verify, "apply", _fails_on_call(3, apply))
+    with pytest.raises(RuntimeError, match="partway"):
+        main(["grid", "--kind", "or", "--range", "10", "--step", "0.05",
+              "--out", str(tmp_path / "x.csv")])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_verify_keeps_earlier_json(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "verify.json"
+    out.write_text("earlier")
+    monkeypatch.setattr(verify, "bayes_suite", _fails_on_call(1, verify.bayes_suite))
+    with pytest.raises(RuntimeError, match="partway"):
+        main(["verify", "--constants", "--bayes", "--json-out", str(out)])
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == "earlier"
 
 
 def test_train_bundled_parity_configs(tmp_path):

@@ -10,106 +10,40 @@ from logitgates.ensemble import parse_spec
 from logitgates.network import Affine, BatchNorm, Network
 from logitgates.verify import (
     GridCompareReport,
-    MonteCarloEstimate,
-    StreamingMoments,
     bayes_identity_check,
     constants_report,
     gradcheck_activation,
     grid_compare,
-    mc_constants,
+    normal_moments,
     weight_correlations,
 )
 
 LN3 = 1.0986122886681096914
 
 
-class TestStreamingMoments:
-    def test_matches_numpy_two_pass(self):
-        rng = np.random.default_rng(0)
-        values = rng.standard_normal(100_000) * 3.7 + 12.0
-        mom = StreamingMoments()
-        for chunk in np.array_split(values, 13):
-            mom.update(chunk)
-        assert mom.n == values.size
-        assert mom.mean == pytest.approx(values.mean(), rel=1e-12)
-        assert mom.std == pytest.approx(values.std(), rel=1e-10)
+class TestNormalMoments:
+    def test_rule_integrates_low_moments_of_the_normal(self):
+        x, y, w = verify._polar_rule(verify.QUADRATURE_NODES)
+        assert x.size == 8 * verify.QUADRATURE_NODES ** 2
+        assert math.fsum(w) == pytest.approx(1.0, abs=1e-15)
+        for f, expected in ((x, 0.0), (y, 0.0), (x * y, 0.0), (x * x, 1.0), (y * y, 1.0),
+                            (x ** 4, 3.0), (x * x * y * y, 1.0)):
+            assert math.fsum(w * f) == pytest.approx(expected, abs=1e-13)
 
-    def test_merge_resists_cancellation(self):
-        # huge common offset: a naive sum-of-squares accumulator dies here
-        rng = np.random.default_rng(1)
-        values = rng.standard_normal(200_000) + 1e9
-        mom = StreamingMoments()
-        for chunk in np.array_split(values, 40):
-            mom.update(chunk)
-        assert mom.std == pytest.approx(values.std(), rel=1e-6)
-
-
-def _mc(act, n, seed):
-    return mc_constants([act], n, seed=seed)[act.name]
-
-
-class TestMonteCarloConstants:
-    def test_estimate_fields(self):
-        est = _mc(Activation("xnor", "ail"), 100_000, seed=0)
-        assert isinstance(est, MonteCarloEstimate)
-        assert est.n == 100_000
-        assert est.se_mean == pytest.approx(est.std / math.sqrt(est.n))
-
-    def test_or_ail_against_table(self):
-        est = _mc(Activation("or", "ail"), 10_000_000, seed=0)
-        assert abs(est.mean - 0.68104) <= 4 * est.se_mean
-        assert abs(est.std - 0.97229) <= 2e-3
-
-    def test_xnor_il_against_table(self):
-        est = _mc(Activation("xnor", "il"), 10_000_000, seed=1)
-        assert abs(est.mean - 0.0) <= 4 * est.se_mean
-        assert abs(est.std - 0.36641) <= 2e-3
-
-    def test_xnor_ail_closed_form_std(self):
-        est = _mc(Activation("xnor", "ail"), 10_000_000, seed=2)
-        assert abs(est.std - math.sqrt(1 - 2 / math.pi)) <= 2e-3
-
-    def test_seed_determinism(self):
-        a = _mc(Activation("and", "ail"), 100_000, seed=3)
-        b = _mc(Activation("and", "ail"), 100_000, seed=3)
-        assert (a.mean, a.std) == (b.mean, b.std)
-
-    def test_shared_stream_matches_one_act_calls(self, monkeypatch):
-        # Three chunks (40k, 40k, 20k, the last shorter than a BLOCK), each
-        # shared by seven gates: every estimate has the bits of a call that
-        # draws the stream for its gate alone.
-        monkeypatch.setattr(verify, "MC_CHUNK", 40_000)
-        acts = [Activation(kind, family) for kind, family in sorted(NORMALIZATION_TABLE)]
-        acts.append(Activation("xnor", "il", True))
-        shared = mc_constants(acts, 100_000, seed=5)
-        assert len(shared) == len(acts)
-        for act in acts:
-            assert shared[act.name] == _mc(act, 100_000, seed=5)
+    @pytest.mark.parametrize("kind, family", sorted(NORMALIZATION_TABLE))
+    def test_twice_the_nodes_agrees(self, kind, family, monkeypatch):
+        act = Activation(kind, family)
+        [base] = normal_moments([act]).values()
+        monkeypatch.setattr(verify, "QUADRATURE_NODES", 2 * verify.QUADRATURE_NODES)
+        [fine] = normal_moments([act]).values()
+        assert np.allclose(base, fine, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_rejects_one_input_kind_anywhere(self, position):
         acts = [Activation("and", "il"), Activation("or", "ail")]
         acts.insert(position, Activation("relu", "raw"))
         with pytest.raises(ValueError, match="2-input"):
-            mc_constants(acts, 1000)
-
-    def test_blocked_gate_pass_keeps_every_bit(self, monkeypatch):
-        # Two gates run on 1000-element slices of the chunks they share, the
-        # last of which is shorter than a chunk and not a whole number of
-        # slices; each gate's moments still see whole chunks drawn in the
-        # same order.
-        monkeypatch.setattr(verify, "MC_CHUNK", 2500)
-        monkeypatch.setattr(verify, "BLOCK", 1000)
-        acts = [Activation("xnor", "il", True), Activation("and", "ail")]
-        rng = np.random.default_rng(4)
-        moments = [StreamingMoments() for _ in acts]
-        for k in (2500, 2500, 1700):
-            x, y = rng.standard_normal(k), rng.standard_normal(k)
-            for act, mom in zip(acts, moments):
-                mom.update(apply(act, x, y))
-        est = mc_constants(acts, 6700, seed=4)
-        for act, mom in zip(acts, moments):
-            assert (est[act.name].mean, est[act.name].std) == (mom.mean, mom.std)
+            normal_moments(acts)
 
 
 def _never_runs(*args, **kwargs):
@@ -368,13 +302,24 @@ class TestConstantsSuite:
         table = dict(NORMALIZATION_TABLE)
         mean, _ = table[("or", "ail")]
         table[("or", "ail")] = (mean, 1.5)  # break the std
-        results = constants_report(n=200_000, seed=0, table=table)[0]
+        results = constants_report(table=table)[0]
         failing = [r.name for r in results if not r.passed]
         assert "OR_AIL std" in failing
 
-    def test_clean_table_passes_at_moderate_n(self):
-        results = constants_report(n=2_000_000, seed=0)[0]
-        assert all(r.passed for r in results)
+    def test_small_mean_shift_detected(self):
+        # Twice the il rows' bound; 1e7 normal samples could not resolve it
+        # (4 standard errors of the AND_IL mean are about 1.2e-3).
+        table = dict(NORMALIZATION_TABLE)
+        mean, std = table[("and", "il")]
+        table[("and", "il")] = (mean + 1e-4, std)
+        results = constants_report(table=table)[0]
+        assert [r.name for r in results if not r.passed] == ["AND_IL mean"]
+
+    def test_clean_table_passes(self):
+        results, moments = constants_report()
+        assert len(results) == 12 and all(r.passed for r in results)
+        assert set(moments) == {Activation(kind, family).name
+                                for kind, family in NORMALIZATION_TABLE}
 
 
 def test_random_pair_cosines_near_zero_after_training():
