@@ -6,6 +6,8 @@ import errno
 import json
 import math
 import os
+import secrets
+import stat
 import sys
 import tempfile
 from dataclasses import asdict
@@ -33,29 +35,52 @@ def _number(kind, positive: bool):
     return parse
 
 
+def _create_beside(target: Path) -> Path:
+    """Create an empty file with a fresh name beside ``target``; the umask sets its mode."""
+    for _ in range(tempfile.TMP_MAX):
+        tmp = target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")
+        try:
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        except FileExistsError:
+            continue
+        return tmp
+    raise FileExistsError(errno.EEXIST, "no free temporary name", str(target))
+
+
 @contextlib.contextmanager
 def _output(path):
-    """Yield a temporary path beside ``path``, moved onto it only if the block returns.
+    """Yield a path to write ``path``'s contents to, moved onto it only if the block returns.
 
-    The temporary file is made on entry, so an unwritable path fails before
-    any work; if the block raises, it is removed and ``path`` is untouched.
-    A None path yields None.
+    A new or regular-file target is written through a temporary file beside
+    it, made on entry, so an unwritable path fails before any work; if the
+    block raises, the temporary file is removed and ``path`` is untouched.
+    The file gets the mode open() would give it: the umask's for a new file,
+    the old file's for one it replaces (its owner and hard links are not
+    kept). Any other existing target (a device, a FIFO) is yielded unchanged
+    and written directly. A None path yields None.
     """
     if path is None:
         yield None
         return
-    target = Path(os.path.realpath(path))  # a symlink is written through, as open() would
-    if target.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+        mode = os.stat(path).st_mode  # follows symlinks and /dev/stdout, as open() does
+    except OSError:  # a new file, or a path the temporary file fails on too
+        mode = None
+    if mode is not None and stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if mode is not None and not stat.S_ISREG(mode):
+        yield path
+        return
+    if mode is not None and not os.access(path, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+    target = Path(os.path.realpath(path))  # a symlink is written through, as open() would
+    try:
+        tmp = _create_beside(target)
     except OSError as exc:  # name the path asked for, not the temporary one
         raise OSError(exc.errno, exc.strerror, str(path)) from None
-    os.close(fd)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # the mode open() would have given the file
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
         yield tmp
         os.replace(tmp, target)
     except BaseException:

@@ -307,6 +307,38 @@ def test_outputs_get_the_mode_open_gives(tmp_path):
     assert out.stat().st_mode & 0o777 == 0o640
 
 
+def test_overwritten_output_keeps_its_mode(tmp_path):
+    out = tmp_path / "verify.json"
+    out.write_text("earlier")
+    out.chmod(0o600)
+    assert main(["verify", "--bayes", "--json-out", str(out)]) == 0
+    assert out.stat().st_mode & 0o777 == 0o600 and json.loads(out.read_text())["passed"] is True
+
+
+_GRID = ["grid", "--kind", "or", "--range", "1", "--step", "0.5"]
+
+
+@pytest.mark.parametrize("argv, files", [
+    (_GRID + ["--out"], ["fifo"]),
+    (_GRID + ["--out", "x.csv", "--pgm"], ["fifo", "x.csv"]),
+    (["verify", "--bayes", "--json-out"], ["fifo"]),
+])
+def test_output_to_fifo_is_written_directly(argv, files, tmp_path, monkeypatch):
+    # A target that is not a regular file (a FIFO here, like /dev/null or a
+    # pipe) is opened as it is, not replaced by a regular file.
+    monkeypatch.chdir(tmp_path)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the writer's open() need not wait
+    try:
+        assert main(argv + [str(fifo)]) == 0
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert fifo.is_fifo() and data
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
 def test_output_through_symlink_replaces_its_target(tmp_path):
     target = tmp_path / "target.json"
     target.write_text("earlier")
