@@ -290,13 +290,21 @@ def apply(act: Activation, x, y=None, grad: bool = False):
         raise ValueError(f"{act.name} takes {act.arity} operand(s), got {1 if y is None else 2}")
     gate = _GATES[(act.kind, act.family)]
     result = gate(x, grad=grad) if y is None else gate(x, y, grad)
-    if not act.normalized:
-        return result
-    mean, std = NORMALIZATION_TABLE[(act.kind, act.family)]
-    if not grad:
-        return (result - mean) / std
-    value, gx, gy = result
-    return (value - mean) / std, gx / std, gy / std
+    return standardize(act, *result) if grad else standardize(act, result)
+
+
+def standardize(act: Activation, value, *partials):
+    """act's output from its raw gate's ``value``, and partials if given.
+
+    A normalized act gives (value - mean) / std and each partial / std, by its
+    NORMALIZATION_TABLE row; any other act gives its arguments back. With
+    partials the result is the tuple (value, *partials), as ``apply`` gives
+    with ``grad``.
+    """
+    if act.normalized:
+        mean, std = NORMALIZATION_TABLE[(act.kind, act.family)]
+        value, partials = (value - mean) / std, [g / std for g in partials]
+    return (value, *partials) if partials else value
 
 
 def gradient(act: Activation, x, y=None):

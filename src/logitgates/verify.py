@@ -8,6 +8,10 @@ for the gate identities (AND, OR and XNOR).
 One deterministic quadrature rule gives the mean and std of every gate under
 independent standard-normal operands, so the table's six rows cost six gate
 calls on a few thousand points and need no seed.
+
+The gradient check runs each gate once per (kind, family) on one draw of
+points: a normalized variant's partials and difference quotients are its raw
+gate's, standardized by ``activations.standardize``.
 """
 
 import contextlib
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import activations as A
-from .activations import Activation, NORMALIZATION_TABLE, apply, gradient
+from .activations import Activation, NORMALIZATION_TABLE, apply, gradient, standardize
 from .ensemble import EnsembleSpec
 from .network import Affine, BatchNorm, Network
 from .numerics import BLOCK, sigmoid
@@ -222,27 +226,50 @@ class GradcheckReport:
 def gradcheck_activation(acts, n_points: int = 10_000, seed: int = 0) -> list[GradcheckReport]:
     """Analytical partials of each act vs central differences; one report per act.
 
-    One draw of interior points serves every act. The step is 1e-5, or 1e-6 for
-    the signed geometric mean, whose curvature diverges along the axes.
+    One draw of interior points serves every act, and each gate runs once on
+    them, for its raw and its normalized form alike: a normalized act's
+    partials and difference quotients come from its raw gate's partials and
+    shifted values, standardized. The step is 1e-5, or 1e-6 for the signed
+    geometric mean, whose curvature diverges along the axes.
     """
-    x, y = _interior_points(n_points, seed).T
-    x.flags.writeable = y.flags.writeable = False  # a gate writing into its operands raises
-    reports = []
-    for act in acts:
-        h = 1e-6 if act.kind == "signed_geomean" else 1e-5
-        if act.arity == 1:
-            ana = (gradient(act, x),)
-            fd = ((apply(act, x + h) - apply(act, x - h)) / (2 * h),)
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points!r}")
+    # Contiguous columns, since every gate reads them several times; they and
+    # the shifted operands are read-only, so a gate writing into an operand
+    # raises instead of corrupting the next gate's check.
+    xy = np.ascontiguousarray(_interior_points(n_points, seed).T)
+    xy.flags.writeable = False
+    x, y = xy
+    shifted = {}  # step h -> (x + h, y + h), (x - h, y - h)
+    scale, err = np.empty(n_points), np.empty(n_points)
+    errors = dict.fromkeys(acts, 0.0)  # act -> its worst relative error so far
+    groups = {}  # raw gate -> its acts
+    for act in errors:
+        groups.setdefault(Activation(act.kind, act.family), []).append(act)
+    for gate, group in groups.items():
+        h = 1e-6 if gate.kind == "signed_geomean" else 1e-5
+        if h not in shifted:
+            shifted[h] = plus, minus = xy + h, xy - h
+            plus.flags.writeable = minus.flags.writeable = False
+        (xp, yp), (xm, ym) = shifted[h]
+        if gate.arity == 1:
+            ana, operands = (gradient(gate, x),), (((xp,), (xm,)),)
         else:
-            ana = gradient(act, x, y)
-            fd = ((apply(act, x + h, y) - apply(act, x - h, y)) / (2 * h),
-                  (apply(act, x, y + h) - apply(act, x, y - h)) / (2 * h))
-        worst = 0.0
-        for a, f in zip(ana, fd):
-            scale = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
-            worst = np.maximum(worst, (np.abs(a - f) / scale).max())  # max() would drop a NaN
-        reports.append(GradcheckReport(name=act.name, max_rel_err=float(worst)))
-    return reports
+            ana = gradient(gate, x, y)
+            operands = (((xp, y), (xm, y)), ((x, yp), (x, ym)))
+        for g, (at_up, at_down) in zip(ana, operands):
+            up, down = apply(gate, *at_up), apply(gate, *at_down)
+            for act in group:
+                f, a = standardize(act, up, g)  # act's value at +h, and its partial
+                f = f - standardize(act, down)
+                f /= 2 * h
+                # max(|a|, |f|, 1e-8) into scale, then |a - f| / scale into err
+                np.maximum(np.abs(a, out=scale), np.abs(f, out=err), out=scale)
+                np.maximum(scale, 1e-8, out=scale)
+                np.abs(np.subtract(a, f, out=err), out=err)
+                err /= scale
+                errors[act] = np.maximum(errors[act], err.max())  # max() would drop a NaN
+    return [GradcheckReport(name=act.name, max_rel_err=float(errors[act])) for act in acts]
 
 
 def gradcheck_network(net: Network, x: np.ndarray, seed: int = 0) -> float:
@@ -335,6 +362,8 @@ def bayes_identity_check(n: int = 10_000, seed: int = 0) -> float:
     sigma(and_il) = sigma(x)sigma(y), sigma(or_il) = 1 - sigma(-x)sigma(-y)
     and sigma(xnor_il) = sigma(x)sigma(y) + sigma(-x)sigma(-y).
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-BAYES_BOX, BAYES_BOX, size=n)
     y = rng.uniform(-BAYES_BOX, BAYES_BOX, size=n)

@@ -212,6 +212,19 @@ class TestExactGateProperties:
                         slack = _ulps(hi, 1) if gate is EXACT_GATES[kind] else 0.0
                         assert lo <= hi + slack, (gate.__name__, x1, x2, y)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="and_il is monotone only to 2 ulps: the roundings of its ail term and "
+        "of its log correction add up, and this pair is 2 ulps out of order, past "
+        "the 1-ulp slack the property test allows (CHANGES.md, the FOUND line on "
+        "and_il/or_il monotonicity)",
+    )
+    def test_and_il_monotone_at_a_two_ulp_pair(self):
+        x1, x2, y = -0.3959066146045071, -0.395906614604507, -0.12149903777802351
+        assert x1 < x2
+        lo, hi = A.and_il(x1, y), A.and_il(x2, y)
+        assert lo <= hi + _ulps(hi, 1)
+
     @PROPERTY
     @given(st.floats(-1e14, 1e14), st.floats(-1e14, 1e14))
     def test_approximation_bound(self, x, y):

@@ -211,6 +211,43 @@ class TestGradcheck:
         assert draws == [3]
         assert len(results) == 16 and all(r.passed for r in results)
 
+    def test_suite_runs_each_gate_once(self, monkeypatch):
+        calls = {"gradient": [], "apply": []}
+        for name, seen in calls.items():
+            def counted(act, *operands, _seen=seen, _call=getattr(verify, name)):
+                _seen.append((act, operands))
+                return _call(act, *operands)
+            monkeypatch.setattr(verify, name, counted)
+        results = verify.gradients_suite(seed=3)
+        assert len(results) == 16 and all(r.passed for r in results)
+        # One gradient per (kind, family), and four shifted values per
+        # 2-input gate (two for relu), taken from the raw gate only, on
+        # operands no gate can write into.
+        gates = [act for act, _ in calls["gradient"]]
+        assert len(gates) == len(set(gates)) == 10
+        assert len(calls["apply"]) == 9 * 4 + 2 == 38
+        assert not any(act.normalized for seen in calls.values() for act, _ in seen)
+        assert not any(operand.flags.writeable for seen in calls.values()
+                       for _, operands in seen for operand in operands)
+
+    def test_reports_follow_the_acts_in_any_order(self):
+        # Reversed then interleaved: every normalized act comes first, apart
+        # from its raw twin; one act is repeated.
+        reverse = verify.all_activation_variants()[::-1]
+        acts = reverse[0::2] + reverse[1::2] + reverse[:1]
+        assert acts.index(Activation("and", "il", True)) < acts.index(Activation("and", "il")) - 1
+        reps = gradcheck_activation(acts, seed=1)
+        assert [rep.name for rep in reps] == [act.name for act in acts]
+        for act, rep in zip(acts, reps):
+            [alone] = gradcheck_activation([act], seed=1)
+            assert rep.max_rel_err == alone.max_rel_err, act.name
+
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_rejects_no_points(self, n_points, monkeypatch):
+        monkeypatch.setattr(verify, "_interior_points", _never_runs)
+        with pytest.raises(ValueError, match="n_points"):
+            gradcheck_activation([Activation("and", "il")], n_points=n_points)
+
     def test_nan_partial_fails(self, monkeypatch):
         gradient = verify.gradient
         monkeypatch.setattr(verify, "gradient", lambda act, x, y: (
@@ -247,6 +284,12 @@ class TestGradcheck:
 class TestBayesIdentities:
     def test_max_error_tiny(self):
         assert bayes_identity_check(10_000, seed=0) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_no_points(self, n, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", _never_runs)
+        with pytest.raises(ValueError, match="n must"):
+            bayes_identity_check(n)
 
     def test_origin_probabilities(self):
         from logitgates.activations import and_il, or_il
