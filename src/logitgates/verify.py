@@ -5,6 +5,11 @@ standardization constants, dense grids for the approximation bound, central
 finite differences for gradients, and direct probability-space evaluation
 for the gate identities (AND, OR and XNOR).
 
+The grid comparison walks a grid centred on the origin and evaluates each
+gate pair on one symmetry class of its cells: and's pair runs where x <= y
+and also gives or's differences, at the negated points (De Morgan duality),
+and xnor's runs on the octant x <= y <= 0 (odd symmetry).
+
 One deterministic quadrature rule gives the mean and std of every gate under
 independent standard-normal operands, so the table's six rows cost six gate
 calls on a few thousand points and need no seed.
@@ -138,16 +143,25 @@ def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01, csv_path=N
     approximate surfaces, indexed [x, y], in the report. The CSV and the
     surfaces are per kind, so with either ``kinds`` must hold exactly one.
 
+    Both axes are ``step * (k - count / 2)`` for k = 0..count, so the grid is
+    centred on the origin and negating a point's coordinate is a grid point.
     The grid is walked once, in bands of rows holding about BLOCK cells. Each
     band forms its distances to the kink lines and both exclusion masks once,
     then folds every kind's difference into that kind's maxima (and the CSV)
     before the next band is formed, so no full surface exists unless
     ``keep_surfaces`` asks for one.
 
-    Bit-exactly commutative gates on one shared axis make the grid its own
-    transpose, so unless a CSV or the surfaces need whole rows, the band from
-    row r evaluates columns r: only. The first maximum in row-major order is
-    at (m, j >= m), m the least coordinate of any maximum, so its band has it.
+    Unless a CSV or the surfaces need whole rows, each kind's gates run on
+    one cell of each symmetry class. The gates are bit-exactly commutative,
+    or is the De Morgan dual -and(-x, -y) and xnor is odd in each operand, so
+    |approx - exact| and the distances to the kink lines agree on a cell and
+    its transpose, on and's cell and or's negated one, and on xnor's cells
+    with the same |x| and |y|. The and pair runs on columns r: of the band
+    from row r, which holds every cell with x <= y, and its differences serve
+    or too. The xnor pair runs on the bands and columns where x <= y <= 0.
+    Those cells include each class's first in row-major order, so the least
+    maximum cell walked is the grid's first; for or it is the least of the
+    negated cells, transposed to x <= y, which a later band may hold.
     """
     if not (math.isfinite(half_range) and half_range >= 0):
         raise ValueError(f"half_range must be finite and non-negative, got {half_range!r}")
@@ -158,27 +172,36 @@ def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01, csv_path=N
         raise ValueError(f"a CSV or surfaces hold one kind, got {len(kinds)}")
     if not math.isfinite(count := 2 * half_range / step):
         raise ValueError(f"half_range {half_range!r} / step {step!r} overflows the point count")
-    axes = -half_range + step * np.arange(int(round(count)) + 1)
+    count = int(round(count))
+    axes = step * (np.arange(count + 1) - count / 2)
     n = axes.size
-    gates = [(Activation(kind, "il"), Activation(kind, "ail")) for kind in kinds]
-    # Each report folds the running maxima of its kind in place.
-    corner = (float(axes[0]), float(axes[0]))
-    reports = [GridCompareReport(kind, -math.inf, corner, 0.0, 0.0) for kind in kinds]
+    # The gate pair whose differences serve each kind, and the row and column
+    # each pair's walk stops before.
+    pair = {kind: "and" if kind == "or" and not whole_rows else kind for kind in kinds}
+    stop = {p: (n - 1) // 2 + 1 if p == "xnor" and not whole_rows else n for p in pair.values()}
+    gates = {p: (Activation(p, "il"), Activation(p, "ail")) for p in stop}
+    end = max(stop.values())
+    # Each report folds the running maxima of its kind in place, its argmax
+    # as grid indices until the walk ends.
+    reports = [GridCompareReport(kind, -math.inf, (0, 0), 0.0, 0.0) for kind in kinds]
     if keep_surfaces:
         reports[0].exact, reports[0].approx = np.empty((n, n)), np.empty((n, n))
     rows = max(1, BLOCK // n)
     with open(csv_path, "w") if csv_path is not None else contextlib.nullcontext() as csv:
-        for r in range(0, n, rows):
+        for r in range(0, end, rows):
             c = 0 if whole_rows else r
-            x, y = axes[r:r + rows, np.newaxis], axes[np.newaxis, c:]
+            x, y = axes[r:r + rows, np.newaxis], axes[np.newaxis, c:end]
             distance = _kink_distance(x, y)
             outside, wide_outside = distance > EXCLUSION, distance > WIDE_EXCLUSION
-            for rep, (exact_act, approx_act) in zip(reports, gates):
-                exact = apply(exact_act, x, y)
-                approx = apply(approx_act, x, y)
+            for p, (exact_act, approx_act) in gates.items():
+                if r >= stop[p]:
+                    continue
+                w = stop[p] - c  # the pair's columns are the band's first w
+                exact = apply(exact_act, x, y[:, :w])
+                approx = apply(approx_act, x, y[:, :w])
                 if keep_surfaces:
-                    rep.exact[r:r + rows] = exact
-                    rep.approx[r:r + rows] = approx
+                    reports[0].exact[r:r + rows] = exact
+                    reports[0].approx[r:r + rows] = approx
                 signed = approx - exact
                 if csv is not None:
                     cols = np.column_stack([np.broadcast_to(x, signed.shape).ravel(),
@@ -188,16 +211,31 @@ def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01, csv_path=N
                                header="" if r else "x,y,exact,approx,diff",
                                comments="", fmt="%.12g")
                 diff = np.abs(signed, out=signed)
-                # Strict > keeps the first maximum in row-major order, as
-                # argmax over the whole grid would.
-                k, w = int(diff.argmax()), n - c
-                if diff.flat[k] > rep.max_abs_diff:
-                    rep.max_abs_diff = float(diff.flat[k])
-                    rep.argmax = (float(axes[r + k // w]), float(axes[c + k % w]))
-                rep.masked_max_abs_diff = max(rep.masked_max_abs_diff, float(
-                    np.max(diff, where=outside, initial=0.0)))
-                rep.wide_masked_max_abs_diff = max(rep.wide_masked_max_abs_diff, float(
-                    np.max(diff, where=wide_outside, initial=0.0)))
+                top = float(diff.max())
+                masked = float(np.max(diff, where=outside[:, :w], initial=0.0))
+                wide = float(np.max(diff, where=wide_outside[:, :w], initial=0.0))
+                cells = None
+                for rep in reports:
+                    if pair[rep.kind] != p:
+                        continue
+                    rep.masked_max_abs_diff = max(rep.masked_max_abs_diff, masked)
+                    rep.wide_masked_max_abs_diff = max(rep.wide_masked_max_abs_diff, wide)
+                    # A tie counts too: a later band of and's may hold or's
+                    # first maximum.
+                    if top >= rep.max_abs_diff:
+                        if cells is None:
+                            cells = np.flatnonzero(diff == top)
+                            i, j = r + cells // w, c + cells % w
+                        if pair[rep.kind] == rep.kind:
+                            first = int((i * n + j).min())
+                        else:  # or at and's cells negated, then transposed to x <= y
+                            first = int(((n - 1 - np.maximum(i, j)) * n
+                                         + n - 1 - np.minimum(i, j)).min())
+                        first = divmod(first, n)
+                        if top > rep.max_abs_diff or first < rep.argmax:
+                            rep.max_abs_diff, rep.argmax = top, first
+    for rep in reports:
+        rep.argmax = (float(axes[rep.argmax[0]]), float(axes[rep.argmax[1]]))
     return reports
 
 

@@ -39,6 +39,18 @@ def test_grid_diff_column_matches_verify(tmp_path):
     assert np.abs(cols[:, 4]).max() == pytest.approx(rep.max_abs_diff, abs=1e-9)
 
 
+def test_grid_is_centred_on_the_origin(tmp_path):
+    # 2 / 0.3 rounds to 7 steps: 8 points from -1.05 to 1.05, not -1.0 to 1.1.
+    out = tmp_path / "or.csv"
+    assert main(["grid", "--kind", "or", "--range", "1", "--step", "0.3", "--out", str(out)]) == 0
+    cols = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert cols.shape == (8 * 8, 5)
+    x = cols[::8, 0]
+    assert np.array_equal(x[::-1], -x)
+    assert (x[0], x[-1]) == (-1.05, 1.05)
+    assert np.array_equal(cols[:8, 1], x)
+
+
 def _never_runs(*args, **kwargs):
     raise AssertionError("ran before the output path was opened")
 

@@ -50,6 +50,20 @@ def _never_runs(*args, **kwargs):
     raise AssertionError("a gate ran")
 
 
+def _whole_grid(gate, kind, half_range, step):
+    """grid_compare's report from whole surfaces on its axes; also the axes and |difference|."""
+    count = round(2 * half_range / step)
+    axes = step * (np.arange(count + 1) - count / 2)
+    x, y = np.meshgrid(axes, axes, indexing="ij", sparse=True)
+    diff = np.abs(gate(Activation(kind, "ail"), x, y) - gate(Activation(kind, "il"), x, y))
+    i, j = np.unravel_index(int(diff.argmax()), diff.shape)
+    distance = verify._kink_distance(x, y)
+    return GridCompareReport(
+        kind, diff[i, j], (axes[i], axes[j]),
+        np.max(diff, where=distance > verify.EXCLUSION, initial=0.0),
+        np.max(diff, where=distance > verify.WIDE_EXCLUSION, initial=0.0)), axes, diff
+
+
 class TestGridCompare:
     def test_and_origin_exceeds_one_strictly(self):
         [rep] = grid_compare(["and"], half_range=3.0, step=0.05)
@@ -102,73 +116,125 @@ class TestGridCompare:
     @pytest.mark.parametrize("block", [7, 20])
     @pytest.mark.parametrize("kind", GATE_KINDS)
     def test_bands_match_whole_grid(self, kind, block, monkeypatch, tmp_path):
-        # 9 rows in bands of 1 or 2; xnor's maximum ties at the four corners,
-        # in the first and the last band, and the first in row-major order wins.
+        # 9 rows in bands of 1 or 2: the CSV and the surfaces hold the whole
+        # grid's bits (test_reduced_walk_matches_whole_grid checks the fields).
         monkeypatch.setattr(verify, "BLOCK", block)
         axes = -1.0 + 0.25 * np.arange(9)
         x, y = np.meshgrid(axes, axes, indexing="ij", sparse=True)
         exact = apply(Activation(kind, "il"), x, y)
         approx = apply(Activation(kind, "ail"), x, y)
-        signed = approx - exact
-        diff = np.abs(signed)
-        i, j = np.unravel_index(int(diff.argmax()), diff.shape)
-        distance = verify._kink_distance(x, y)
         ref_csv = tmp_path / "whole.csv"
-        np.savetxt(ref_csv, np.column_stack([np.broadcast_to(x, diff.shape).ravel(),
-                                             np.broadcast_to(y, diff.shape).ravel(),
-                                             exact.ravel(), approx.ravel(), signed.ravel()]),
+        np.savetxt(ref_csv, np.column_stack([np.broadcast_to(x, exact.shape).ravel(),
+                                             np.broadcast_to(y, exact.shape).ravel(),
+                                             exact.ravel(), approx.ravel(),
+                                             (approx - exact).ravel()]),
                    delimiter=",", header="x,y,exact,approx,diff", comments="", fmt="%.12g")
-        if kind == "xnor":
-            assert np.count_nonzero(diff == diff.max()) == 4
 
         [rep] = grid_compare([kind], half_range=1.0, step=0.25, csv_path=tmp_path / "bands.csv",
                              keep_surfaces=True)
-        assert rep.max_abs_diff == diff[i, j]
-        assert rep.argmax == (axes[i], axes[j])
-        assert rep.masked_max_abs_diff == np.max(diff, where=distance > verify.EXCLUSION,
-                                                 initial=0.0)
-        assert rep.wide_masked_max_abs_diff == np.max(diff, where=distance > verify.WIDE_EXCLUSION,
-                                                      initial=0.0)
         assert np.array_equal(rep.exact, exact) and np.array_equal(rep.approx, approx)
         assert (tmp_path / "bands.csv").read_bytes() == ref_csv.read_bytes()
-        # With neither output, each band evaluates only the columns from its
-        # first row on; every field keeps the whole grid's bits, also when one
-        # walk serves every kind.
-        [half] = grid_compare([kind], half_range=1.0, step=0.25)
-        shared = grid_compare(GATE_KINDS, half_range=1.0, step=0.25)[GATE_KINDS.index(kind)]
-        for got in (half, shared):
-            assert got == GridCompareReport(kind, rep.max_abs_diff, rep.argmax,
-                                            rep.masked_max_abs_diff, rep.wide_masked_max_abs_diff)
+
+    @pytest.mark.parametrize("block", [1, 20, 27, 32768])
+    @pytest.mark.parametrize("half_range, step", [(1.0, 0.25), (1.0, 0.3), (0.5, 1 / 3),
+                                                  (0.0, 0.1)])
+    @pytest.mark.parametrize("kind", GATE_KINDS)
+    def test_reduced_walk_matches_whole_grid(self, kind, half_range, step, block, monkeypatch):
+        # 9, 8, 4 and 1 points; bands of 1, 2 or 3 rows (27: rows 3-5 hold the
+        # middle of both 9 and 8 points) or the whole grid in one band. On 9
+        # points xnor's maximum ties at the four corners.
+        monkeypatch.setattr(verify, "BLOCK", block)
+        ref, axes, diff = _whole_grid(apply, kind, half_range, step)
+        assert np.array_equal(axes[::-1], -axes)
+        if kind == "xnor" and axes.size == 9:
+            assert np.count_nonzero(diff == diff.max()) == 4
+        [walked] = grid_compare([kind], half_range, step)
+        shared = grid_compare(GATE_KINDS, half_range, step)[GATE_KINDS.index(kind)]
+        [whole_rows] = grid_compare([kind], half_range, step, keep_surfaces=True)
+        assert walked == shared == ref
+        assert (whole_rows.max_abs_diff, whole_rows.argmax, whole_rows.masked_max_abs_diff,
+                whole_rows.wide_masked_max_abs_diff) == (ref.max_abs_diff, ref.argmax,
+                                                         ref.masked_max_abs_diff,
+                                                         ref.wide_masked_max_abs_diff)
+
+    @pytest.mark.parametrize("kinds, cells", [
+        (["and"], {"and": 45}), (["or"], {"and": 45}), (["xnor"], {"xnor": 15}),
+        (GATE_KINDS, {"and": 45, "xnor": 15}),
+    ])
+    def test_walk_evaluates_one_symmetry_class(self, kinds, cells, monkeypatch):
+        # Bands of one row on 9 points: the and pair runs on the 45 cells with
+        # x <= y and serves or; the xnor pair on the 15 with x <= y <= 0.
+        evaluated = {}
+
+        def counting_apply(act, x, y):
+            evaluated[act.name] = evaluated.get(act.name, 0) + np.broadcast(x, y).size
+            return apply(act, x, y)
+
+        monkeypatch.setattr(verify, "BLOCK", 9)
+        monkeypatch.setattr(verify, "apply", counting_apply)
+        grid_compare(kinds, half_range=1.0, step=0.25)
+        assert evaluated == {f"{kind}_{family}": count for kind, count in cells.items()
+                             for family in ("il", "ail")}
 
     @pytest.mark.parametrize("i, j", [(2, 3), (3, 4)])
     def test_half_grid_finds_an_off_diagonal_maximum(self, i, j, monkeypatch):
         # The gate differences peak on the diagonal (or tie with it) on every
-        # grid, so a symmetric stand-in peaks only at the mirrored cells (i, j)
-        # and (j, i). Bands are rows 2-3, 4-5, ... of 9 columns: (2, 3) and
-        # (3, 2) share a band; (3, 4) is in the second row of a band that
-        # starts at column 2, and (4, 3) lies left of its band's first column.
+        # grid, so stand-ins with each kind's symmetries peak off it. The and
+        # and or stand-ins tie at (i, j), at its negation (8 - i, 8 - j) and at
+        # their transposes; xnor's at every cell with the magnitudes of (i, j).
+        # Bands are rows 2-3, 4-5, ... of 9 columns: (2, 3) and (3, 2) share a
+        # band; (3, 4) is in the second row of a band that starts at column 2,
+        # (4, 3) lies left of its band's first column, and or's first maximum
+        # is the negation of and's last one, in a later band.
         axes = -1.0 + 0.25 * np.arange(9)
         pair_sum, pair_product = axes[i] + axes[j], axes[i] * axes[j]
+
+        def bump(x, y):
+            return 1.0 / (1.0 + (x + y - pair_sum) ** 2 + (x * y - pair_product) ** 2)
 
         def stand_in(act, x, y):
             if act.family == "il":
                 return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
-            return 1.0 / (1.0 + (x + y - pair_sum) ** 2 + (x * y - pair_product) ** 2)
+            if act.kind == "xnor":  # even in each operand, as |xnor difference| is
+                x, y = np.abs(x), np.abs(y)
+            return np.maximum(bump(x, y), bump(-x, -y))
 
         monkeypatch.setattr(verify, "BLOCK", 20)
         monkeypatch.setattr(verify, "apply", stand_in)
-        [whole] = grid_compare(["and"], half_range=1.0, step=0.25, keep_surfaces=True)
-        diff = whole.approx - whole.exact
-        assert np.argwhere(diff == diff.max()).tolist() == [[i, j], [j, i]]
-        assert whole.argmax == (axes[i], axes[j])
-        # Every kind sees the same stand-in, so a walk for all of them gives
-        # the whole grid's fields for each.
-        for half in grid_compare(["and"], half_range=1.0, step=0.25) \
-                + grid_compare(GATE_KINDS, half_range=1.0, step=0.25):
-            assert (half.max_abs_diff, half.argmax, half.masked_max_abs_diff,
-                    half.wide_masked_max_abs_diff) == (whole.max_abs_diff, whole.argmax,
-                                                       whole.masked_max_abs_diff,
-                                                       whole.wide_masked_max_abs_diff)
+        mirrored = {(i, j), (j, i), (8 - i, 8 - j), (8 - j, 8 - i)}
+        peaks = {"and": mirrored, "or": mirrored,
+                 "xnor": mirrored | {(i, 8 - j), (8 - j, i), (8 - i, j), (j, 8 - i)}}
+        for kind in GATE_KINDS:
+            ref, _, diff = _whole_grid(stand_in, kind, 1.0, 0.25)
+            assert set(map(tuple, np.argwhere(diff == diff.max()).tolist())) == peaks[kind]
+            assert ref.argmax == (axes[i], axes[j])
+            assert grid_compare([kind], half_range=1.0, step=0.25) == [ref]
+            assert grid_compare(GATE_KINDS, half_range=1.0, step=0.25)[
+                GATE_KINDS.index(kind)] == ref
+            # The whole-rows walk (CSV, surfaces) finds the same first maximum.
+            [whole] = grid_compare([kind], half_range=1.0, step=0.25, keep_surfaces=True)
+            assert (whole.max_abs_diff, whole.argmax, whole.masked_max_abs_diff,
+                    whole.wide_masked_max_abs_diff) == (ref.max_abs_diff, ref.argmax,
+                                                        ref.masked_max_abs_diff,
+                                                        ref.wide_masked_max_abs_diff)
+
+        # The whole-rows walk evaluates every cell of the kind's own gates and
+        # needs no symmetry; a stand-in that peaks at (i, j) alone shows that
+        # it does not transpose the cell it finds (symmetric ties would hide it).
+        def one_peak(act, x, y):
+            if act.family == "il":
+                return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+            return 1.0 / (1.0 + (x - axes[i]) ** 2 + 2.0 * (y - axes[j]) ** 2)
+
+        monkeypatch.setattr(verify, "apply", one_peak)
+        for kind in GATE_KINDS:
+            ref, _, diff = _whole_grid(one_peak, kind, 1.0, 0.25)
+            assert np.argwhere(diff == diff.max()).tolist() == [[i, j]]
+            [whole] = grid_compare([kind], half_range=1.0, step=0.25, keep_surfaces=True)
+            assert (whole.max_abs_diff, whole.argmax, whole.masked_max_abs_diff,
+                    whole.wide_masked_max_abs_diff) == (ref.max_abs_diff, ref.argmax,
+                                                        ref.masked_max_abs_diff,
+                                                        ref.wide_masked_max_abs_diff)
 
     def test_default_grid_peaks_below_one_surface(self):
         # A 2001 x 2001 surface is 32 MB; the bands keep the peak far below
