@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import mpmath
@@ -415,6 +416,43 @@ class TestGradients:
 
     def test_xnor_ail_zero_operand_gradient(self):
         assert gradient(Activation("xnor", "ail"), 0.0, 5.0) == (0.0, 0.0)
+
+    # Signed zeros, subnormals, units, the float64 extremes, infinities and NaN.
+    XNOR_EDGES = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0, -2.0,
+                  1e308, -1e308, math.inf, -math.inf, math.nan)
+
+    @staticmethod
+    def _xnor_ail_reference(x, y):
+        """xnor_ail's value and partials as sign and bool-mask expressions, the bit-exact reference."""
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        sx, sy = np.sign(x), np.sign(y)
+        ax, ay = np.abs(x), np.abs(y)
+        x_branch = ax <= ay
+        return (sx * sy * np.minimum(ax, ay),
+                sy * (x_branch & (x != 0)), sx * ~(x_branch | (y == 0)))
+
+    def test_xnor_ail_bits_at_edge_operands(self):
+        x, y = np.array(list(itertools.product(self.XNOR_EDGES, repeat=2))).T
+        want = self._xnor_ail_reference(x, y)
+        # Contiguous operands, and the interleaved column views an activation block passes.
+        z = np.stack([x, y], axis=1)
+        for operands in ((x, y), (z[:, 0::2], z[:, 1::2])):
+            got = A.xnor_ail(*operands, grad=True)
+            assert A.xnor_ail(*operands).view(np.int64).ravel().tolist() == \
+                want[0].view(np.int64).tolist()
+            for name, g, w in zip(("value", "d/dx", "d/dy"), got, want):
+                assert g.view(np.int64).ravel().tolist() == w.view(np.int64).tolist(), name
+
+    @pytest.mark.parametrize("form", [float, np.float64, np.array], ids=["float", "scalar", "0-d"])
+    def test_xnor_ail_bits_at_edge_scalars(self, form):
+        for a, b in itertools.product(self.XNOR_EDGES, repeat=2):
+            got = A.xnor_ail(form(a), form(b), grad=True)
+            want = self._xnor_ail_reference(a, b)
+            for g, w in zip(got, want):
+                assert type(g) is type(w), (a, b)
+                assert np.asarray(g).view(np.int64) == np.asarray(w).view(np.int64), (a, b)
+            assert np.asarray(A.xnor_ail(form(a), form(b))).view(np.int64) == \
+                np.asarray(want[0]).view(np.int64), (a, b)
 
 
 class TestNormalization:

@@ -158,6 +158,19 @@ def test_train_config_parse_error_exit_2(tmp_path):
     assert main(["train", str(tmp_path / "none.json")]) == 2
 
 
+@pytest.mark.parametrize("field", ["max_lr", "weight_decay"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_train_non_finite_rate_is_a_bad_config(field, literal, tmp_path, capsys):
+    # Python's json reads NaN and Infinity; such a rate must fail as a config, not as a NaN loss.
+    path = tmp_path / "rate.json"
+    path.write_text('{"task": "xor2", "activation": "relu", "widths": [2],'
+                    f' "train": {{"epochs": 1, "batch_size": 4, "{field}": {literal}}}}}')
+    assert main(["train", str(path), "--out-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and field in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow")
 def test_train_nan_abort_exit_3(tmp_path):
     cfg = {

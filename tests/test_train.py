@@ -226,6 +226,14 @@ class TestLosses:
         loss, grad = mse(z, t)
         assert loss == pytest.approx(2.5)
         assert np.allclose(grad, z)
+        # The loss has the bits of np.mean over the squared differences.
+        rng = np.random.default_rng(3)
+        for shape in ((1, 1), (128, 1), (7, 3)):
+            z, t = rng.standard_normal(shape), rng.standard_normal(shape)
+            diff = z - t
+            loss, grad = mse(z, t)
+            assert type(loss) is float and loss == float(np.mean(diff * diff))
+            assert np.array_equal(grad, (2.0 / z.size) * diff)
 
 
 class TestFit:
@@ -330,3 +338,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, batch_size=4, seed=-1)
     TrainConfig(epochs=1, batch_size=4, max_lr=0.0, weight_decay=0.0, seed=0)
+
+
+@pytest.mark.parametrize("field", ["max_lr", "weight_decay"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_rates(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(epochs=1, batch_size=4, **{field: value})
