@@ -285,6 +285,11 @@ class Activation:
     def name(self) -> str:
         return self.kind if self.family == "raw" else f"{self.kind}_{self.label}"
 
+    @property
+    def gate(self):
+        """The raw routine: gate(x, y, grad), or gate(x, grad) for a 1-input kind."""
+        return _GATES[(self.kind, self.family)]
+
     def __str__(self) -> str:
         return self.name
 
@@ -296,8 +301,7 @@ def apply(act: Activation, x, y=None, grad: bool = False):
     """
     if (y is None) != (act.arity == 1):
         raise ValueError(f"{act.name} takes {act.arity} operand(s), got {1 if y is None else 2}")
-    gate = _GATES[(act.kind, act.family)]
-    result = gate(x, grad=grad) if y is None else gate(x, y, grad)
+    result = act.gate(x, grad=grad) if y is None else act.gate(x, y, grad)
     return standardize(act, *result) if grad else standardize(act, result)
 
 

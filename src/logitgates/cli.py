@@ -190,10 +190,11 @@ def _cmd_report(args) -> int:
     for path in candidates:
         try:
             payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # JSON and UTF-8 decoding errors are ValueErrors
             continue
-        if "final" not in payload:
-            continue
+        if not (isinstance(payload, dict) and isinstance(payload.get("final"), dict)
+                and isinstance(payload.get("extras", {}), dict)):
+            continue  # not a train report
         summary = dict(payload["final"])
         summary.update(payload.get("extras", {}))
         rows.append((path, summary))

@@ -1,4 +1,4 @@
-"""Routing of pre-activation channels through one or more 2-input gates.
+"""An activation block's spec: one or more gates and how channels reach them.
 
 Operands are adjacent channel pairs (2i, 2i+1). Two strategies:
 
@@ -13,13 +13,13 @@ and 2-input kinds, or two families, in one ensemble is rejected.
 The text form is the only grammar: a single activation is its name
 ('xnor_nail', 'relu'), an ensemble is family:kinds:strategy
 ('nail:or+and+xnor:d', 'ail:or+xnor:p').
+
+The network's activation layer routes a block by its spec: it builds the
+routing once, from the spec and the input width, when the network is built.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import activations as A
 from .activations import Activation
 
 _STRATEGY_SUFFIX = {"partition": "p", "duplication": "d"}
@@ -104,59 +104,3 @@ def parse_spec(text: str) -> EnsembleSpec:
     family = label[1:] if normalized else label
     acts = tuple(Activation(kind, family, normalized) for kind in kinds.split("+"))
     return EnsembleSpec(acts, _SUFFIX_STRATEGY[suffix])
-
-
-def _join(parts):
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-
-def forward(spec: EnsembleSpec, z: np.ndarray, training: bool = False):
-    """Apply the ensemble to a (batch, n_c) pre-activation matrix.
-
-    With ``training``, returns (output, partials) instead: partials holds
-    d output / d x and d output / d y, each shaped like the output, for the
-    operand pair behind every output column (d output / d z and None for an
-    elementwise block). ``backward`` needs nothing else.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError("expected a (batch, channels) matrix")
-    n_c = z.shape[1]
-    spec.out_channels(n_c)  # validates the width
-    if spec.elementwise:
-        out = A.apply(spec.acts[0], z, grad=training)
-        return (out[0], (out[1], None)) if training else out
-    x, y = z[:, 0::2], z[:, 1::2]
-    if spec.strategy == "duplication":
-        results = [A.apply(act, x, y, grad=training) for act in spec.acts]
-    else:
-        # Pairs never straddle blocks: block j holds pairs [j*w, (j+1)*w).
-        w = x.shape[1] // spec.m
-        results = [A.apply(act, x[:, j * w:(j + 1) * w], y[:, j * w:(j + 1) * w], grad=training)
-                   for j, act in enumerate(spec.acts)]
-    if not training:
-        return _join(results)
-    values, gxs, gys = zip(*results)
-    return _join(values), (_join(gxs), _join(gys))
-
-
-def backward(spec: EnsembleSpec, partials, upstream: np.ndarray) -> np.ndarray:
-    """Chain upstream gradients back to the operand channels.
-
-    ``partials`` is what forward(..., training=True) returned with the output.
-    """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    gx, gy = partials
-    if upstream.shape != gx.shape:
-        raise ValueError(f"upstream shape {upstream.shape} != forward output {gx.shape}")
-    if spec.elementwise:
-        return upstream * gx
-    dx, dy = gx * upstream, gy * upstream
-    if spec.strategy == "duplication" and spec.m > 1:
-        # Every act saw the whole pair list: sum the acts' shares per pair.
-        dx = dx.reshape(dx.shape[0], spec.m, -1).sum(axis=1)
-        dy = dy.reshape(dy.shape[0], spec.m, -1).sum(axis=1)
-    dz = np.empty((dx.shape[0], 2 * dx.shape[1]))
-    dz[:, 0::2] = dx
-    dz[:, 1::2] = dy
-    return dz

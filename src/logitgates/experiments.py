@@ -152,10 +152,6 @@ def build_network(task: str, widths, activation: str, seed: int,
     return Network(_layer_specs(task, widths, activation, batch_norm), seed=seed)
 
 
-def param_count(net: Network) -> int:
-    return net.flat_params.size
-
-
 def param_count_for(task: str, widths, activation: str, batch_norm: bool = False) -> int:
     """Trainable parameter count of build_network's output, without building it."""
     layers = _layer_specs(task, widths, activation, batch_norm)
@@ -166,7 +162,7 @@ def param_count_for(task: str, widths, activation: str, batch_norm: bool = False
 def equal_param_relu_widths(reference: Network, task: str, n_hidden: int,
                             batch_norm: bool = False) -> list:
     """Hidden width (repeated n_hidden times) matching a reference's parameters."""
-    target = param_count(reference)
+    target = reference.flat_params.size
     best_w, best_gap = 1, float("inf")
     for w in range(1, 4097):
         n = param_count_for(task, [w] * n_hidden, "relu", batch_norm)
@@ -230,7 +226,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> tuple[TrainReport,
     report.extras["task"] = cfg.task
     report.extras["activation"] = cfg.activation
     report.extras["widths"] = list(cfg.widths)
-    report.extras["param_count"] = param_count(net)
+    report.extras["param_count"] = net.flat_params.size
 
     # The validation split is parity4's sign lattice and xor2's four training
     # points, so fit has scored them already.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ensemble
+from . import activations as A
 from .ensemble import EnsembleSpec, parse_spec
 
 _MAGIC = b"LGNET1"
@@ -67,7 +67,7 @@ LayerSpec = Affine | BatchNorm | EnsembleSpec
 
 
 class _AffineLayer:
-    def __init__(self, spec: Affine, rng: np.random.Generator):
+    def __init__(self, spec: Affine, n_in: int, rng: np.random.Generator):
         self.spec = spec
         bound = np.sqrt(1.0 / spec.n_in)
         self.weight = rng.uniform(-bound, bound, size=(spec.n_in, spec.n_out))
@@ -94,7 +94,7 @@ class _AffineLayer:
 
 
 class _BatchNormLayer:
-    def __init__(self, spec: BatchNorm, rng: np.random.Generator):
+    def __init__(self, spec: BatchNorm, n_in: int, rng: np.random.Generator):
         self.spec = spec
         c = spec.channels
         self.gamma = np.ones(c)
@@ -156,20 +156,69 @@ class _BatchNormLayer:
         return [("gamma", False), ("beta", False)]
 
 
+def _act_output(z, gate, xs, ys, normalized, training):
+    """One act's output from its plan entry: the value, or with training (value, *partials)."""
+    out = gate(z[..., xs], training) if ys is None else gate(z[..., xs], z[..., ys], training)
+    if normalized is None:
+        return out
+    return A.standardize(normalized, *out) if training else A.standardize(normalized, out)
+
+
 class _ActLayer:
-    def __init__(self, spec: EnsembleSpec, rng: np.random.Generator):
+    """An activation block, routed once at build from its spec and input width.
+
+    ``plan`` holds one entry per act: its gate, the slices of its x and y
+    operand columns on the last axis (y is None for an elementwise act), and
+    the act itself when it is normalized, else None. Under partition act j
+    reads the j-th contiguous block of pairs; under duplication every act
+    reads every pair, so the backward sums the acts' shares per pair.
+    """
+
+    def __init__(self, spec: EnsembleSpec, n_in: int, rng: np.random.Generator):
         self.spec = spec
+        self.n_in = n_in
+        if spec.elementwise:
+            self.plan = [(spec.acts[0].gate, slice(None), None, None)]
+        else:
+            partition = spec.strategy == "partition"
+            cols = n_in // spec.m if partition else n_in  # operand columns per act
+            self.plan = []
+            for j, act in enumerate(spec.acts):
+                lo = j * cols if partition else 0
+                self.plan.append((act.gate, slice(lo, lo + cols, 2), slice(lo + 1, lo + cols, 2),
+                                  act if act.normalized else None))
+        self.acts_per_pair = spec.m if spec.strategy == "duplication" else 1
         self._partials = None
 
     def forward(self, z, training):
+        if len(self.plan) == 1:
+            out = _act_output(z, *self.plan[0], training)
+        elif training:
+            results = [_act_output(z, *entry, True) for entry in self.plan]
+            out = [np.concatenate(parts, axis=-1) for parts in zip(*results)]
+        else:
+            out = np.concatenate([_act_output(z, *entry, False) for entry in self.plan], axis=-1)
         if not training:
             self._partials = None
-            return ensemble.forward(self.spec, z)
-        out, self._partials = ensemble.forward(self.spec, z, training=True)
-        return out
+            return out
+        # d output / d x and d output / d y per output column; d output / d z alone if elementwise.
+        self._partials = out[1:]
+        return out[0]
 
     def backward(self, dout):
-        return ensemble.backward(self.spec, self._partials, dout)
+        if len(self._partials) == 1:
+            return dout * self._partials[0]
+        gx, gy = self._partials
+        dz = np.empty(dout.shape[:-1] + (self.n_in,))
+        if self.acts_per_pair > 1:
+            # Every act saw the whole pair list: sum the acts' shares per pair.
+            shape = dout.shape[:-1] + (self.acts_per_pair, -1)
+            dz[..., 0::2] = (gx * dout).reshape(shape).sum(axis=-2)
+            dz[..., 1::2] = (gy * dout).reshape(shape).sum(axis=-2)
+        else:
+            np.multiply(gx, dout, out=dz[..., 0::2])
+            np.multiply(gy, dout, out=dz[..., 1::2])
+        return dz
 
     def params(self):
         return []
@@ -196,15 +245,15 @@ class Network:
         first = self.specs[0]
         if not isinstance(first, Affine):
             raise ValueError("first layer must be affine (it fixes the input width)")
-        width = self.input_width = first.n_in
+        widths = [first.n_in]  # each layer's input width, then the output width
         for i, spec in enumerate(self.specs):
             try:
-                width = spec.out_channels(width)
+                widths.append(spec.out_channels(widths[-1]))
             except ValueError as exc:
                 raise ValueError(f"layer {i}: {exc}") from exc
-        self.output_width = width
+        self.input_width, self.output_width = widths[0], widths[-1]
         rng = np.random.default_rng(self.seed)
-        self.layers = [_LAYER_TYPES[type(s)](s, rng) for s in self.specs]
+        self.layers = [_LAYER_TYPES[type(s)](s, n, rng) for s, n in zip(self.specs, widths)]
         self._training_cache = False
         self._build_flat_store()
 

@@ -178,8 +178,11 @@ EVAL_ROWS = 1024
 
 def evaluate(net: Network, ds: Dataset):
     """(loss, metric) on a dataset; metric is accuracy or RMSE by task."""
-    z = np.concatenate([net.forward(ds.inputs[i:i + EVAL_ROWS], training=False)
-                        for i in range(0, ds.n, EVAL_ROWS)])
+    if ds.n <= EVAL_ROWS:
+        z = net.forward(ds.inputs, training=False)
+    else:
+        z = np.concatenate([net.forward(ds.inputs[i:i + EVAL_ROWS], training=False)
+                            for i in range(0, ds.n, EVAL_ROWS)])
     if ds.task == "binary":
         loss, _ = bce_with_logits(z, ds.targets)
         metric = float(np.mean((z >= 0) == (ds.targets >= 0.5)))

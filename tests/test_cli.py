@@ -269,6 +269,28 @@ def test_report_command(tmp_path):
     assert "xnor_ail" in lines[2]  # higher accuracy sorts first
 
 
+def test_report_skips_json_that_is_not_a_report(tmp_path, capsys):
+    # Like an object without "final", these are not train reports: a top-level
+    # number or list, bytes that are not UTF-8, and a "final" or "extras" that
+    # is not an object.
+    stray = {"number.json": b"3", "list.json": b"[1, 2]",
+             "latin1.json": b'{"final": {"activation": "\xe9"}}',
+             "final.json": b'{"final": [1]}',
+             "extras.json": b'{"final": {"val_accuracy": 0.5}, "extras": 7}'}
+    only_stray, mixed = tmp_path / "only_stray", tmp_path / "mixed"
+    for directory in (only_stray, mixed):
+        directory.mkdir()
+        for name, raw in stray.items():
+            (directory / name).write_bytes(raw)
+    assert main(["report", "--in", str(only_stray)]) == 2
+    assert "no train reports" in capsys.readouterr().err
+
+    (mixed / "report.json").write_text(json.dumps({"final": {"val_accuracy": 0.9}}))
+    assert main(["report", "--in", str(mixed)]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert len(table) == 3 and str(mixed / "report.json") in table[2]
+
+
 def test_seed_env_fallback(tmp_path):
     cfg = {
         "task": "parity4",

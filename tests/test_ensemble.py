@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from logitgates.activations import Activation, apply
-from logitgates.ensemble import EnsembleSpec, backward, forward, parse_spec
+from logitgates.ensemble import EnsembleSpec, parse_spec
 from logitgates.experiments import bundled_config_path
 from logitgates.network import Affine, Network
 from logitgates.verify import all_activation_variants
@@ -12,6 +12,22 @@ from logitgates.verify import all_activation_variants
 OR_AIL = Activation("or", "ail")
 AND_AIL = Activation("and", "ail")
 XNOR_AIL = Activation("xnor", "ail")
+
+
+def act_layer(spec, n_c):
+    """The activation block a network builds for an n_c-wide input."""
+    return Network([Affine(n_c, n_c), spec], seed=0).layers[1]
+
+
+def forward(spec, z):
+    return act_layer(spec, z.shape[-1]).forward(z, False)
+
+
+def input_gradient(spec, z, upstream):
+    """d(sum(upstream * block(z))) / dz through the block's backward."""
+    layer = act_layer(spec, z.shape[-1])
+    layer.forward(z, True)
+    return layer.backward(upstream)
 
 
 def test_forward_duplication_or_and():
@@ -34,15 +50,13 @@ def test_forward_duplication_max_min_groupsort():
 
 def test_backward_single_or():
     spec = EnsembleSpec((OR_AIL,), "duplication")
-    _, partials = forward(spec, np.array([[1.0, 2.0]]), training=True)
-    dz = backward(spec, partials, np.array([[1.0]]))
+    dz = input_gradient(spec, np.array([[1.0, 2.0]]), np.array([[1.0]]))
     assert np.array_equal(dz, np.array([[1.0, 1.0]]))
 
 
 def test_backward_duplication_accumulates():
     spec = EnsembleSpec((OR_AIL, AND_AIL), "duplication")
-    _, partials = forward(spec, np.array([[1.0, 2.0]]), training=True)
-    dz = backward(spec, partials, np.array([[1.0, 1.0]]))
+    dz = input_gradient(spec, np.array([[1.0, 2.0]]), np.array([[1.0, 1.0]]))
     # finite-difference oracle on sum(upstream * forward) gives [2, 1]
     assert np.array_equal(dz, np.array([[2.0, 1.0]]))
 
@@ -68,23 +82,30 @@ def test_single_act_strategies_identical():
     dup = EnsembleSpec((XNOR_AIL,), "duplication")
     part = EnsembleSpec((XNOR_AIL,), "partition")
     assert np.array_equal(forward(dup, z), forward(part, z))
-    assert np.array_equal(backward(dup, forward(dup, z, training=True)[1], up),
-                          backward(part, forward(part, z, training=True)[1], up))
+    assert np.array_equal(input_gradient(dup, z, up), input_gradient(part, z, up))
 
 
-@pytest.mark.parametrize("spec", [
-    parse_spec("il:or+and+xnor:d"),
-    parse_spec("nil:or+and+xnor:d"),
-    parse_spec("ail:or+and+xnor:d"),
-], ids=lambda spec: "+".join(a.name for a in spec.acts))
-def test_duplication_block_equals_per_activation_apply(spec):
-    # The block applies each act to the whole pair list and joins the results;
-    # it must give what each act alone gives, bit for bit.
-    z = np.random.default_rng(3).standard_normal((64, 40)) * 3.0
+@pytest.mark.parametrize("text", [
+    "il:or+and+xnor:d", "nil:or+and+xnor:d", "ail:or+and+xnor:d",
+    "ail:or+xnor:p", "nil:or+and+xnor:p",
+])
+def test_block_equals_per_activation_apply(text):
+    # Under duplication the block applies each act to the whole pair list,
+    # under partition act j to the j-th contiguous block of pairs, and joins
+    # the results; it must give what each act alone gives, bit for bit.
+    spec = parse_spec(text)
+    z = np.random.default_rng(3).standard_normal((64, 60)) * 3.0
     x, y = z[:, 0::2], z[:, 1::2]
-    value, (gx, gy) = forward(spec, z, training=True)
-    per_act = [apply(act, x, y, grad=True) for act in spec.acts]
-    for got, want in zip((forward(spec, z), value, gx, gy),
+    if spec.strategy == "partition":
+        w = x.shape[1] // spec.m
+        operands = [(x[:, j * w:(j + 1) * w], y[:, j * w:(j + 1) * w]) for j in range(spec.m)]
+    else:
+        operands = [(x, y)] * spec.m
+    per_act = [apply(act, *xy, grad=True) for act, xy in zip(spec.acts, operands)]
+    layer = act_layer(spec, z.shape[1])
+    value = layer.forward(z, True)
+    gx, gy = layer._partials
+    for got, want in zip((layer.forward(z, False), value, gx, gy),
                          (np.concatenate([r[i] for r in per_act], axis=1) for i in (0, 0, 1, 2))):
         assert np.array_equal(got, want)
 
@@ -109,7 +130,7 @@ def test_backward_matches_finite_differences(text, n_c):
     z = z[~bad][:180]
     assert z.shape[0] >= 170
     up = rng.standard_normal((z.shape[0], spec.out_channels(n_c)))
-    ana = backward(spec, forward(spec, z, training=True)[1], up)
+    ana = input_gradient(spec, z, up)
     h = 1e-6
     fd = np.zeros_like(z)
     for j in range(n_c):
@@ -157,7 +178,7 @@ def test_relu_block_is_elementwise():
     z = np.array([[-1.0, 2.0, -3.0]])
     assert np.array_equal(forward(spec, z), np.array([[0.0, 2.0, 0.0]]))
     assert spec.out_channels(3) == 3
-    dz = backward(spec, forward(spec, z, training=True)[1], np.ones((1, 3)))
+    dz = input_gradient(spec, z, np.ones((1, 3)))
     assert np.array_equal(dz, np.array([[0.0, 1.0, 0.0]]))
 
 
@@ -169,6 +190,12 @@ def test_invalid_specs():
     for text in ("nand_il", "and_raw", "ail:or+and", "nail:or:q"):
         with pytest.raises(ValueError):
             parse_spec(text)
+    # A block's widths are checked once, when the network is built, and its
+    # upstream width on every backward.
+    spec = EnsembleSpec((OR_AIL,), "duplication")
+    with pytest.raises(ValueError, match="layer 1: duplication needs an even channel count"):
+        Network([Affine(4, 5), spec])
+    net = Network([Affine(4, 4), spec])
+    net.forward(np.zeros((2, 4)), training=True)
     with pytest.raises(ValueError):
-        spec = EnsembleSpec((OR_AIL,), "duplication")
-        backward(spec, forward(spec, np.zeros((2, 4)), training=True)[1], np.zeros((2, 3)))
+        net.backward(np.zeros((2, 3)))

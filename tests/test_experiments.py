@@ -16,7 +16,6 @@ from logitgates.experiments import (
     config_from_dict,
     equal_param_relu_widths,
     mnist_available,
-    param_count,
     resolve_config,
     run_experiment,
     task_datasets,
@@ -35,14 +34,14 @@ def test_build_network_shapes():
     assert net.input_width == 784 and net.output_width == 10
     # duplication triples the pair count: 256 -> 384
     assert net.specs[3] == Affine(384, 256)
-    assert param_count(net) == 304_394
+    assert net.flat_params.size == 304_394
 
 
 def test_equal_param_relu_matches_count():
     ref = build_network("mnist", [256, 256], "ail:or+and+xnor:d", seed=0, batch_norm=True)
     widths = equal_param_relu_widths(ref, "mnist", 2, batch_norm=True)
     relu_net = build_network("mnist", widths, "relu", seed=0, batch_norm=True)
-    assert abs(param_count(relu_net) - param_count(ref)) < 1500
+    assert abs(relu_net.flat_params.size - ref.flat_params.size) < 1500
 
 
 def test_bundled_configs_parse():

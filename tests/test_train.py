@@ -10,6 +10,7 @@ from logitgates.ensemble import parse_spec
 from logitgates.network import Affine, BatchNorm, Network
 from logitgates.numerics import sigmoid
 from logitgates.train import (
+    EVAL_ROWS,
     AdamState,
     NaNLossError,
     TrainConfig,
@@ -178,6 +179,20 @@ def test_adam_step_allocates_nothing():
         tracemalloc.stop()
     assert peak < net.flat_params.nbytes / 4, (peak, net.flat_params.nbytes)
     assert np.array_equal(net.flat_grads, grads)
+
+
+@pytest.mark.parametrize("n", [EVAL_ROWS, EVAL_ROWS + 1])
+def test_evaluate_matches_chunked_forwards(n):
+    # Up to EVAL_ROWS rows take one forward pass, more take one per chunk;
+    # either way the scores have the bits of the joined per-chunk outputs.
+    net = Network([Affine(4, 8), BatchNorm(8), parse_spec("nil:or+xnor:p"), Affine(4, 2)], seed=2)
+    rng = np.random.default_rng(n)
+    net.forward(rng.standard_normal((32, 4)), training=True)  # moves the running statistics
+    ds = data.Dataset(rng.standard_normal((n, 4)), rng.standard_normal((n, 2)), "regression")
+    z = np.concatenate([net.forward(ds.inputs[i:i + EVAL_ROWS])
+                        for i in range(0, n, EVAL_ROWS)])
+    want, _ = mse(z, ds.targets)
+    assert evaluate(net, ds) == (want, math.sqrt(want))
 
 
 class TestLosses:
