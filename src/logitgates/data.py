@@ -216,5 +216,6 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
                              "not 28x28")
     if labels.max() >= 10:
         raise IdxFormatError(f"{labels_path}: label {labels.max()} is not a digit 0-9")
-    flat = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+    flat = images.reshape(images.shape[0], -1).astype(np.float64)
+    flat /= 255.0  # in place: one float copy, whether or not numpy elides a temporary
     return Dataset(flat, labels, "classification", n_classes=10)

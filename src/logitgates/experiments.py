@@ -12,7 +12,7 @@ from .data import Dataset
 from .ensemble import parse_spec
 from .network import Affine, BatchNorm, Network
 from .numerics import sigmoid
-from .train import TrainConfig, TrainReport, fit
+from .train import TrainConfig, TrainReport, fit, require_count
 
 MNIST_DIR_ENV_VAR = "LOGITGATES_MNIST_DIR"
 
@@ -47,8 +47,9 @@ class ExperimentConfig:
         if self.task not in TASK_DIMS:
             raise ValueError(f"unknown task {self.task!r}")
         for key in ("n_train", "n_val"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+            require_count(key, getattr(self, key), 1)
+        for i, width in enumerate(self.widths):
+            require_count(f"widths[{i}]", width, 1)
         if self.train.loss != DEFAULT_LOSS[self.task]:
             raise ValueError(f"train.loss: {self.task} trains on {DEFAULT_LOSS[self.task]!r}, "
                              f"got {self.train.loss!r}")
@@ -93,8 +94,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     raw = dict(raw)
     train_raw = raw.pop("train")
     _check_fields(TrainConfig, train_raw, "train.")
-    if not all(type(w) is int and w >= 1 for w in raw["widths"]):
-        raise ConfigError(f"'widths' must hold integers >= 1, got {raw['widths']!r}")
     if raw["task"] in DEFAULT_LOSS:
         train_raw = {"loss": DEFAULT_LOSS[raw["task"]]} | train_raw
     try:

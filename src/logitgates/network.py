@@ -74,20 +74,23 @@ class _AffineLayer:
         self.bias = np.zeros(spec.n_out)
         self._x = None
 
+    # The products go through dot, not the matmul operator: both reach the
+    # same BLAS routine with the same bits, but matmul's ufunc dispatch costs
+    # about a microsecond more per call, which counts on a small network.
     def forward(self, x, training):
         self._x = x if training else None
-        out = x @ self.weight
+        out = x.dot(self.weight)
         out += self.bias
         return out
 
     def param_grads(self, dout):
         """Write the weight and bias gradients; the input gradient is not formed."""
-        np.matmul(self._x.T, dout, out=self.grad_weight)
+        np.dot(self._x.T, dout, out=self.grad_weight)
         dout.sum(axis=0, out=self.grad_bias)
 
     def backward(self, dout):
         self.param_grads(dout)
-        return dout @ self.weight.T
+        return dout.dot(self.weight.T)
 
     def params(self):
         return [("weight", True), ("bias", False)]
@@ -252,6 +255,7 @@ class Network:
             except ValueError as exc:
                 raise ValueError(f"layer {i}: {exc}") from exc
         self.input_width, self.output_width = widths[0], widths[-1]
+        self.widest_output = max(widths[1:])  # of any layer
         rng = np.random.default_rng(self.seed)
         self.layers = [_LAYER_TYPES[type(s)](s, n, rng) for s, n in zip(self.specs, widths)]
         self._training_cache = False

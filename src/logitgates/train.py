@@ -2,6 +2,7 @@
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,16 +24,24 @@ class TrainConfig:
     loss: str = "bce-with-logits"  # "bce-with-logits" | "cross-entropy" | "mse"
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            require_count(name, getattr(self, name), least)
         for name in ("max_lr", "weight_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):  # JSON reads NaN and Infinity
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.loss not in _LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+
+
+def require_count(name: str, value, least: int) -> None:
+    """Raise ValueError naming the field unless value is an integer >= least.
+
+    numpy integers count; a bool is a flag, not a count, and a float is refused
+    even when whole, as a JSON config refuses it.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class NaNLossError(RuntimeError):
@@ -69,46 +78,49 @@ def one_cycle_lr(step: int, total_steps: int, max_lr: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Optimizer: Adam with coupled weight decay (added to the gradient, weights
-# only). The step walks Network.flat_params/flat_grads in BLOCK-element
-# slices, so its temporaries stay in cache, and writes them into block-sized
-# scratch buffers kept in the state, so no step after the first allocates.
-# The views of every slice are cut once, on the first step: a small network's
-# step takes microseconds, and slicing anew would add to each of them.
+# only). The two moments are the rows of one (2, P) array, so each operation
+# that is the same for both, with its own beta, runs once for the pair. The
+# step walks Network.flat_params/flat_grads in BLOCK-element slices, so its
+# temporaries stay in cache, and writes them into block-sized scratch buffers
+# kept in the state, so no step after the first allocates. The views of every
+# slice are cut once, on the first step: a small network's step takes
+# microseconds, and slicing anew would add to each of them.
 # ---------------------------------------------------------------------------
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+_BETAS = np.array(ADAM_BETAS).reshape(2, 1)
+_ONE_MINUS_BETAS = 1 - _BETAS
 
 
 class AdamState:
     def __init__(self):
         self.t = 0
-        self.m = None
-        self.v = None
-        # Per BLOCK-element slice: (params, grads, decayed, m, v, a, b), where
-        # decayed counts the slice's elements in the weight-decayed prefix and
-        # a, b are the two block-sized scratch buffers cut to its length.
+        self.mv = None  # row 0 is the first moment m, row 1 the second moment v
+        self.bias_correction = np.empty((2, 1))  # 1 - beta ** t per row
+        # Per BLOCK-element slice: (params, grads, decayed, mv, s, s_m, s_v, b),
+        # where decayed counts the slice's elements in the weight-decayed
+        # prefix, s is a (2, BLOCK) scratch buffer cut to the slice's length
+        # with s_m, s_v its rows, and b a BLOCK-element one.
         self.blocks = None
 
 
 def adam_step(net: Network, state: AdamState, lr, weight_decay=0.0):
     b1, b2 = ADAM_BETAS
     state.t += 1
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
-    if state.m is None:
-        state.m = np.zeros_like(net.flat_params)
-        state.v = np.zeros_like(net.flat_params)
+    state.bias_correction[:, 0] = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    if state.mv is None:
+        state.mv = np.zeros((2, net.flat_params.size))
         size = min(BLOCK, net.flat_params.size)
-        scratch = np.empty(size), np.empty(size)
+        scratch, decayed_grad = np.empty((2, size)), np.empty(size)
         state.blocks = []
         for i in range(0, net.flat_params.size, BLOCK):
             p = net.flat_params[i:i + BLOCK]
+            s = scratch[:, :p.size]
             state.blocks.append((p, net.flat_grads[i:i + BLOCK],
                                  min(max(net.n_decayed - i, 0), p.size),
-                                 state.m[i:i + BLOCK], state.v[i:i + BLOCK],
-                                 *(buf[:p.size] for buf in scratch)))
-    for p, g, d, m, v, a, b in state.blocks:
+                                 state.mv[:, i:i + BLOCK], s, s[0], s[1], decayed_grad[:p.size]))
+    for p, g, d, mv, s, s_m, s_v, b in state.blocks:
         if weight_decay and d:
             # g plus weight_decay * p on the first d elements, into b; where
             # nothing decays g stays a slice of flat_grads, which is only read.
@@ -116,18 +128,18 @@ def adam_step(net: Network, state: AdamState, lr, weight_decay=0.0):
             b[:d] += g[:d]
             b[d:] = g[d:]
             g = b
-        m *= b1
-        m += np.multiply(1 - b1, g, out=a)
-        v *= b2
-        np.multiply(1 - b2, g, out=a)
-        v += np.multiply(a, g, out=a)
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in this operation
-        # order; the gradient is dead, so b takes the denominator.
-        np.multiply(lr, np.divide(m, bc1, out=a), out=a)
-        np.sqrt(np.divide(v, bc2, out=b), out=b)
-        b += ADAM_EPS
-        a /= b
-        p -= a
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + ((1 - b2) * g) * g.
+        mv *= _BETAS
+        np.multiply(_ONE_MINUS_BETAS, g, out=s)
+        s_v *= g
+        mv += s
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in this operation order.
+        np.divide(mv, state.bias_correction, out=s)
+        s_m *= lr
+        np.sqrt(s_v, out=s_v)
+        s_v += ADAM_EPS
+        s_m /= s_v
+        p -= s_m
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +184,17 @@ _LOSSES = {"bce-with-logits": bce_with_logits, "cross-entropy": cross_entropy, "
 # ---------------------------------------------------------------------------
 
 
-# Rows per forward pass in evaluate, so its memory does not grow with the data.
-EVAL_ROWS = 1024
-
-
 def evaluate(net: Network, ds: Dataset):
     """(loss, metric) on a dataset; metric is accuracy or RMSE by task."""
-    if ds.n <= EVAL_ROWS:
+    # Rows per forward pass: about 2 * BLOCK elements (512 KB) in the widest
+    # layer output, so memory does not grow with the data. Eval-mode rows are
+    # independent, so the scores are the same at any chunk size.
+    rows = max(1, 2 * BLOCK // net.widest_output)
+    if ds.n <= rows:
         z = net.forward(ds.inputs, training=False)
     else:
-        z = np.concatenate([net.forward(ds.inputs[i:i + EVAL_ROWS], training=False)
-                            for i in range(0, ds.n, EVAL_ROWS)])
+        z = np.concatenate([net.forward(ds.inputs[i:i + rows], training=False)
+                            for i in range(0, ds.n, rows)])
     if ds.task == "binary":
         loss, _ = bce_with_logits(z, ds.targets)
         metric = float(np.mean((z >= 0) == (ds.targets >= 0.5)))

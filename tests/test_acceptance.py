@@ -3,17 +3,16 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and measured values. Criteria 3a and 6a are strict xfails: the stated
 thresholds are not attainable (see the repository notes); the tests assert
-them anyway and the suite records the failure as expected.
+them anyway and the suite records the failure as expected. Every criterion
+that trains runs configs bundled with the package, overriding only the seed,
+so an edited shipped config is certified again.
 """
 
-import json
-import math
 import time
 
 import numpy as np
 import pytest
 
-from logitgates import data
 from logitgates.activations import (
     GATE_KINDS,
     Activation,
@@ -32,15 +31,13 @@ from logitgates.activations import (
 from logitgates.ensemble import parse_spec
 from logitgates.experiments import (
     build_network,
-    config_from_dict,
     equal_param_relu_widths,
     mnist_available,
+    resolve_config,
     run_experiment,
-    task_datasets,
 )
 from logitgates.network import Affine, Network
 from logitgates.numerics import sigmoid
-from logitgates.train import TrainConfig, evaluate, fit
 from logitgates.verify import (
     all_activation_variants,
     gradcheck_activation,
@@ -56,25 +53,18 @@ def report(line: str):
     print(f"\n[acceptance] {line}")
 
 
-def parity_config(activation: str, seed: int) -> dict:
-    return {
-        "task": "parity4",
-        "activation": activation,
-        "widths": [4, 2],
-        "n_train": 1024,
-        "train": {"epochs": 100, "batch_size": 64, "max_lr": 0.01,
-                  "weight_decay": 1e-4, "seed": seed, "loss": "bce-with-logits"},
-    }
-
-
-def run_parity(activation: str, seed: int):
-    report_obj, _ = run_experiment(config_from_dict(parity_config(activation, seed)))
+def run_bundled(name: str, seed: int):
+    """The report of bundled config `name` trained with train.seed set to seed,
+    as `logitgates train name --seed seed` runs it."""
+    cfg = resolve_config(name)
+    cfg.train.seed = seed
+    report_obj, _ = run_experiment(cfg)
     return report_obj
 
 
 def test_criterion_1_parity_learnability():
     t0 = time.time()
-    correct = [run_parity("xnor_ail", seed).extras["lattice_correct"] for seed in SEEDS]
+    correct = [run_bundled("parity4_xnor_ail", seed).extras["lattice_correct"] for seed in SEEDS]
     elapsed = time.time() - t0
     solved = sum(c == 16 for c in correct)
     report(f"criterion 1 (parity-4 with xnor_ail): lattice correct per seed {correct}, "
@@ -86,7 +76,7 @@ def test_criterion_1_parity_learnability():
 
 def test_criterion_2_parity_relu_deficit():
     t0 = time.time()
-    correct = [run_parity("relu", seed).extras["lattice_correct"] for seed in SEEDS]
+    correct = [run_bundled("parity4_relu", seed).extras["lattice_correct"] for seed in SEEDS]
     elapsed = time.time() - t0
     below = sum(c < 16 for c in correct)
     median = float(np.median(correct))
@@ -96,23 +86,6 @@ def test_criterion_2_parity_relu_deficit():
     assert below >= 4
     assert median <= 12
     assert elapsed < 10
-
-
-def nested_config(activation: str, seed: int) -> dict:
-    return {
-        "task": "nested_xnor8",
-        "activation": activation,
-        "widths": [8, 8, 8],
-        "n_train": 16384,
-        "n_val": 1024,
-        "train": {"epochs": 100, "batch_size": 128, "max_lr": 0.01,
-                  "weight_decay": 1e-4, "seed": seed, "loss": "mse"},
-    }
-
-
-def run_nested(activation: str, seed: int) -> float:
-    report_obj, _ = run_experiment(config_from_dict(nested_config(activation, seed)))
-    return report_obj.final["val_rmse"]
 
 
 @pytest.mark.xfail(
@@ -126,7 +99,7 @@ def run_nested(activation: str, seed: int) -> float:
 )
 def test_criterion_3a_nested_xnor_net():
     t0 = time.time()
-    rmses = [run_nested("xnor_ail", seed) for seed in SEEDS]
+    rmses = [run_bundled("nested_xnor8_xnor_ail", seed).final["val_rmse"] for seed in SEEDS]
     elapsed = time.time() - t0
     good = sum(r <= 0.05 for r in rmses)
     report(f"criterion 3a (nested regression, xnor_ail): val RMSE per seed "
@@ -137,7 +110,7 @@ def test_criterion_3a_nested_xnor_net():
 
 def test_criterion_3b_nested_relu_deficit():
     t0 = time.time()
-    rmses = [run_nested("relu", seed) for seed in SEEDS]
+    rmses = [run_bundled("nested_xnor8_relu", seed).final["val_rmse"] for seed in SEEDS]
     elapsed = time.time() - t0
     stuck = sum(r >= 0.15 for r in rmses)
     ok = stuck >= 4 and elapsed < 60
@@ -153,15 +126,7 @@ def test_criterion_4_xor_single_hidden_layer():
     solved = 0
     per_seed = []
     for seed in SEEDS:
-        cfg = config_from_dict({
-            "task": "xor2",
-            "activation": "xnor_nail",
-            "widths": [2],
-            "train": {"epochs": 200, "batch_size": 4, "max_lr": 0.05,
-                      "weight_decay": 1e-4, "seed": seed, "loss": "bce-with-logits"},
-        })
-        rep, _ = run_experiment(cfg)
-        per_seed.append(rep.extras["train_points_correct"])
+        per_seed.append(run_bundled("xor2_xnor_nail", seed).extras["train_points_correct"])
         solved += per_seed[-1] == 4
     elapsed = time.time() - t0
     ok = solved >= 4 and elapsed < 5
@@ -296,36 +261,33 @@ def test_criterion_8_algebraic_identities():
            f"odd symmetry {max(odd_ail, odd_il):.1e} -> PASS")
 
 
+def test_criterion_9_relu_baseline_is_parameter_matched():
+    # Criterion 9's ReLU run is the ensemble's recipe at the hidden width that
+    # matches its parameter count; the bundled pair is checked without MNIST.
+    ail = resolve_config("mnist_ail_ensemble")
+    relu = resolve_config("mnist_relu")
+    net = build_network(ail.task, ail.widths, ail.activation, ail.train.seed, ail.batch_norm)
+    matched = equal_param_relu_widths(net, ail.task, len(ail.widths), ail.batch_norm)
+    report(f"criterion 9 (mnist relu baseline): bundled widths {relu.widths}, "
+           f"parameter-matched {matched} -> {'PASS' if relu.widths == matched else 'FAIL'}")
+    assert relu.widths == matched
+    assert (relu.task, relu.batch_norm, relu.train) == (ail.task, ail.batch_norm, ail.train)
+
+
 def test_criterion_9_mnist_desk_scale():
     if not mnist_available():
         report("criterion 9 (mnist): SKIPPED - MNIST IDX files not found "
                "(set LOGITGATES_MNIST_DIR or place files under data/mnist)")
         pytest.skip("MNIST IDX files absent; criterion skipped with warning")
     t0 = time.time()
-    ail_cfg = config_from_dict({
-        "task": "mnist",
-        "activation": "ail:or+and+xnor:d",
-        "widths": [256, 256],
-        "batch_norm": True,
-        "train": {"epochs": 5, "batch_size": 256, "max_lr": 0.01,
-                  "weight_decay": 1e-4, "seed": 0, "loss": "cross-entropy"},
-    })
-    ail_report, ail_net = run_experiment(ail_cfg)
-    relu_widths = equal_param_relu_widths(ail_net, "mnist", 2, batch_norm=True)
-    relu_cfg = config_from_dict({
-        "task": "mnist",
-        "activation": "relu",
-        "widths": relu_widths,
-        "batch_norm": True,
-        "train": {"epochs": 5, "batch_size": 256, "max_lr": 0.01,
-                  "weight_decay": 1e-4, "seed": 0, "loss": "cross-entropy"},
-    })
-    relu_report, _ = run_experiment(relu_cfg)
+    ail_report = run_bundled("mnist_ail_ensemble", seed=0)
+    relu_report = run_bundled("mnist_relu", seed=0)
     elapsed = time.time() - t0
     acc = ail_report.final["val_accuracy"]
     relu_acc = relu_report.final["val_accuracy"]
     ok = acc >= 0.96 and acc >= relu_acc - 0.005 and elapsed < 600
-    report(f"criterion 9 (mnist): ensemble acc {acc:.4f}, relu ({relu_widths[0]} wide) "
+    relu_width = relu_report.extras["widths"][0]
+    report(f"criterion 9 (mnist): ensemble acc {acc:.4f}, relu ({relu_width} wide) "
            f"acc {relu_acc:.4f}, {elapsed:.0f}s -> {'PASS' if ok else 'FAIL'}")
     assert acc >= 0.96
     assert acc >= relu_acc - 0.005
@@ -333,9 +295,8 @@ def test_criterion_9_mnist_desk_scale():
 
 
 def test_criterion_10_determinism():
-    cfg = parity_config("xnor_ail", seed=0)
-    first, _ = run_experiment(config_from_dict(cfg))
-    second, _ = run_experiment(config_from_dict(cfg))
+    first = run_bundled("parity4_xnor_ail", seed=0)
+    second = run_bundled("parity4_xnor_ail", seed=0)
     identical = first.to_json().encode() == second.to_json().encode()
     report(f"criterion 10 (determinism): byte-identical reports -> "
            f"{'PASS' if identical else 'FAIL'}")

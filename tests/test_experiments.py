@@ -115,6 +115,23 @@ def test_unroutable_widths_are_refused_on_read(activation, widths, cause):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("field", ["n_train", "n_val", "widths"])
+@pytest.mark.parametrize("value", [4.7, 4.0, True], ids=["fraction", "whole-float", "bool"])
+def test_config_rejects_non_integer_counts(field, value):
+    # A float width would build a layer of its integer part and a float count
+    # fail later in the generators, so both are refused at construction;
+    # numpy integers are integers.
+    def config(count):
+        counts = {"widths": [count, 2]} if field == "widths" else {"widths": [4, 2], field: count}
+        return ExperimentConfig(task="nested_xnor8", activation="relu",
+                                train=TrainConfig(epochs=1, batch_size=8, loss="mse"), **counts)
+
+    with pytest.raises(ValueError, match=re.escape(field) + r"(\[0\])? must be an integer"):
+        config(value)
+    cfg = config(np.int64(4))
+    assert build_network(cfg.task, cfg.widths, cfg.activation, seed=0).specs[0] == Affine(8, 4)
+
+
 def _fuzzed(raw, rng, n_edits):
     """raw with keys dropped, renamed or given a value of another type."""
     values = [None, True, 0, -1, 2.5, "", "relu", [], [8, 0], {}, {"epochs": 1}]

@@ -10,7 +10,6 @@ from logitgates.ensemble import parse_spec
 from logitgates.network import Affine, BatchNorm, Network
 from logitgates.numerics import sigmoid
 from logitgates.train import (
-    EVAL_ROWS,
     AdamState,
     NaNLossError,
     TrainConfig,
@@ -181,18 +180,30 @@ def test_adam_step_allocates_nothing():
     assert np.array_equal(net.flat_grads, grads)
 
 
-@pytest.mark.parametrize("n", [EVAL_ROWS, EVAL_ROWS + 1])
-def test_evaluate_matches_chunked_forwards(n):
-    # Up to EVAL_ROWS rows take one forward pass, more take one per chunk;
-    # either way the scores have the bits of the joined per-chunk outputs.
+@pytest.mark.parametrize("n", [32, 33, 100])
+def test_evaluate_matches_chunked_forwards(n, monkeypatch):
+    # evaluate forwards chunks of 2 * BLOCK elements of the widest layer
+    # output, here 2 * 128 // 8 = 32 rows: up to 32 rows take one pass, more
+    # take one per chunk. Either way the scores have the bits of the joined
+    # per-chunk outputs, and of one pass over every row.
+    monkeypatch.setattr(train, "BLOCK", 128)
     net = Network([Affine(4, 8), BatchNorm(8), parse_spec("nil:or+xnor:p"), Affine(4, 2)], seed=2)
+    assert net.widest_output == 8
     rng = np.random.default_rng(n)
     net.forward(rng.standard_normal((32, 4)), training=True)  # moves the running statistics
     ds = data.Dataset(rng.standard_normal((n, 4)), rng.standard_normal((n, 2)), "regression")
-    z = np.concatenate([net.forward(ds.inputs[i:i + EVAL_ROWS])
-                        for i in range(0, n, EVAL_ROWS)])
+    z = np.concatenate([net.forward(ds.inputs[i:i + 32]) for i in range(0, n, 32)])
     want, _ = mse(z, ds.targets)
+    assert mse(net.forward(ds.inputs), ds.targets)[0] == want
+    passes, forward = [], net.forward
+
+    def counted(x, training):
+        passes.append(len(x))
+        return forward(x, training)
+
+    monkeypatch.setattr(net, "forward", counted)
     assert evaluate(net, ds) == (want, math.sqrt(want))
+    assert passes == [min(32, n - i) for i in range(0, n, 32)]
 
 
 class TestLosses:
@@ -360,3 +371,14 @@ def test_config_validation():
 def test_config_rejects_non_finite_rates(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(epochs=1, batch_size=4, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["epochs", "batch_size", "seed"])
+@pytest.mark.parametrize("value", [2.5, 4.0, True], ids=["fraction", "whole-float", "bool"])
+def test_config_rejects_non_integer_counts(field, value):
+    # Refused at construction, not later by fit or the data generators;
+    # numpy integers are integers.
+    counts = {"epochs": 1, "batch_size": 4}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        TrainConfig(**counts | {field: value})
+    assert getattr(TrainConfig(**counts | {field: np.int64(3)}), field) == 3
