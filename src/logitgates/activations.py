@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import LOGIT_CLAMP
+from .numerics import LOGIT_CLAMP, check_fields
 
 
 def _f64(x):
@@ -267,6 +267,7 @@ class Activation:
     normalized: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         if (self.kind, self.family) not in _GATES:
             raise ValueError(f"no activation {self.kind!r} in family {self.family!r}")
         if self.normalized and (self.kind, self.family) not in NORMALIZATION_TABLE:

@@ -10,7 +10,7 @@ import secrets
 import stat
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -163,7 +163,7 @@ def _cmd_train(args) -> int:
         cfg.train.seed = args.seed
     out_dir = args.out_dir or cfg.output_dir or "runs/" + Path(args.config).stem
     try:
-        report, _ = run_experiment(cfg, output_dir=out_dir)
+        report, _ = run_experiment(replace(cfg, output_dir=out_dir))
     except NaNLossError as exc:
         print(f"train: aborted: {exc}", file=sys.stderr)
         return 3

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import xnor_ail, xnor_il
-from .numerics import sigmoid
+from .activations import xnor_ail
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -84,25 +83,6 @@ def _nest(gate, x: np.ndarray) -> np.ndarray:
 def nested_xnor_ail_logit(x: np.ndarray) -> np.ndarray:
     """Nested approximate gates; identically sign(prod x) * min |x|."""
     return _nest(xnor_ail, x)
-
-
-def nested_xnor_il_logit(x: np.ndarray) -> np.ndarray:
-    """The same tree through the exact gate (log-space evaluation)."""
-    return _nest(xnor_il, x)
-
-
-def nested_xnor_il_logit_naive(x: np.ndarray) -> np.ndarray:
-    """Probability-space evaluation of the exact-gate tree.
-
-    Independent oracle for nested_xnor_il_logit: for moderate inputs both
-    code paths are well-conditioned and must agree to ~1e-12.
-    """
-
-    def gate(a, b):
-        p = sigmoid(a) * sigmoid(b) + sigmoid(-a) * sigmoid(-b)
-        return np.log(p / (1.0 - p))
-
-    return _nest(gate, x)
 
 
 def gen_nested_xnor8(n: int, seed: int) -> Dataset:

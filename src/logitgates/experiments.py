@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +11,8 @@ from . import data
 from .data import Dataset
 from .ensemble import parse_spec
 from .network import Affine, BatchNorm, Network
-from .numerics import sigmoid
-from .train import TrainConfig, TrainReport, fit, require_count
+from .numerics import check_fields, count, sigmoid
+from .train import TrainConfig, TrainReport, fit
 
 MNIST_DIR_ENV_VAR = "LOGITGATES_MNIST_DIR"
 
@@ -35,21 +35,18 @@ DEFAULT_LOSS = {
 class ExperimentConfig:
     task: str
     activation: str
-    widths: list
+    widths: list = count(1)
     train: TrainConfig
     output_dir: str | None = None
     batch_norm: bool = False
-    n_train: int = 1024
-    n_val: int = 1024
+    n_train: int = count(1, default=1024)
+    n_val: int = count(1, default=1024)
     mnist_dir: str | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.task not in TASK_DIMS:
             raise ValueError(f"unknown task {self.task!r}")
-        for key in ("n_train", "n_val"):
-            require_count(key, getattr(self, key), 1)
-        for i, width in enumerate(self.widths):
-            require_count(f"widths[{i}]", width, 1)
         if self.train.loss != DEFAULT_LOSS[self.task]:
             raise ValueError(f"train.loss: {self.task} trains on {DEFAULT_LOSS[self.task]!r}, "
                              f"got {self.train.loss!r}")
@@ -67,22 +64,15 @@ class ConfigError(ValueError):
     """A config that config_from_dict cannot use; the message names the offending key."""
 
 
-def _check_fields(cls, raw, where: str) -> None:
-    """raw is an object whose keys are fields of cls, each of its declared type, none missing."""
+def _check_keys(cls, raw, where: str) -> None:
+    """raw is an object whose keys are fields of cls, none missing; cls checks the values."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where.rstrip('.') or 'config'} must be an object, "
                           f"got {type(raw).__name__}")
     declared = {f.name: f for f in fields(cls)}
-    for key, value in raw.items():
+    for key in raw:
         if key not in declared:
             raise ConfigError(f"unknown key {where + key!r}")
-        kind = declared[key].type
-        kind = dict if is_dataclass(kind) else kind  # a nested config is an object
-        accepted = (int, float) if kind is float else kind  # JSON may write 1.0 as 1
-        # bool is a subclass of int, but a flag is no number and a number no flag.
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-            raise ConfigError(f"{where + key!r} must be "
-                              f"{getattr(kind, '__name__', kind)}, got {value!r}")
     for f in declared.values():
         if f.default is MISSING and f.name not in raw:
             raise ConfigError(f"missing key {where + f.name!r}")
@@ -90,15 +80,18 @@ def _check_fields(cls, raw, where: str) -> None:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """The config a JSON object describes; anything unusable raises ConfigError."""
-    _check_fields(ExperimentConfig, raw, "")
-    raw = dict(raw)
-    train_raw = raw.pop("train")
-    _check_fields(TrainConfig, train_raw, "train.")
-    if raw["task"] in DEFAULT_LOSS:
-        train_raw = {"loss": DEFAULT_LOSS[raw["task"]]} | train_raw
+    _check_keys(ExperimentConfig, raw, "")
+    _check_keys(TrainConfig, raw["train"], "train.")
+    # A tuple, so that an unhashable task compares unequal; ExperimentConfig names it.
+    loss = {"loss": DEFAULT_LOSS[raw["task"]]} if raw["task"] in tuple(DEFAULT_LOSS) else {}
+    # The constructors check every value, and their messages name the field.
     try:
-        return ExperimentConfig(train=TrainConfig(**train_raw), **raw)
-    except ValueError as exc:  # a value out of range; the message names its key
+        train = TrainConfig(**(loss | raw["train"]))
+    except ValueError as exc:
+        raise ConfigError(f"train.{exc}") from exc
+    try:
+        return ExperimentConfig(**(raw | {"train": train}))
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -214,8 +207,8 @@ def task_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 # ---------------------------------------------------------------------------
 
 
-def run_experiment(cfg: ExperimentConfig, output_dir=None) -> tuple[TrainReport, Network]:
-    out = Path(output_dir) if output_dir else (Path(cfg.output_dir) if cfg.output_dir else None)
+def run_experiment(cfg: ExperimentConfig) -> tuple[TrainReport, Network]:
+    out = Path(cfg.output_dir) if cfg.output_dir else None
     if out is not None:  # before any data is read, so an unusable path fails before the work
         out.mkdir(parents=True, exist_ok=True)
     train_ds, val_ds = task_datasets(cfg)

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import activations as A
 from .ensemble import EnsembleSpec, parse_spec
+from .numerics import check_fields, count
 
 _MAGIC = b"LGNET1"
 
@@ -30,12 +31,11 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Affine:
-    n_in: int
-    n_out: int
+    n_in: int = count(1)
+    n_out: int = count(1)
 
     def __post_init__(self):
-        if min(self.n_in, self.n_out) < 1:
-            raise ValueError(f"affine widths must be >= 1, got {self.n_in} -> {self.n_out}")
+        check_fields(self)
 
     def out_channels(self, n_c: int) -> int:
         if n_c != self.n_in:
@@ -45,13 +45,12 @@ class Affine:
 
 @dataclass(frozen=True)
 class BatchNorm:
-    channels: int
+    channels: int = count(1)
     momentum: float = 0.1
     epsilon: float = 1e-5
 
     def __post_init__(self):
-        if not self.channels >= 1:
-            raise ValueError(f"batch norm channels must be >= 1, got {self.channels}")
+        check_fields(self)
         if not 0 <= self.momentum <= 1:
             raise ValueError(f"batch norm momentum must lie in [0, 1], got {self.momentum}")
         if not 0 < self.epsilon <= 1:  # also rejects nan and inf
@@ -159,48 +158,52 @@ class _BatchNormLayer:
         return [("gamma", False), ("beta", False)]
 
 
-def _act_output(z, gate, xs, ys, normalized, training):
-    """One act's output from its plan entry: the value, or with training (value, *partials)."""
-    out = gate(z[..., xs], training) if ys is None else gate(z[..., xs], z[..., ys], training)
-    if normalized is None:
-        return out
-    return A.standardize(normalized, *out) if training else A.standardize(normalized, out)
+def _act_output(v, shape, gate, xs, ys, normalized, training):
+    """One act's output from its plan entry and operand view v: the value, or with
+    training [value, *partials], each reshaped to the act's output ``shape``."""
+    out = gate(v[xs], training) if ys is None else gate(v[xs], v[ys], training)
+    if normalized is not None:
+        out = A.standardize(normalized, *out) if training else A.standardize(normalized, out)
+    return [o.reshape(shape) for o in out] if training else out.reshape(shape)
 
 
 class _ActLayer:
     """An activation block, routed once at build from its spec and input width.
 
-    ``plan`` holds one entry per act: its gate, the slices of its x and y
-    operand columns on the last axis (y is None for an elementwise act), and
-    the act itself when it is normalized, else None. Under partition act j
-    reads the j-th contiguous block of pairs; under duplication every act
-    reads every pair, so the backward sums the acts' shares per pair.
+    ``plan`` holds one entry per act: its gate, the indices of its x and y
+    operands in the operand view (y is None for an elementwise act), and the
+    act itself when it is normalized, else None. Under partition act j reads
+    the j-th contiguous block of pairs, as column slices of the input; under
+    duplication every act reads every pair, so the backward sums the acts'
+    shares per pair. Such acts take 1-D operands from a view with one row per
+    pair (per channel if elementwise), so a gate runs one loop, not one per row.
     """
 
     def __init__(self, spec: EnsembleSpec, n_in: int, rng: np.random.Generator):
         self.spec = spec
         self.n_in = n_in
-        if spec.elementwise:
-            self.plan = [(spec.acts[0].gate, slice(None), None, None)]
-        else:
-            partition = spec.strategy == "partition"
-            cols = n_in // spec.m if partition else n_in  # operand columns per act
-            self.plan = []
-            for j, act in enumerate(spec.acts):
-                lo = j * cols if partition else 0
-                self.plan.append((act.gate, slice(lo, lo + cols, 2), slice(lo + 1, lo + cols, 2),
-                                  act if act.normalized else None))
+        if spec.strategy == "partition":
+            self.view_width, cols = n_in, n_in // spec.m  # operand columns per act
+            operands = [(np.s_[:, lo:lo + cols:2], np.s_[:, lo + 1:lo + cols:2])
+                        for lo in range(0, n_in, cols)]
+        else:  # every act reads every pair, or every channel if elementwise
+            self.view_width = spec.acts[0].arity
+            operands = [(np.s_[:, 0], None if spec.elementwise else np.s_[:, 1])] * spec.m
+        self.plan = [(act.gate, xs, ys, act if act.normalized else None)
+                     for act, (xs, ys) in zip(spec.acts, operands)]
         self.acts_per_pair = spec.m if spec.strategy == "duplication" else 1
+        self.act_width = spec.out_channels(n_in) // spec.m  # output columns per act
         self._partials = None
 
     def forward(self, z, training):
+        v, shape = z.reshape(-1, self.view_width), (len(z), self.act_width)
         if len(self.plan) == 1:
-            out = _act_output(z, *self.plan[0], training)
+            out = _act_output(v, shape, *self.plan[0], training)
         elif training:
-            results = [_act_output(z, *entry, True) for entry in self.plan]
+            results = [_act_output(v, shape, *entry, True) for entry in self.plan]
             out = [np.concatenate(parts, axis=-1) for parts in zip(*results)]
         else:
-            out = np.concatenate([_act_output(z, *entry, False) for entry in self.plan], axis=-1)
+            out = np.concatenate([_act_output(v, shape, *e, False) for e in self.plan], axis=-1)
         if not training:
             self._partials = None
             return out
@@ -213,14 +216,15 @@ class _ActLayer:
             return dout * self._partials[0]
         gx, gy = self._partials
         dz = np.empty(dout.shape[:-1] + (self.n_in,))
+        dx, dy = dz.reshape(-1, 2).T  # every pair's x and y operand, in row order
         if self.acts_per_pair > 1:
             # Every act saw the whole pair list: sum the acts' shares per pair.
-            shape = dout.shape[:-1] + (self.acts_per_pair, -1)
-            dz[..., 0::2] = (gx * dout).reshape(shape).sum(axis=-2)
-            dz[..., 1::2] = (gy * dout).reshape(shape).sum(axis=-2)
+            shape = dout.shape[:-1] + (self.acts_per_pair, self.act_width)
+            dx[:] = (gx * dout).reshape(shape).sum(axis=-2).ravel()
+            dy[:] = (gy * dout).reshape(shape).sum(axis=-2).ravel()
         else:
-            np.multiply(gx, dout, out=dz[..., 0::2])
-            np.multiply(gy, dout, out=dz[..., 1::2])
+            np.multiply(gx.ravel(), dout.ravel(), out=dx)
+            np.multiply(gy.ravel(), dout.ravel(), out=dy)
         return dz
 
     def params(self):

@@ -2,46 +2,34 @@
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .data import Dataset
 from .network import Network
-from .numerics import BLOCK, sigmoid
+from .numerics import BLOCK, check_fields, count, sigmoid
 
 
 @dataclass
 class TrainConfig:
     """A run of Adam on the one-cycle schedule; the constants below fix the rest."""
 
-    epochs: int
-    batch_size: int
+    epochs: int = count(1)
+    batch_size: int = count(1)
     max_lr: float = 0.01
     weight_decay: float = 0.0
-    seed: int = 0
+    seed: int = count(0, default=0)
     loss: str = "bce-with-logits"  # "bce-with-logits" | "cross-entropy" | "mse"
 
     def __post_init__(self):
-        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            require_count(name, getattr(self, name), least)
+        check_fields(self)
         for name in ("max_lr", "weight_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):  # JSON reads NaN and Infinity
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.loss not in _LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}")
-
-
-def require_count(name: str, value, least: int) -> None:
-    """Raise ValueError naming the field unless value is an integer >= least.
-
-    numpy integers count; a bool is a flag, not a count, and a float is refused
-    even when whole, as a JSON config refuses it.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            raise ValueError(f"loss must be one of {sorted(_LOSSES)}, got {self.loss!r}")
 
 
 class NaNLossError(RuntimeError):

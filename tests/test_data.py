@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from logitgates import data
+from logitgates.activations import xnor_il
 from logitgates.data import (
     Dataset,
     IDX_IMAGES_MAGIC,
@@ -15,8 +16,6 @@ from logitgates.data import (
     gen_xor2,
     load_mnist_idx,
     nested_xnor_ail_logit,
-    nested_xnor_il_logit,
-    nested_xnor_il_logit_naive,
     parity4_lattice,
     read_idx_images,
     read_idx_labels,
@@ -24,6 +23,26 @@ from logitgates.data import (
     write_idx_labels,
     xor2_grid,
 )
+from logitgates.numerics import sigmoid
+
+
+def nested_xnor_il_logit(x: np.ndarray) -> np.ndarray:
+    """The nested target's tree through the exact gate (log-space evaluation)."""
+    return data._nest(xnor_il, x)
+
+
+def nested_xnor_il_logit_naive(x: np.ndarray) -> np.ndarray:
+    """Probability-space evaluation of the exact-gate tree.
+
+    Independent oracle for nested_xnor_il_logit: for moderate inputs both
+    code paths are well-conditioned and must agree to ~1e-12.
+    """
+
+    def gate(a, b):
+        p = sigmoid(a) * sigmoid(b) + sigmoid(-a) * sigmoid(-b)
+        return np.log(p / (1.0 - p))
+
+    return data._nest(gate, x)
 
 
 class TestParity4:

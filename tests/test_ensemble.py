@@ -110,6 +110,17 @@ def test_block_equals_per_activation_apply(text):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("text", ["xnor_ail", "relu", "ail:or+xnor:p", "nil:or+and+xnor:d"])
+def test_block_passes_an_empty_batch(text):
+    # Operands are 1-D views of the input, and each act's output is reshaped
+    # to its fixed width, so a batch with no rows keeps every width.
+    spec = parse_spec(text)
+    layer, z, width = act_layer(spec, 8), np.zeros((0, 8)), spec.out_channels(8)
+    assert layer.forward(z, False).shape == (0, width)
+    assert layer.forward(z, True).shape == (0, width)
+    assert layer.backward(np.zeros((0, width))).shape == (0, 8)
+
+
 @pytest.mark.parametrize("text,n_c", [
     ("or_ail", 6),
     ("xnor_nail", 8),

@@ -213,10 +213,10 @@ def test_config_loss_must_be_the_task_loss(tmp_path, task, loss):
 def test_run_experiment_writes_artifacts(tmp_path):
     cfg = config_from_dict({
         "task": "parity4", "activation": "xnor_ail", "widths": [4, 2],
-        "n_train": 64,
+        "n_train": 64, "output_dir": str(tmp_path),
         "train": {"epochs": 2, "batch_size": 16, "seed": 0},
     })
-    report, net = run_experiment(cfg, output_dir=tmp_path)
+    report, net = run_experiment(cfg)
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "model.bin").exists()
     payload = json.loads((tmp_path / "report.json").read_text())

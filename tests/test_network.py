@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -353,4 +356,19 @@ def test_load_rejects_out_of_range_layer_specs(tmp_path, old, new):
     assert good.count(old) == 1 and len(old) == len(new)
     path.write_bytes(good.replace(old, new))
     with pytest.raises(ModelFormatError, match="model.bin"):
+        Network.load(path)
+
+
+def test_load_refuses_a_header_width_that_is_a_bool(tmp_path):
+    # The header reaches Affine through spec_from_dict, so its fields follow
+    # the type rule of every other caller.
+    path = tmp_path / "model.bin"
+    Network([Affine(2, 2)], seed=0).save(path)
+    good = path.read_bytes()
+    end = 10 + struct.unpack("<I", good[6:10])[0]
+    header = json.loads(good[10:end])
+    header["layers"][0]["in"] = True
+    raw = json.dumps(header).encode()
+    path.write_bytes(good[:6] + struct.pack("<I", len(raw)) + raw + good[end:])
+    with pytest.raises(ModelFormatError, match=r"model\.bin: n_in must be an integer"):
         Network.load(path)
