@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .activations import GATE_KINDS
+from .activations import GATE_KINDS, Activation, apply
 from .data import IdxFormatError
 from .experiments import ConfigError, resolve_config, run_experiment
+from .numerics import BLOCK
 from .train import NaNLossError
 
 
@@ -103,14 +104,25 @@ def write_pgm(path, values: np.ndarray):
 def _cmd_grid(args) -> int:
     try:
         with _output(args.out) as csv_path, _output(args.pgm) as pgm_path:
-            [report] = verify.grid_compare([args.kind], args.range, args.step, csv_path=csv_path,
-                                           keep_surfaces=pgm_path is not None)
-            if pgm_path is not None:
-                if args.family == "both":
-                    surface = report.approx - report.exact
-                else:
-                    surface = report.exact if args.family == "il" else report.approx
+            axes = verify.grid_axes(args.range, args.step)
+            # Whole rows in bands of about BLOCK cells; only the PGM's surface is kept.
+            n, rows = axes.size, max(1, BLOCK // axes.size)
+            surface = None if pgm_path is None else np.empty((n, n))
+            gates = Activation(args.kind, "il"), Activation(args.kind, "ail")
+            with open(csv_path, "w") as csv:
+                for r in range(0, n, rows):
+                    x, y = axes[r:r + rows, np.newaxis], axes[np.newaxis, :]
+                    exact, approx = (apply(act, x, y) for act in gates)
+                    diff = approx - exact
+                    cols = np.column_stack([np.repeat(x, n), np.tile(axes, x.size),
+                                            exact.ravel(), approx.ravel(), diff.ravel()])
+                    np.savetxt(csv, cols, delimiter=",", comments="", fmt="%.12g",
+                               header="" if r else "x,y,exact,approx,diff")
+                    if surface is not None:
+                        surface[r:r + rows] = {"il": exact, "ail": approx}.get(args.family, diff)
+            if surface is not None:
                 write_pgm(pgm_path, surface)
+            [report] = verify.grid_compare([args.kind], args.range, args.step)
     except ValueError as exc:  # a range too wide for its step
         print(f"grid: {exc}", file=sys.stderr)
         return 2
@@ -159,11 +171,11 @@ def _cmd_train(args) -> int:
     except (OSError, ConfigError) as exc:
         print(f"train: bad config {args.config!r}: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.train.seed = args.seed
+    seed = cfg.train.seed if args.seed is None else args.seed
     out_dir = args.out_dir or cfg.output_dir or "runs/" + Path(args.config).stem
     try:
-        report, _ = run_experiment(replace(cfg, output_dir=out_dir))
+        report, _ = run_experiment(replace(cfg, train=replace(cfg.train, seed=seed),
+                                           output_dir=out_dir))
     except NaNLossError as exc:
         print(f"train: aborted: {exc}", file=sys.stderr)
         return 3
@@ -176,10 +188,13 @@ def _cmd_train(args) -> int:
 
 
 def _metric_sort_key(summary: dict):
+    """Sort key of a report's first metric, or None when that metric is not a number."""
     for key in ("val_accuracy", "lattice_accuracy", "val_rmse", "train_accuracy"):
         if key in summary:
-            # Accuracy sorts descending; RMSE ascending.
-            return -summary[key] if "accuracy" in key else summary[key]
+            value = summary[key]
+            if type(value) not in (int, float):  # json's numbers; a bool is no number
+                return None
+            return -value if "accuracy" in key else value  # accuracy descending, RMSE ascending
     return 0.0
 
 
@@ -197,15 +212,17 @@ def _cmd_report(args) -> int:
             continue  # not a train report
         summary = dict(payload["final"])
         summary.update(payload.get("extras", {}))
-        rows.append((path, summary))
+        if (order := _metric_sort_key(summary)) is None:
+            continue  # nor is a report whose metric is not a number
+        rows.append((order, path, summary))
     if not rows:
         print(f"report: no train reports under {args.in_dir}", file=sys.stderr)
         return 2
-    rows.sort(key=lambda item: _metric_sort_key(item[1]))
-    keys = sorted({k for _, s in rows for k in s if isinstance(s[k], (int, float, str))})
+    rows.sort(key=lambda row: row[0])
+    keys = sorted({k for _, _, s in rows for k in s if isinstance(s[k], (int, float, str))})
     lines = ["| report | " + " | ".join(keys) + " |",
              "| --- | " + " | ".join("---" for _ in keys) + " |"]
-    for path, summary in rows:
+    for _, path, summary in rows:
         cells = [f"{summary.get(k, '')}" for k in keys]
         lines.append(f"| {path} | " + " | ".join(cells) + " |")
     text = "\n".join(lines) + "\n"

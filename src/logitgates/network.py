@@ -20,7 +20,7 @@ import numpy as np
 
 from . import activations as A
 from .ensemble import EnsembleSpec, parse_spec
-from .numerics import check_fields, count
+from .numerics import check_fields, count, require
 
 _MAGIC = b"LGNET1"
 
@@ -246,7 +246,8 @@ class Network:
 
     def __init__(self, specs, seed: int = 0):
         self.specs = list(specs)
-        self.seed = int(seed)
+        require("seed", int, seed, 0)
+        self.seed = int(seed)  # a numpy integer too is saved as plain JSON
         if not self.specs:
             raise ValueError("network needs at least one layer")
         first = self.specs[0]

@@ -47,13 +47,14 @@ def check_fields(obj) -> None:
     takes any member; a count is no integer below its least.
     """
     for f in fields(obj):
-        _require(f.name, f.type, getattr(obj, f.name), f.metadata.get("least"))
+        require(f.name, f.type, getattr(obj, f.name), f.metadata.get("least"))
 
 
-def _require(name: str, kind, value, least) -> None:
+def require(name: str, kind, value, least) -> None:
+    """check_fields' rule for one value: ``kind`` int is a count of at least ``least``."""
     if kind is list and isinstance(value, list):  # a list of counts
         for i, item in enumerate(value):
-            _require(f"{name}[{i}]", int, item, least)
+            require(f"{name}[{i}]", int, item, least)
     elif (isinstance(value, bool) != (kind is bool)
           or not isinstance(value, _ACCEPTS.get(kind, kind)) or (kind is int and value < least)):
         wanted = f"an integer >= {least}" if kind is int else getattr(kind, "__name__", kind)

@@ -19,7 +19,6 @@ points: a normalized variant's partials and difference quotients are its raw
 gate's, standardized by ``activations.standardize``.
 """
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -37,19 +36,22 @@ from .numerics import BLOCK, sigmoid
 # the ail rows are closed forms, checked to rounding; the il rows are
 # empirical 5-digit data, up to 2e-5 from the quadrature, checked to the 5e-5
 # that the closed forms meet against their published digits.
-# Gradient checks draw points from [-GRADCHECK_BOX, GRADCHECK_BOX]^2 farther
-# than BOUNDARY_EPS from every kink line and pass below GRADCHECK_TOL. The
-# network check compares NET_GRADCHECK_COORDS random parameter coordinates
-# against central differences of step NET_GRADCHECK_STEP. The identity check
-# draws its operands from [-BAYES_BOX, BAYES_BOX].
+# The gradient check draws GRADCHECK_POINTS points from
+# [-GRADCHECK_BOX, GRADCHECK_BOX]^2 farther than BOUNDARY_EPS from every kink
+# line and passes below GRADCHECK_TOL. The network check compares
+# NET_GRADCHECK_COORDS random parameter coordinates against central
+# differences of step NET_GRADCHECK_STEP. The identity check draws
+# BAYES_POINTS operand pairs from [-BAYES_BOX, BAYES_BOX].
 QUADRATURE_NODES = 32
 QUADRATURE_RADIUS = 12.0
 CONSTANTS_TOL = {"ail": 1e-12, "il": 5e-5}
 BOUNDARY_EPS = 1e-3
+GRADCHECK_POINTS = 10_000
 GRADCHECK_BOX = 8.0
 GRADCHECK_TOL = 1e-5
 NET_GRADCHECK_COORDS = 64
 NET_GRADCHECK_STEP = 1e-5
+BAYES_POINTS = 10_000
 BAYES_BOX = 20.0
 
 # The grid comparison also reports the max difference farther than EXCLUSION
@@ -119,8 +121,6 @@ class GridCompareReport:
     argmax: tuple
     masked_max_abs_diff: float     # farther than EXCLUSION from the kink lines
     wide_masked_max_abs_diff: float  # farther than WIDE_EXCLUSION
-    exact: np.ndarray | None = None   # surfaces on the (x, y) grid, if kept
-    approx: np.ndarray | None = None
 
 
 def _kink_distance(x, y):
@@ -132,108 +132,90 @@ def _kink_distance(x, y):
     return np.minimum(d, np.minimum(np.abs(x), np.abs(y)), out=d)
 
 
-def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01, csv_path=None,
-                 keep_surfaces: bool = False) -> list[GridCompareReport]:
+def grid_axes(half_range: float, step: float) -> np.ndarray:
+    """The grid's axis, centred on the origin: ``step * (k - count / 2)`` for k = 0..count."""
+    if not (math.isfinite(half_range) and half_range >= 0):
+        raise ValueError(f"half_range must be finite and non-negative, got {half_range!r}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+    if not math.isfinite(count := 2 * half_range / step):
+        raise ValueError(f"half_range {half_range!r} / step {step!r} overflows the point count")
+    count = int(round(count))
+    return step * (np.arange(count + 1) - count / 2)
+
+
+def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01) -> list[GridCompareReport]:
     """Evaluate exact and approximate gates once over a square grid, per kind.
 
     Returns one report per kind in ``kinds``, in order. Each reports the
     strict max |approx - exact| plus the max over cells farther than
     EXCLUSION (and than WIDE_EXCLUSION) from the lines x=0, y=0, x=y, x=-y
-    (the approximate gates' kink lines). ``keep_surfaces`` puts the exact and
-    approximate surfaces, indexed [x, y], in the report. The CSV and the
-    surfaces are per kind, so with either ``kinds`` must hold exactly one.
+    (the approximate gates' kink lines), on the grid of ``grid_axes``.
 
-    Both axes are ``step * (k - count / 2)`` for k = 0..count, so the grid is
-    centred on the origin and negating a point's coordinate is a grid point.
     The grid is walked once, in bands of rows holding about BLOCK cells. Each
     band forms its distances to the kink lines and both exclusion masks once,
-    then folds every kind's difference into that kind's maxima (and the CSV)
-    before the next band is formed, so no full surface exists unless
-    ``keep_surfaces`` asks for one.
+    then folds every kind's difference into that kind's maxima before the
+    next band is formed, so no full surface exists.
 
-    Unless a CSV or the surfaces need whole rows, each kind's gates run on
-    one cell of each symmetry class. The gates are bit-exactly commutative,
-    or is the De Morgan dual -and(-x, -y) and xnor is odd in each operand, so
-    |approx - exact| and the distances to the kink lines agree on a cell and
-    its transpose, on and's cell and or's negated one, and on xnor's cells
-    with the same |x| and |y|. The and pair runs on columns r: of the band
-    from row r, which holds every cell with x <= y, and its differences serve
-    or too. The xnor pair runs on the bands and columns where x <= y <= 0.
-    Those cells include each class's first in row-major order, so the least
-    maximum cell walked is the grid's first; for or it is the least of the
-    negated cells, transposed to x <= y, which a later band may hold.
+    Each kind's gates run on one cell of each symmetry class. The gates are
+    bit-exactly commutative, or is the De Morgan dual -and(-x, -y) and xnor
+    is odd in each operand, so |approx - exact| and the distances to the kink
+    lines agree on a cell and its transpose, on and's cell and or's negated
+    one, and on xnor's cells with the same |x| and |y|. The and pair runs on
+    columns r: of the band from row r, which holds every cell with x <= y,
+    and its differences serve or too. The xnor pair runs on the bands and
+    columns where x <= y <= 0. Those cells include each class's first in
+    row-major order, so the least maximum cell walked is the grid's first;
+    for or it is the least of the negated cells, transposed to x <= y, which
+    a later band may hold.
     """
-    if not (math.isfinite(half_range) and half_range >= 0):
-        raise ValueError(f"half_range must be finite and non-negative, got {half_range!r}")
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be finite and positive, got {step!r}")
-    whole_rows = csv_path is not None or keep_surfaces
-    if whole_rows and len(kinds) != 1:
-        raise ValueError(f"a CSV or surfaces hold one kind, got {len(kinds)}")
-    if not math.isfinite(count := 2 * half_range / step):
-        raise ValueError(f"half_range {half_range!r} / step {step!r} overflows the point count")
-    count = int(round(count))
-    axes = step * (np.arange(count + 1) - count / 2)
+    axes = grid_axes(half_range, step)
     n = axes.size
     # The gate pair whose differences serve each kind, and the row and column
     # each pair's walk stops before.
-    pair = {kind: "and" if kind == "or" and not whole_rows else kind for kind in kinds}
-    stop = {p: (n - 1) // 2 + 1 if p == "xnor" and not whole_rows else n for p in pair.values()}
+    pair = {kind: "and" if kind == "or" else kind for kind in kinds}
+    stop = {p: (n - 1) // 2 + 1 if p == "xnor" else n for p in pair.values()}
     gates = {p: (Activation(p, "il"), Activation(p, "ail")) for p in stop}
     end = max(stop.values())
     # Each report folds the running maxima of its kind in place, its argmax
     # as grid indices until the walk ends.
     reports = [GridCompareReport(kind, -math.inf, (0, 0), 0.0, 0.0) for kind in kinds]
-    if keep_surfaces:
-        reports[0].exact, reports[0].approx = np.empty((n, n)), np.empty((n, n))
     rows = max(1, BLOCK // n)
-    with open(csv_path, "w") if csv_path is not None else contextlib.nullcontext() as csv:
-        for r in range(0, end, rows):
-            c = 0 if whole_rows else r
-            x, y = axes[r:r + rows, np.newaxis], axes[np.newaxis, c:end]
-            distance = _kink_distance(x, y)
-            outside, wide_outside = distance > EXCLUSION, distance > WIDE_EXCLUSION
-            for p, (exact_act, approx_act) in gates.items():
-                if r >= stop[p]:
+    for r in range(0, end, rows):
+        x, y = axes[r:r + rows, np.newaxis], axes[np.newaxis, r:end]
+        distance = _kink_distance(x, y)
+        outside, wide_outside = distance > EXCLUSION, distance > WIDE_EXCLUSION
+        for p, (exact_act, approx_act) in gates.items():
+            if r >= stop[p]:
+                continue
+            w = stop[p] - r  # the pair's columns are the band's first w
+            exact = apply(exact_act, x, y[:, :w])
+            approx = apply(approx_act, x, y[:, :w])
+            diff = approx - exact
+            np.abs(diff, out=diff)
+            top = float(diff.max())
+            masked = float(np.max(diff, where=outside[:, :w], initial=0.0))
+            wide = float(np.max(diff, where=wide_outside[:, :w], initial=0.0))
+            cells = None
+            for rep in reports:
+                if pair[rep.kind] != p:
                     continue
-                w = stop[p] - c  # the pair's columns are the band's first w
-                exact = apply(exact_act, x, y[:, :w])
-                approx = apply(approx_act, x, y[:, :w])
-                if keep_surfaces:
-                    reports[0].exact[r:r + rows] = exact
-                    reports[0].approx[r:r + rows] = approx
-                signed = approx - exact
-                if csv is not None:
-                    cols = np.column_stack([np.broadcast_to(x, signed.shape).ravel(),
-                                            np.broadcast_to(y, signed.shape).ravel(),
-                                            exact.ravel(), approx.ravel(), signed.ravel()])
-                    np.savetxt(csv, cols, delimiter=",",
-                               header="" if r else "x,y,exact,approx,diff",
-                               comments="", fmt="%.12g")
-                diff = np.abs(signed, out=signed)
-                top = float(diff.max())
-                masked = float(np.max(diff, where=outside[:, :w], initial=0.0))
-                wide = float(np.max(diff, where=wide_outside[:, :w], initial=0.0))
-                cells = None
-                for rep in reports:
-                    if pair[rep.kind] != p:
-                        continue
-                    rep.masked_max_abs_diff = max(rep.masked_max_abs_diff, masked)
-                    rep.wide_masked_max_abs_diff = max(rep.wide_masked_max_abs_diff, wide)
-                    # A tie counts too: a later band of and's may hold or's
-                    # first maximum.
-                    if top >= rep.max_abs_diff:
-                        if cells is None:
-                            cells = np.flatnonzero(diff == top)
-                            i, j = r + cells // w, c + cells % w
-                        if pair[rep.kind] == rep.kind:
-                            first = int((i * n + j).min())
-                        else:  # or at and's cells negated, then transposed to x <= y
-                            first = int(((n - 1 - np.maximum(i, j)) * n
-                                         + n - 1 - np.minimum(i, j)).min())
-                        first = divmod(first, n)
-                        if top > rep.max_abs_diff or first < rep.argmax:
-                            rep.max_abs_diff, rep.argmax = top, first
+                rep.masked_max_abs_diff = max(rep.masked_max_abs_diff, masked)
+                rep.wide_masked_max_abs_diff = max(rep.wide_masked_max_abs_diff, wide)
+                # A tie counts too: a later band of and's may hold or's
+                # first maximum.
+                if top >= rep.max_abs_diff:
+                    if cells is None:
+                        cells = np.flatnonzero(diff == top)
+                        i, j = r + cells // w, r + cells % w
+                    if pair[rep.kind] == rep.kind:
+                        first = int((i * n + j).min())
+                    else:  # or at and's cells negated, then transposed to x <= y
+                        first = int(((n - 1 - np.maximum(i, j)) * n
+                                     + n - 1 - np.minimum(i, j)).min())
+                    first = divmod(first, n)
+                    if top > rep.max_abs_diff or first < rep.argmax:
+                        rep.max_abs_diff, rep.argmax = top, first
     for rep in reports:
         rep.argmax = (float(axes[rep.argmax[0]]), float(axes[rep.argmax[1]]))
     return reports
@@ -261,25 +243,23 @@ class GradcheckReport:
     max_rel_err: float
 
 
-def gradcheck_activation(acts, n_points: int = 10_000, seed: int = 0) -> list[GradcheckReport]:
+def gradcheck_activation(acts, seed: int = 0) -> list[GradcheckReport]:
     """Analytical partials of each act vs central differences; one report per act.
 
-    One draw of interior points serves every act, and each gate runs once on
+    One draw of GRADCHECK_POINTS interior points serves every act, and each gate runs once on
     them, for its raw and its normalized form alike: a normalized act's
     partials and difference quotients come from its raw gate's partials and
     shifted values, standardized. The step is 1e-5, or 1e-6 for the signed
     geometric mean, whose curvature diverges along the axes.
     """
-    if n_points < 1:
-        raise ValueError(f"n_points must be at least 1, got {n_points!r}")
     # Contiguous columns, since every gate reads them several times; they and
     # the shifted operands are read-only, so a gate writing into an operand
     # raises instead of corrupting the next gate's check.
-    xy = np.ascontiguousarray(_interior_points(n_points, seed).T)
+    xy = np.ascontiguousarray(_interior_points(GRADCHECK_POINTS, seed).T)
     xy.flags.writeable = False
     x, y = xy
     shifted = {}  # step h -> (x + h, y + h), (x - h, y - h)
-    scale, err = np.empty(n_points), np.empty(n_points)
+    scale, err = np.empty(GRADCHECK_POINTS), np.empty(GRADCHECK_POINTS)
     errors = dict.fromkeys(acts, 0.0)  # act -> its worst relative error so far
     groups = {}  # raw gate -> its acts
     for act in errors:
@@ -394,17 +374,15 @@ def weight_correlations(net: Network, layer_index: int, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def bayes_identity_check(n: int = 10_000, seed: int = 0) -> float:
-    """Max abs error of the exact gates' probability identities.
+def bayes_identity_check(seed: int = 0) -> float:
+    """Max abs error of the exact gates' probability identities at BAYES_POINTS points.
 
     sigma(and_il) = sigma(x)sigma(y), sigma(or_il) = 1 - sigma(-x)sigma(-y)
     and sigma(xnor_il) = sigma(x)sigma(y) + sigma(-x)sigma(-y).
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-BAYES_BOX, BAYES_BOX, size=n)
-    y = rng.uniform(-BAYES_BOX, BAYES_BOX, size=n)
+    x = rng.uniform(-BAYES_BOX, BAYES_BOX, size=BAYES_POINTS)
+    y = rng.uniform(-BAYES_BOX, BAYES_BOX, size=BAYES_POINTS)
     both = sigmoid(x) * sigmoid(y)
     neither = sigmoid(-x) * sigmoid(-y)
     err_and = np.abs(sigmoid(A.and_il(x, y)) - both)
@@ -426,13 +404,13 @@ class CheckResult:
     passed: bool
 
 
-def constants_report(table: dict | None = None):
-    """Quadrature vs tabulated constants: one mean and one std check per row.
+def constants_report():
+    """Quadrature vs NORMALIZATION_TABLE: one mean and one std check per row.
 
     Returns (check results, (mean, std) by activation name).
     """
-    table = NORMALIZATION_TABLE if table is None else table
-    rows = [(Activation(kind, family), ref) for (kind, family), ref in sorted(table.items())]
+    rows = [(Activation(kind, family), ref)
+            for (kind, family), ref in sorted(NORMALIZATION_TABLE.items())]
     moments = normal_moments([act for act, _ in rows])
     results = []
     for act, refs in rows:

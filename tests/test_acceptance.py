@@ -207,7 +207,7 @@ def test_criterion_7_gradient_correctness():
     # computed as logit(p) from a rounded p cancels and the difference
     # quotient misses the 1e-5 tolerance
     for seed in (0, 49, 286, 349):
-        for rep in gradcheck_activation(all_activation_variants(), n_points=10_000, seed=seed):
+        for rep in gradcheck_activation(all_activation_variants(), seed=seed):
             worst_act = max(worst_act, rep.max_rel_err)
             assert rep.max_rel_err < 1e-5, f"{rep.name} seed {seed}: {rep.max_rel_err:.2e}"
 

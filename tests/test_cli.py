@@ -1,13 +1,16 @@
 import itertools
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import logitgates.cli as cli
 import logitgates.verify as verify
-from logitgates.activations import apply
+from logitgates.activations import GATE_KINDS, Activation, apply
 from logitgates.cli import main, write_pgm
+from logitgates.experiments import resolve_config
 
 
 def test_grid_command_row_count(tmp_path):
@@ -31,12 +34,40 @@ def test_grid_pgm_magic(tmp_path):
     assert len(raw) == len(b"P5\n41 41\n255\n") + 41 * 41
 
 
-def test_grid_diff_column_matches_verify(tmp_path):
+def test_grid_diff_column_matches_verify(tmp_path, capsys):
     out = tmp_path / "and.csv"
     main(["grid", "--kind", "and", "--range", "3", "--step", "0.1", "--out", str(out)])
     cols = np.loadtxt(out, delimiter=",", skiprows=1)
     [rep] = verify.grid_compare(["and"], 3.0, 0.1)
     assert np.abs(cols[:, 4]).max() == pytest.approx(rep.max_abs_diff, abs=1e-9)
+    assert capsys.readouterr().out == (
+        f"grid and: strict max |approx - exact| = {rep.max_abs_diff:.6f} at {rep.argmax}; "
+        f"off-boundary max = {rep.masked_max_abs_diff:.6f}\n")
+
+
+@pytest.mark.parametrize("family", ["both", "il", "ail"])
+@pytest.mark.parametrize("block", [7, 20])
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_grid_bands_match_whole_grid(kind, block, family, monkeypatch, tmp_path):
+    # 9 rows in bands of 1 or 2: the CSV and the PGM hold the whole grid's bits.
+    monkeypatch.setattr(cli, "BLOCK", block)
+    axes = -1.0 + 0.25 * np.arange(9)
+    x, y = np.meshgrid(axes, axes, indexing="ij", sparse=True)
+    exact = apply(Activation(kind, "il"), x, y)
+    approx = apply(Activation(kind, "ail"), x, y)
+    whole_csv, whole_pgm = tmp_path / "whole.csv", tmp_path / "whole.pgm"
+    np.savetxt(whole_csv, np.column_stack([np.broadcast_to(x, exact.shape).ravel(),
+                                           np.broadcast_to(y, exact.shape).ravel(),
+                                           exact.ravel(), approx.ravel(),
+                                           (approx - exact).ravel()]),
+               delimiter=",", header="x,y,exact,approx,diff", comments="", fmt="%.12g")
+    write_pgm(whole_pgm, {"both": approx - exact, "il": exact, "ail": approx}[family])
+
+    bands_csv, bands_pgm = tmp_path / "bands.csv", tmp_path / "bands.pgm"
+    assert main(["grid", "--kind", kind, "--family", family, "--range", "1", "--step", "0.25",
+                 "--out", str(bands_csv), "--pgm", str(bands_pgm)]) == 0
+    assert bands_csv.read_bytes() == whole_csv.read_bytes()
+    assert bands_pgm.read_bytes() == whole_pgm.read_bytes()
 
 
 def test_grid_is_centred_on_the_origin(tmp_path):
@@ -56,18 +87,17 @@ def _never_runs(*args, **kwargs):
 
 
 def test_grid_unwritable_path_fails(tmp_path, capsys, monkeypatch):
-    # grid_compare opens the CSV before its first band; the PGM path is
-    # opened before grid_compare is called.
+    # Both output paths are opened before the export or the walk runs.
+    monkeypatch.setattr(cli, "apply", _never_runs)
+    monkeypatch.setattr(verify, "grid_compare", _never_runs)
     missing = tmp_path / "missing_dir"
     argv = ["grid", "--kind", "or", "--range", "1", "--step", "0.5"]
-    for outputs, patched in ((["--out", str(missing / "x.csv")], "apply"),
-                             (["--out", str(tmp_path / "x.csv"), "--pgm", str(missing / "x.pgm")],
-                              "grid_compare")):
-        with monkeypatch.context() as m:
-            m.setattr(verify, patched, _never_runs)
-            assert main(argv + outputs) == 1
+    for outputs in (["--out", str(missing / "x.csv")],
+                    ["--out", str(tmp_path / "x.csv"), "--pgm", str(missing / "x.pgm")]):
+        assert main(argv + outputs) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("grid: ") and str(missing) in err[0]
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("grid_range, step", [("1e308", "1"), ("1e300", "1e-10")])
@@ -291,6 +321,38 @@ def test_report_skips_json_that_is_not_a_report(tmp_path, capsys):
     assert len(table) == 3 and str(mixed / "report.json") in table[2]
 
 
+@pytest.mark.parametrize("bad", ['"bad"', "null"])
+def test_report_skips_a_metric_that_is_not_a_number(bad, tmp_path, capsys):
+    only_bad, mixed = tmp_path / "only_bad", tmp_path / "mixed"
+    for directory in (only_bad, mixed):
+        (directory / "a").mkdir(parents=True)
+        (directory / "a" / "report.json").write_text(f'{{"final": {{"val_accuracy": {bad}}}}}')
+    assert main(["report", "--in", str(only_bad)]) == 2
+    assert "no train reports" in capsys.readouterr().err
+
+    (mixed / "b").mkdir()
+    (mixed / "b" / "report.json").write_text(json.dumps({"final": {"val_accuracy": 0.9}}))
+    assert main(["report", "--in", str(mixed)]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert len(table) == 3 and str(mixed / "b" / "report.json") in table[2]
+
+
+def test_train_seed_override_leaves_the_resolved_config(tmp_path, monkeypatch, capsys):
+    cfg = resolve_config("parity4_xnor_ail")
+    runs = []
+
+    def run_experiment(run_cfg):
+        runs.append(run_cfg)
+        return SimpleNamespace(final={}, extras={}), None
+
+    monkeypatch.setattr(cli, "resolve_config", lambda path_or_name: cfg)
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    assert main(["train", "parity4_xnor_ail", "--seed", "7", "--out-dir", str(tmp_path)]) == 0
+    [run_cfg] = runs
+    assert (run_cfg.train.seed, run_cfg.output_dir) == (7, str(tmp_path))
+    assert (cfg.train.seed, cfg.output_dir) == (0, None)
+
+
 def test_seed_env_fallback(tmp_path):
     cfg = {
         "task": "parity4",
@@ -407,12 +469,16 @@ def _fails_on_call(k, fn):
     return run
 
 
-def test_failed_grid_leaves_no_partial_csv(tmp_path, monkeypatch):
-    # The first of five bands of rows is written before the second fails.
-    monkeypatch.setattr(verify, "apply", _fails_on_call(3, apply))
+@pytest.mark.parametrize("module, name, call", [(cli, "apply", 3), (verify, "grid_compare", 1)],
+                         ids=["export", "walk"])
+def test_failed_grid_leaves_no_partial_csv(module, name, call, tmp_path, monkeypatch):
+    # The export writes the first of five bands of rows before the second
+    # fails; or the whole CSV and PGM are written before the walk that gives
+    # the printed line fails.
+    monkeypatch.setattr(module, name, _fails_on_call(call, getattr(module, name)))
     with pytest.raises(RuntimeError, match="partway"):
         main(["grid", "--kind", "or", "--range", "10", "--step", "0.05",
-              "--out", str(tmp_path / "x.csv")])
+              "--out", str(tmp_path / "x.csv"), "--pgm", str(tmp_path / "x.pgm")])
     assert list(tmp_path.iterdir()) == []
 
 

@@ -359,16 +359,44 @@ def test_load_rejects_out_of_range_layer_specs(tmp_path, old, new):
         Network.load(path)
 
 
+def _rewrite_header(path, edit):
+    """Rewrite the model file's JSON header as ``edit(header)`` leaves it."""
+    good = path.read_bytes()
+    end = 10 + struct.unpack("<I", good[6:10])[0]
+    header = json.loads(good[10:end])
+    edit(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(good[:6] + struct.pack("<I", len(raw)) + raw + good[end:])
+
+
 def test_load_refuses_a_header_width_that_is_a_bool(tmp_path):
     # The header reaches Affine through spec_from_dict, so its fields follow
     # the type rule of every other caller.
     path = tmp_path / "model.bin"
     Network([Affine(2, 2)], seed=0).save(path)
-    good = path.read_bytes()
-    end = 10 + struct.unpack("<I", good[6:10])[0]
-    header = json.loads(good[10:end])
-    header["layers"][0]["in"] = True
-    raw = json.dumps(header).encode()
-    path.write_bytes(good[:6] + struct.pack("<I", len(raw)) + raw + good[end:])
+    _rewrite_header(path, lambda header: header["layers"][0].update({"in": True}))
     with pytest.raises(ModelFormatError, match=r"model\.bin: n_in must be an integer"):
+        Network.load(path)
+
+
+@pytest.mark.parametrize("seed", [2.7, True, "3", -1, None])
+def test_seed_follows_the_field_rule(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        Network([Affine(2, 2)], seed=seed)
+
+
+def test_numpy_integer_seed_is_saved_as_plain_json(tmp_path):
+    path = tmp_path / "model.bin"
+    net = Network([Affine(2, 2)], seed=np.int64(4))
+    assert type(net.seed) is int
+    net.save(path)
+    assert Network.load(path).seed == 4
+
+
+@pytest.mark.parametrize("seed", ["3", 2.7])
+def test_load_refuses_a_header_seed_that_is_no_count(tmp_path, seed):
+    path = tmp_path / "model.bin"
+    Network([Affine(2, 2)], seed=3).save(path)
+    _rewrite_header(path, lambda header: header.update(seed=seed))
+    with pytest.raises(ModelFormatError, match=r"model\.bin: seed must be an integer"):
         Network.load(path)
