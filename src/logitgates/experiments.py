@@ -31,7 +31,7 @@ DEFAULT_LOSS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     task: str
     activation: str

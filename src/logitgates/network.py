@@ -107,10 +107,16 @@ class _BatchNormLayer:
         self._inv_std = None
 
     def forward(self, x, training):
+        # xhat is written over x. That is safe because no layer keeps its
+        # output (Affine keeps its input, and the first layer is always
+        # Affine, so x is never the caller's array).
+        xhat = x
         if training:
             mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            xhat -= mean
+            # np.var's own steps on the centred input, so var keeps its bits.
             n = x.shape[0]
+            var = (xhat * xhat).sum(axis=0) / n
             m = self.spec.momentum
             self.running_mean = (1 - m) * self.running_mean + m * mean
             # Running variance keeps the unbiased estimate, like the batch
@@ -118,14 +124,9 @@ class _BatchNormLayer:
             unbiased = var * (n / (n - 1)) if n > 1 else var
             self.running_var = (1 - m) * self.running_var + m * unbiased
         else:
-            mean = self.running_mean
+            xhat -= self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.spec.epsilon)
-        # xhat is written over x. That is safe because no layer keeps its
-        # output (Affine keeps its input, and the first layer is always
-        # Affine, so x is never the caller's array).
-        xhat = x
-        xhat -= mean
         xhat *= inv_std
         self._xhat = xhat if training else None
         self._inv_std = inv_std if training else None
@@ -158,15 +159,6 @@ class _BatchNormLayer:
         return [("gamma", False), ("beta", False)]
 
 
-def _act_output(v, shape, gate, xs, ys, normalized, training):
-    """One act's output from its plan entry and operand view v: the value, or with
-    training [value, *partials], each reshaped to the act's output ``shape``."""
-    out = gate(v[xs], training) if ys is None else gate(v[xs], v[ys], training)
-    if normalized is not None:
-        out = A.standardize(normalized, *out) if training else A.standardize(normalized, out)
-    return [o.reshape(shape) for o in out] if training else out.reshape(shape)
-
-
 class _ActLayer:
     """An activation block, routed once at build from its spec and input width.
 
@@ -174,9 +166,13 @@ class _ActLayer:
     operands in the operand view (y is None for an elementwise act), and the
     act itself when it is normalized, else None. Under partition act j reads
     the j-th contiguous block of pairs, as column slices of the input; under
-    duplication every act reads every pair, so the backward sums the acts'
-    shares per pair. Such acts take 1-D operands from a view with one row per
-    pair (per channel if elementwise), so a gate runs one loop, not one per row.
+    duplication every act reads every pair from a view with one row per pair
+    (per channel if elementwise), so its gate takes 1-D operands and runs one
+    loop, not one per row. Act j gives output columns j*act_width:(j+1)*act_width.
+
+    Each pass is one loop over the plan. Training keeps each act's partials as
+    its gate returns them. The backward writes partial * upstream through the
+    same operand view of dz; under duplication later acts add theirs in act order.
     """
 
     def __init__(self, spec: EnsembleSpec, n_in: int, rng: np.random.Generator):
@@ -191,40 +187,33 @@ class _ActLayer:
             operands = [(np.s_[:, 0], None if spec.elementwise else np.s_[:, 1])] * spec.m
         self.plan = [(act.gate, xs, ys, act if act.normalized else None)
                      for act, (xs, ys) in zip(spec.acts, operands)]
-        self.acts_per_pair = spec.m if spec.strategy == "duplication" else 1
         self.act_width = spec.out_channels(n_in) // spec.m  # output columns per act
-        self._partials = None
+        self._partials = None  # per act: d value / d x and d value / d y, or d / dz alone
 
     def forward(self, z, training):
         v, shape = z.reshape(-1, self.view_width), (len(z), self.act_width)
-        if len(self.plan) == 1:
-            out = _act_output(v, shape, *self.plan[0], training)
-        elif training:
-            results = [_act_output(v, shape, *entry, True) for entry in self.plan]
-            out = [np.concatenate(parts, axis=-1) for parts in zip(*results)]
-        else:
-            out = np.concatenate([_act_output(v, shape, *e, False) for e in self.plan], axis=-1)
-        if not training:
-            self._partials = None
-            return out
-        # d output / d x and d output / d y per output column; d output / d z alone if elementwise.
-        self._partials = out[1:]
-        return out[0]
+        values, self._partials = [], [] if training else None
+        for gate, xs, ys, normalized in self.plan:
+            out = gate(v[xs], training) if ys is None else gate(v[xs], v[ys], training)
+            if normalized is not None:
+                out = A.standardize(normalized, *out) if training else A.standardize(normalized, out)
+            if training:
+                out, *partials = out
+                self._partials.append(partials)
+            values.append(out.reshape(shape))
+        return values[0] if len(values) == 1 else np.concatenate(values, axis=-1)
 
     def backward(self, dout):
-        if len(self._partials) == 1:
-            return dout * self._partials[0]
-        gx, gy = self._partials
-        dz = np.empty(dout.shape[:-1] + (self.n_in,))
-        dx, dy = dz.reshape(-1, 2).T  # every pair's x and y operand, in row order
-        if self.acts_per_pair > 1:
-            # Every act saw the whole pair list: sum the acts' shares per pair.
-            shape = dout.shape[:-1] + (self.acts_per_pair, self.act_width)
-            dx[:] = (gx * dout).reshape(shape).sum(axis=-2).ravel()
-            dy[:] = (gy * dout).reshape(shape).sum(axis=-2).ravel()
-        else:
-            np.multiply(gx.ravel(), dout.ravel(), out=dx)
-            np.multiply(gy.ravel(), dout.ravel(), out=dy)
+        dz = np.empty((len(dout), self.n_in))
+        v, w = dz.reshape(-1, self.view_width), self.act_width
+        partition = self.spec.strategy == "partition"
+        for j, ((_, *operands, _), partials) in enumerate(zip(self.plan, self._partials)):
+            up = dout[:, j * w:(j + 1) * w].reshape(partials[0].shape)
+            for index, partial in zip(operands, partials):  # relu: one operand, one partial
+                if j == 0 or partition:
+                    np.multiply(partial, up, out=v[index])
+                else:  # duplication: this act's share of every pair, added in act order
+                    v[index] += partial * up
         return dz
 
     def params(self):

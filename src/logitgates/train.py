@@ -244,7 +244,12 @@ def _first_nan_grad(net: Network) -> str:
 
 
 def fit(net: Network, train_ds: Dataset, config: TrainConfig, val_ds: Dataset | None = None) -> TrainReport:
-    """Train the network; deterministic for fixed (net seed, config, data)."""
+    """Train the network.
+
+    Deterministic for a fixed (net seed, config, data) under a fixed numpy
+    build, BLAS build and BLAS thread count: the BLAS blocks its products by
+    thread count, so an MNIST-sized run's bytes differ between 1 and 2 threads.
+    """
     if train_ds.inputs.shape[1] != net.input_width:
         raise ValueError("dataset width does not match network input width")
     loss_fn = _LOSSES[config.loss]

@@ -8,11 +8,18 @@ that trains runs configs bundled with the package, overriding only the seed,
 so an edited shipped config is certified again.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logitgates
 from logitgates.activations import (
     GATE_KINDS,
     Activation,
@@ -28,8 +35,10 @@ from logitgates.activations import (
     xnor_ail,
     xnor_il,
 )
+from logitgates.data import write_idx_images, write_idx_labels
 from logitgates.ensemble import parse_spec
 from logitgates.experiments import (
+    bundled_config_path,
     build_network,
     equal_param_relu_widths,
     mnist_available,
@@ -57,8 +66,7 @@ def run_bundled(name: str, seed: int):
     """The report of bundled config `name` trained with train.seed set to seed,
     as `logitgates train name --seed seed` runs it."""
     cfg = resolve_config(name)
-    cfg.train.seed = seed
-    report_obj, _ = run_experiment(cfg)
+    report_obj, _ = run_experiment(replace(cfg, train=replace(cfg.train, seed=seed)))
     return report_obj
 
 
@@ -301,3 +309,38 @@ def test_criterion_10_determinism():
     report(f"criterion 10 (determinism): byte-identical reports -> "
            f"{'PASS' if identical else 'FAIL'}")
     assert identical
+
+
+def test_criterion_10_determinism_per_blas_thread_count(tmp_path):
+    # The BLAS blocks its products by thread count, so an MNIST-sized run
+    # repeats its bytes only at a fixed count. Train the bundled
+    # mnist_ail_ensemble for 2 steps on random IDX files, twice at each count,
+    # each run in its own interpreter.
+    rng = np.random.default_rng(0)
+    for prefix, n in (("train", 512), ("t10k", 64)):
+        write_idx_images(tmp_path / f"{prefix}-images-idx3-ubyte",
+                         rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8))
+        write_idx_labels(tmp_path / f"{prefix}-labels-idx1-ubyte", rng.integers(0, 10, size=n))
+    raw = json.loads(bundled_config_path("mnist_ail_ensemble").read_text())
+    raw["train"]["epochs"] = 1
+    raw["mnist_dir"] = str(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    src = str(Path(logitgates.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outs = [tmp_path / f"t{threads}_{i}" for i in range(2)]
+        procs = [subprocess.Popen([sys.executable, "-m", "logitgates.cli", "train",
+                                   str(tmp_path / "config.json"), "--out-dir", str(out)],
+                                  env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                 for out in outs]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err.decode()
+        runs[threads] = [(out / "model.bin").read_bytes() for out in outs]
+    repeated = {t: first == second for t, (first, second) in runs.items()}
+    report(f"criterion 10 (determinism) at 784-wide products: model.bin repeated per "
+           f"BLAS thread count {repeated}, 1 vs 2 threads equal: "
+           f"{runs['1'][0] == runs['2'][0]} -> {'PASS' if all(repeated.values()) else 'FAIL'}")
+    assert all(repeated.values())

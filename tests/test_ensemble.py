@@ -85,29 +85,47 @@ def test_single_act_strategies_identical():
     assert np.array_equal(input_gradient(dup, z, up), input_gradient(part, z, up))
 
 
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("text", [
     "il:or+and+xnor:d", "nil:or+and+xnor:d", "ail:or+and+xnor:d",
-    "ail:or+xnor:p", "nil:or+and+xnor:p",
+    "ail:or+xnor:p", "nil:or+and+xnor:p", "xnor_ail", "relu",
 ])
 def test_block_equals_per_activation_apply(text):
     # Under duplication the block applies each act to the whole pair list,
     # under partition act j to the j-th contiguous block of pairs, and joins
-    # the results; it must give what each act alone gives, bit for bit.
+    # the values. Its backward gives each operand the act's partial times the
+    # act's upstream columns; under duplication the acts' products are summed
+    # in act order. It must give what each act alone gives, bit for bit.
     spec = parse_spec(text)
-    z = np.random.default_rng(3).standard_normal((64, 60)) * 3.0
-    x, y = z[:, 0::2], z[:, 1::2]
-    if spec.strategy == "partition":
-        w = x.shape[1] // spec.m
-        operands = [(x[:, j * w:(j + 1) * w], y[:, j * w:(j + 1) * w]) for j in range(spec.m)]
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((64, 60)) * 3.0
+    if spec.elementwise:
+        operands = [(np.s_[:, :],)]
+    elif spec.strategy == "partition":
+        w = z.shape[1] // spec.m
+        operands = [(np.s_[:, j * w:(j + 1) * w:2], np.s_[:, j * w + 1:(j + 1) * w:2])
+                    for j in range(spec.m)]
     else:
-        operands = [(x, y)] * spec.m
-    per_act = [apply(act, *xy, grad=True) for act, xy in zip(spec.acts, operands)]
+        operands = [(np.s_[:, 0::2], np.s_[:, 1::2])] * spec.m
+    per_act = [apply(act, *(z[i] for i in idx), grad=True) for act, idx in zip(spec.acts, operands)]
+    upstream = rng.standard_normal((64, spec.out_channels(z.shape[1])))
+    width = upstream.shape[1] // spec.m
+    want_dz = np.empty_like(z)
+    for j, ((_, *partials), idx) in enumerate(zip(per_act, operands)):
+        up = upstream[:, j * width:(j + 1) * width]
+        for i, partial in zip(idx, partials):
+            if j > 0 and spec.strategy == "duplication":
+                want_dz[i] += partial * up
+            else:
+                want_dz[i] = partial * up
+    want = np.concatenate([value for value, *_ in per_act], axis=1)
     layer = act_layer(spec, z.shape[1])
-    value = layer.forward(z, True)
-    gx, gy = layer._partials
-    for got, want in zip((layer.forward(z, False), value, gx, gy),
-                         (np.concatenate([r[i] for r in per_act], axis=1) for i in (0, 0, 1, 2))):
-        assert np.array_equal(got, want)
+    assert same_bits(layer.forward(z, False), want)
+    assert same_bits(layer.forward(z, True), want)
+    assert same_bits(layer.backward(upstream), want_dz)
 
 
 @pytest.mark.parametrize("text", ["xnor_ail", "relu", "ail:or+xnor:p", "nil:or+and+xnor:d"])

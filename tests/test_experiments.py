@@ -1,7 +1,7 @@
 import json
 import re
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -130,6 +130,17 @@ def test_config_rejects_non_integer_counts(field, value):
         config(value)
     cfg = config(np.int64(4))
     assert build_network(cfg.task, cfg.widths, cfg.activation, seed=0).specs[0] == Affine(8, 4)
+
+
+def test_config_fields_are_checked_on_every_change():
+    # A config is frozen, so no assignment skips the field check; a changed
+    # copy goes through it again.
+    cfg = resolve_config("parity4_xnor_ail")
+    with pytest.raises(FrozenInstanceError):
+        cfg.batch_norm = "no"
+    with pytest.raises(ValueError, match="batch_norm must be bool"):
+        replace(cfg, batch_norm="no")
+    assert replace(cfg, n_val=8).n_val == 8
 
 
 def _fuzzed(raw, rng, n_edits):
