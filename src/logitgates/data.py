@@ -19,7 +19,7 @@ NESTED_PAIRS = ((2, 5), (3, 4), (6, 7), (0, 1))
 class Dataset:
     inputs: np.ndarray            # (n, d) float64
     targets: np.ndarray           # (n, t) float64, or (n,) int labels
-    task: str                     # "binary" | "classification" | "regression"
+    task: str                     # the dataset kind, a key of train.KINDS
     n_classes: int | None = None
 
     def __post_init__(self):
@@ -35,8 +35,13 @@ class Dataset:
             self.targets = labels.astype(np.int64)
         else:
             self.targets = np.asarray(self.targets, dtype=np.float64)
+            if self.targets.ndim != 2:
+                raise ValueError(f"{self.task} targets must be an (n, t) matrix, "
+                                 f"got shape {self.targets.shape}")
             if not np.all(np.isfinite(self.targets)):
                 raise ValueError("targets contain non-finite values")
+        if len(self.targets) != len(self.inputs):
+            raise ValueError(f"{len(self.targets)} target rows for {len(self.inputs)} input rows")
 
     @property
     def n(self) -> int:

@@ -12,23 +12,23 @@ from .data import Dataset
 from .ensemble import parse_spec
 from .network import Affine, BatchNorm, Network
 from .numerics import check_fields, count, sigmoid
-from .train import TrainConfig, TrainReport, fit
+from .train import KINDS, TrainConfig, TrainReport, fit
 
 MNIST_DIR_ENV_VAR = "LOGITGATES_MNIST_DIR"
 
-TASK_DIMS = {
-    "parity4": (4, 1),
-    "nested_xnor8": (8, 1),
-    "xor2": (2, 1),
-    "mnist": (784, 10),
+# Per task: the network's input and output widths, and the kind of its
+# datasets, whose loss (train.KINDS) is the one the task trains on.
+TASKS = {
+    "parity4": (4, 1, "binary"),
+    "nested_xnor8": (8, 1, "regression"),
+    "xor2": (2, 1, "binary"),
+    "mnist": (784, 10, "classification"),
 }
 
-DEFAULT_LOSS = {
-    "parity4": "bce-with-logits",
-    "nested_xnor8": "mse",
-    "xor2": "bce-with-logits",
-    "mnist": "cross-entropy",
-}
+
+def task_loss(task: str) -> str:
+    """The loss a task trains on: its dataset kind's."""
+    return KINDS[TASKS[task][2]].loss
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.task not in TASK_DIMS:
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.train.loss != DEFAULT_LOSS[self.task]:
-            raise ValueError(f"train.loss: {self.task} trains on {DEFAULT_LOSS[self.task]!r}, "
+        if self.train.loss != task_loss(self.task):
+            raise ValueError(f"train.loss: {self.task} trains on {task_loss(self.task)!r}, "
                              f"got {self.train.loss!r}")
         try:
             parse_spec(self.activation)  # validates the text form
@@ -83,7 +83,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _check_keys(ExperimentConfig, raw, "")
     _check_keys(TrainConfig, raw["train"], "train.")
     # A tuple, so that an unhashable task compares unequal; ExperimentConfig names it.
-    loss = {"loss": DEFAULT_LOSS[raw["task"]]} if raw["task"] in tuple(DEFAULT_LOSS) else {}
+    loss = {"loss": task_loss(raw["task"])} if raw["task"] in tuple(TASKS) else {}
     # The constructors check every value, and their messages name the field.
     try:
         train = TrainConfig(**(loss | raw["train"]))
@@ -126,7 +126,7 @@ def resolve_config(path_or_name: str) -> ExperimentConfig:
 
 def _layer_specs(task: str, widths, activation: str, batch_norm: bool) -> list:
     """Affine -> [batch norm] -> activation block per width, then the head."""
-    input_width, output_width = TASK_DIMS[task]
+    input_width, output_width, _ = TASKS[task]
     spec = parse_spec(activation)
     layers = []
     current = input_width

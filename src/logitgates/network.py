@@ -66,6 +66,11 @@ LayerSpec = Affine | BatchNorm | EnsembleSpec
 
 
 class _AffineLayer:
+    # Each layer type names its trainable arrays with their weight-decay flag,
+    # and the arrays a model file holds, in file order.
+    TRAINABLE = (("weight", True), ("bias", False))
+    SAVED = ("weight", "bias")
+
     def __init__(self, spec: Affine, n_in: int, rng: np.random.Generator):
         self.spec = spec
         bound = np.sqrt(1.0 / spec.n_in)
@@ -91,11 +96,11 @@ class _AffineLayer:
         self.param_grads(dout)
         return dout.dot(self.weight.T)
 
-    def params(self):
-        return [("weight", True), ("bias", False)]
-
 
 class _BatchNormLayer:
+    TRAINABLE = (("gamma", False), ("beta", False))
+    SAVED = ("gamma", "beta", "running_mean", "running_var")
+
     def __init__(self, spec: BatchNorm, n_in: int, rng: np.random.Generator):
         self.spec = spec
         c = spec.channels
@@ -155,9 +160,6 @@ class _BatchNormLayer:
         dxhat *= self._inv_std / n
         return dxhat
 
-    def params(self):
-        return [("gamma", False), ("beta", False)]
-
 
 class _ActLayer:
     """An activation block, routed once at build from its spec and input width.
@@ -174,6 +176,8 @@ class _ActLayer:
     its gate returns them. The backward writes partial * upstream through the
     same operand view of dz; under duplication later acts add theirs in act order.
     """
+
+    TRAINABLE = SAVED = ()
 
     def __init__(self, spec: EnsembleSpec, n_in: int, rng: np.random.Generator):
         self.spec = spec
@@ -215,9 +219,6 @@ class _ActLayer:
                 else:  # duplication: this act's share of every pair, added in act order
                     v[index] += partial * up
         return dz
-
-    def params(self):
-        return []
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -262,7 +263,7 @@ class Network:
         the prefix ``[:n_decayed]``; the undecayed arrays follow in layer order.
         """
         slots = [(layer, attr, decayed) for layer in self.layers
-                 for attr, decayed in layer.params()]
+                 for attr, decayed in layer.TRAINABLE]
         slots.sort(key=lambda slot: not slot[2])  # stable: layer order within each group
         total = sum(getattr(layer, attr).size for layer, attr, _ in slots)
         self.flat_params = np.empty(total)
@@ -308,29 +309,20 @@ class Network:
 
     def parameters(self):
         """(name, param, grad, is_decayed_weight) for every trainable array."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            for attr, decay in layer.params():
-                out.append((
-                    f"layer{i}.{attr}",
-                    getattr(layer, attr),
-                    getattr(layer, "grad_" + attr),
-                    decay,
-                ))
-        return out
+        return [(f"layer{i}.{attr}", getattr(layer, attr), getattr(layer, "grad_" + attr), decay)
+                for i, layer in enumerate(self.layers) for attr, decay in layer.TRAINABLE]
 
     # -- serialization ------------------------------------------------------
 
     def _arrays(self):
-        for layer in self.layers:
-            if isinstance(layer, _AffineLayer):
-                yield from (layer.weight, layer.bias)
-            elif isinstance(layer, _BatchNormLayer):
-                yield from (layer.gamma, layer.beta, layer.running_mean, layer.running_var)
+        """Every array a model file holds, in file order."""
+        return [getattr(layer, attr) for layer in self.layers for attr in layer.SAVED]
+
+    def _header(self) -> dict:
+        return {"layers": [spec_to_dict(s) for s in self.specs], "seed": self.seed}
 
     def save(self, path):
-        header = json.dumps({"layers": [spec_to_dict(s) for s in self.specs],
-                             "seed": self.seed}, sort_keys=True).encode()
+        header = json.dumps(self._header(), sort_keys=True).encode()
         with open(path, "wb") as f:
             f.write(_MAGIC)
             f.write(struct.pack("<I", len(header)))
@@ -348,6 +340,7 @@ class Network:
                 (hlen,) = struct.unpack("<I", f.read(4))
                 meta = json.loads(f.read(hlen).decode())
                 net = cls([spec_from_dict(d) for d in meta["layers"]], seed=meta["seed"])
+                _refuse_unknown_keys(meta, net._header(), "header")
                 for arr in net._arrays():
                     raw = f.read(arr.size * 8)
                     if len(raw) != arr.size * 8:
@@ -376,9 +369,19 @@ def spec_to_dict(spec: LayerSpec) -> dict:
 def spec_from_dict(d: dict) -> LayerSpec:
     t = d["type"]
     if t == "affine":
-        return Affine(d["in"], d["out"])
-    if t == "batch_norm":
-        return BatchNorm(d["channels"], d["momentum"], d["epsilon"])
-    if t == "act":
-        return parse_spec(d["spec"])
-    raise ValueError(f"unknown layer type {t!r}")
+        spec = Affine(d["in"], d["out"])
+    elif t == "batch_norm":
+        spec = BatchNorm(d["channels"], d["momentum"], d["epsilon"])
+    elif t == "act":
+        spec = parse_spec(d["spec"])
+    else:
+        raise ValueError(f"unknown layer type {t!r}")
+    _refuse_unknown_keys(d, spec_to_dict(spec), f"{t} layer")
+    return spec
+
+
+def _refuse_unknown_keys(raw: dict, written: dict, where: str) -> None:
+    """Raise ValueError naming the first key of raw that save does not write."""
+    unknown = sorted(raw.keys() - written.keys())
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r}")

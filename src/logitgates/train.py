@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ class TrainConfig:
     max_lr: float = 0.01
     weight_decay: float = 0.0
     seed: int = count(0, default=0)
-    loss: str = "bce-with-logits"  # "bce-with-logits" | "cross-entropy" | "mse"
+    loss: str = "bce-with-logits"  # the loss of a dataset kind in KINDS
 
     def __post_init__(self):
         check_fields(self)
@@ -164,7 +165,36 @@ def mse(z: np.ndarray, targets: np.ndarray):
     return loss, (2.0 / z.size) * diff
 
 
-_LOSSES = {"bce-with-logits": bce_with_logits, "cross-entropy": cross_entropy, "mse": mse}
+# A dataset kind's loss and metric, each by name and routine; the metric
+# routine takes (outputs, targets, mean loss).
+Kind = namedtuple("Kind", "loss loss_fn metric metric_fn")
+
+# Keyed by Dataset.task.
+KINDS = {
+    "binary": Kind("bce-with-logits", bce_with_logits, "accuracy",
+                   lambda z, t, loss: float(np.mean((z >= 0) == (t >= 0.5)))),
+    "classification": Kind("cross-entropy", cross_entropy, "accuracy",
+                           lambda z, t, loss: float(np.mean(z.argmax(axis=1) == t))),
+    "regression": Kind("mse", mse, "rmse", lambda z, t, loss: math.sqrt(loss)),
+}
+
+# By loss name. fit looks its loss up here on each call, so a wrapped entry
+# times training steps only; evaluate calls its kind's routine directly.
+_LOSSES = {kind.loss: kind.loss_fn for kind in KINDS.values()}
+
+
+def _kind(net: Network, ds: Dataset):
+    """ds's entry in KINDS, once its inputs and targets are known to fit net."""
+    if ds.task not in KINDS:
+        raise ValueError(f"unknown dataset kind {ds.task!r}; kinds are {sorted(KINDS)}")
+    if ds.inputs.shape[1] != net.input_width:
+        raise ValueError("dataset width does not match network input width")
+    # A class label picks one output; any other target row is one output row.
+    width = ds.n_classes if ds.task == "classification" else ds.targets.shape[1]
+    if width != net.output_width:
+        raise ValueError(f"{ds.task} targets are {width} wide, the network's output is "
+                         f"{net.output_width}")
+    return KINDS[ds.task]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +203,8 @@ _LOSSES = {"bce-with-logits": bce_with_logits, "cross-entropy": cross_entropy, "
 
 
 def evaluate(net: Network, ds: Dataset):
-    """(loss, metric) on a dataset; metric is accuracy or RMSE by task."""
+    """(loss, metric) on a dataset, by its kind in KINDS."""
+    kind = _kind(net, ds)
     # Rows per forward pass: about 2 * BLOCK elements (512 KB) in the widest
     # layer output, so memory does not grow with the data. Eval-mode rows are
     # independent, so the scores are the same at any chunk size.
@@ -183,20 +214,8 @@ def evaluate(net: Network, ds: Dataset):
     else:
         z = np.concatenate([net.forward(ds.inputs[i:i + rows], training=False)
                             for i in range(0, ds.n, rows)])
-    if ds.task == "binary":
-        loss, _ = bce_with_logits(z, ds.targets)
-        metric = float(np.mean((z >= 0) == (ds.targets >= 0.5)))
-    elif ds.task == "classification":
-        loss, _ = cross_entropy(z, ds.targets)
-        metric = float(np.mean(z.argmax(axis=1) == np.asarray(ds.targets).ravel()))
-    else:
-        loss, _ = mse(z, ds.targets)
-        metric = math.sqrt(loss)
-    return loss, metric
-
-
-def metric_name(task: str) -> str:
-    return "rmse" if task == "regression" else "accuracy"
+    loss, _ = kind.loss_fn(z, ds.targets)
+    return loss, kind.metric_fn(z, ds.targets, loss)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +269,9 @@ def fit(net: Network, train_ds: Dataset, config: TrainConfig, val_ds: Dataset | 
     build, BLAS build and BLAS thread count: the BLAS blocks its products by
     thread count, so an MNIST-sized run's bytes differ between 1 and 2 threads.
     """
-    if train_ds.inputs.shape[1] != net.input_width:
-        raise ValueError("dataset width does not match network input width")
+    for ds in (train_ds, val_ds):  # before any forward pass
+        if ds is not None:
+            _kind(net, ds)
     loss_fn = _LOSSES[config.loss]
     n = train_ds.inputs.shape[0]
     steps_per_epoch = math.ceil(n / config.batch_size)
@@ -286,6 +306,6 @@ def fit(net: Network, train_ds: Dataset, config: TrainConfig, val_ds: Dataset | 
     for split, ds in (("train", train_ds), ("val", val_ds)):
         if ds is not None:
             loss, metric = evaluate(net, ds)
-            final |= {f"{split}_loss": loss, f"{split}_{metric_name(ds.task)}": metric}
+            final |= {f"{split}_loss": loss, f"{split}_{KINDS[ds.task].metric}": metric}
     return TrainReport(task=train_ds.task, config=asdict(config),
                        epochs=epoch_rows, final=final)

@@ -235,3 +235,25 @@ class TestDatasetType:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 2)), np.zeros((0, 1)), "regression")
+
+    @pytest.mark.parametrize("task", ["regression", "binary"])
+    def test_rejects_targets_that_are_not_a_matrix(self, task):
+        # (n,) targets against (n, 1) outputs would broadcast to (n, n) in a loss.
+        x = np.zeros((4, 2))
+        with pytest.raises(ValueError, match=re.escape(f"{task} targets must be an (n, t) matrix")):
+            Dataset(x, np.zeros(4), task)
+        with pytest.raises(ValueError, match="matrix"):
+            Dataset(x, np.zeros((4, 1, 1)), task)
+
+    @pytest.mark.parametrize("targets, task, n_classes", [
+        (np.zeros((3, 1)), "regression", None),
+        (np.zeros((5, 1)), "binary", None),
+        (np.zeros(3, dtype=int), "classification", 10),
+    ], ids=["regression", "binary", "classification"])
+    def test_rejects_a_target_row_count_unlike_the_inputs(self, targets, task, n_classes):
+        with pytest.raises(ValueError, match=f"{len(targets)} target rows for 4 input rows"):
+            Dataset(np.zeros((4, 2)), targets, task, n_classes=n_classes)
+
+    def test_labels_may_come_as_a_column(self):
+        ds = Dataset(np.zeros((3, 2)), np.array([[0], [2], [1]]), "classification", n_classes=3)
+        assert ds.targets.shape == (3,) and ds.targets.tolist() == [0, 2, 1]

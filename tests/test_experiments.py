@@ -6,9 +6,10 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from logitgates import data, train
+from logitgates import data, experiments, train
 from logitgates.cli import main
 from logitgates.experiments import (
+    TASKS,
     ConfigError,
     ExperimentConfig,
     bundled_config_path,
@@ -284,6 +285,46 @@ def _write_synthetic_mnist(root, n_train=1536, n_test=512):
     data.write_idx_labels(root / "train-labels-idx1-ubyte", tr_labels)
     data.write_idx_images(root / "t10k-images-idx3-ubyte", te_images)
     data.write_idx_labels(root / "t10k-labels-idx1-ubyte", te_labels)
+
+
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_task_datasets_fit_the_task_table(tmp_path, monkeypatch, task):
+    # Each task's datasets have its kind and input width, and its network
+    # scores them; a loss other than the kind's is refused (the wrong_loss row).
+    _write_synthetic_mnist(tmp_path, n_train=24, n_test=8)
+    monkeypatch.setenv("LOGITGATES_MNIST_DIR", str(tmp_path))
+    inputs, outputs, kind = TASKS[task]
+    raw = {"task": task, "activation": "relu", "widths": [4], "n_train": 24, "n_val": 8,
+           "train": {"epochs": 1, "batch_size": 8}}
+    cfg = config_from_dict(raw)
+    assert cfg.train.loss == train.KINDS[kind].loss
+    net = build_network(task, cfg.widths, cfg.activation, seed=0)
+    assert (net.input_width, net.output_width) == (inputs, outputs)
+    for ds in task_datasets(cfg):
+        assert (ds.task, ds.inputs.shape[1]) == (kind, inputs)
+        assert all(map(np.isfinite, train.evaluate(net, ds)))
+    wrong_loss = next(k.loss for k in train.KINDS.values() if k.loss != cfg.train.loss)
+    with pytest.raises(ConfigError, match="loss"):
+        config_from_dict(raw | {"train": raw["train"] | {"loss": wrong_loss}})
+
+
+def test_run_experiment_calls_each_phase_once(monkeypatch):
+    # perfbench times set-up and training by wrapping these module globals, so
+    # run_experiment calls each of them once, through the module.
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("task_datasets", "build_network", "fit"):
+        monkeypatch.setattr(experiments, name, counting(name, getattr(experiments, name)))
+    cfg = config_from_dict({"task": "xor2", "activation": "xnor_nail", "widths": [2],
+                            "train": {"epochs": 1, "batch_size": 4}})
+    run_experiment(cfg)
+    assert calls == ["task_datasets", "build_network", "fit"]
 
 
 def test_mnist_pipeline_on_synthetic_idx(tmp_path, monkeypatch):

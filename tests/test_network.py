@@ -260,6 +260,8 @@ def test_save_load_round_trip(tmp_path):
     x = np.random.default_rng(10).standard_normal((8, 4))
     assert np.array_equal(net.forward(x), loaded.forward(x))
     assert np.array_equal(net.layers[1].running_mean, loaded.layers[1].running_mean)
+    loaded.save(tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 def _assert_flat_store(net):
@@ -400,3 +402,19 @@ def test_load_refuses_a_header_seed_that_is_no_count(tmp_path, seed):
     _rewrite_header(path, lambda header: header.update(seed=seed))
     with pytest.raises(ModelFormatError, match=r"model\.bin: seed must be an integer"):
         Network.load(path)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda header: header.update(sede=3), "unknown header key 'sede'"),
+    (lambda header: header["layers"][0].update(bias=[0.0]), "unknown affine layer key 'bias'"),
+    (lambda header: header["layers"][1].update(eps=1e-5), "unknown batch_norm layer key 'eps'"),
+    (lambda header: header["layers"][2].update(m=2), "unknown act layer key 'm'"),
+], ids=["top_level", "affine", "batch_norm", "act"])
+def test_load_refuses_unknown_header_keys(tmp_path, edit, key):
+    # A key that save never writes is a mistake, as in a config file.
+    path = tmp_path / "model.bin"
+    Network([Affine(6, 8), BatchNorm(8), parse_spec("or_ail"), Affine(4, 2)], seed=5).save(path)
+    _rewrite_header(path, edit)
+    with pytest.raises(ModelFormatError, match=rf"model\.bin: {key}"):
+        Network.load(path)
+

@@ -341,6 +341,49 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(net, ds, self._config())
 
+    @pytest.mark.parametrize("outputs, targets, task, n_classes, message", [
+        (1, np.zeros((64, 3)), "regression", None,
+         "regression targets are 3 wide, the network's output is 1"),
+        (10, np.arange(64) % 12, "classification", 12,
+         "classification targets are 12 wide, the network's output is 10"),
+        (1, np.zeros((64, 1)), "regresion", None, "unknown dataset kind 'regresion'"),
+    ], ids=["target_columns", "class_labels", "unknown_kind"])
+    def test_targets_that_do_not_fit_the_network_are_refused_unseen(
+            self, monkeypatch, outputs, targets, task, n_classes, message):
+        # Unchecked, the first would score against broadcast (64, 3) targets,
+        # the second index past the outputs, and the third score as regression.
+        x = np.random.default_rng(0).standard_normal((64, 8))
+        bad = data.Dataset(x, targets, task, n_classes=n_classes)
+        good = data.Dataset(x, np.zeros((64, outputs)), "regression")
+        net = Network([Affine(8, outputs)], seed=0)
+        forwards = []
+        monkeypatch.setattr(net, "forward", lambda *args, **kw: forwards.append(1))
+        with pytest.raises(ValueError, match=message):
+            evaluate(net, bad)
+        with pytest.raises(ValueError, match=message):
+            fit(net, bad, self._config(loss="mse"))
+        with pytest.raises(ValueError, match=message):  # before training on a good set
+            fit(net, good, self._config(loss="mse"), val_ds=bad)
+        assert forwards == []
+
+    def test_fit_calls_its_loss_per_step_and_evaluate_never(self, monkeypatch):
+        # fit looks its loss up in _LOSSES on each call, and evaluate calls
+        # its kind's routine, so a wrapped entry sees training steps only.
+        calls = []
+
+        def counting(z, targets):
+            calls.append(len(z))
+            return mse(z, targets)
+
+        monkeypatch.setitem(train._LOSSES, "mse", counting)
+        ds = data.gen_nested_xnor8(40, 0)
+        net = build_network("nested_xnor8", [8], "xnor_ail", 0)
+        report = fit(net, ds, self._config(loss="mse", epochs=2), val_ds=data.gen_nested_xnor8(8, 1))
+        assert calls == [16, 16, 8] * 2
+        evaluate(net, ds)
+        assert len(calls) == 6 and set(report.final) == {
+            "train_loss", "train_rmse", "val_loss", "val_rmse"}
+
     def test_report_serialization_round_trip(self):
         import json
 
