@@ -150,7 +150,7 @@ def _cmd_verify(args) -> int:
         ok = True
         for r in results:
             status = "PASS" if r.passed else "FAIL"
-            bound = "reported" if r.bound == float("inf") else f"<= {r.bound:.3e}"
+            bound = "reported" if r.bound == float("inf") else f"< {r.bound:.3e}"
             print(f"{status}  {r.name:<{width}}  value={r.value:.6e}  {bound}")
             ok &= r.passed
         print("all checks passed" if ok else "FAILURES present")

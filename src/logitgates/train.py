@@ -263,7 +263,7 @@ def _first_nan_grad(net: Network) -> str:
 
 
 def fit(net: Network, train_ds: Dataset, config: TrainConfig, val_ds: Dataset | None = None) -> TrainReport:
-    """Train the network.
+    """Train the network on config.loss, which must be train_ds's kind's loss.
 
     Deterministic for a fixed (net seed, config, data) under a fixed numpy
     build, BLAS build and BLAS thread count: the BLAS blocks its products by
@@ -272,6 +272,8 @@ def fit(net: Network, train_ds: Dataset, config: TrainConfig, val_ds: Dataset | 
     for ds in (train_ds, val_ds):  # before any forward pass
         if ds is not None:
             _kind(net, ds)
+    if config.loss != (expected := KINDS[train_ds.task].loss):
+        raise ValueError(f"loss: {train_ds.task} data trains on {expected!r}, got {config.loss!r}")
     loss_fn = _LOSSES[config.loss]
     n = train_ds.inputs.shape[0]
     steps_per_epoch = math.ceil(n / config.batch_size)

@@ -20,7 +20,7 @@ gate's, standardized by ``activations.standardize``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,6 +124,11 @@ class GridCompareReport:
     wide_masked_max_abs_diff: float  # farther than WIDE_EXCLUSION
 
 
+def _same(a: float, b: float) -> bool:
+    """Whether two worst values are one: equal, or both NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
 def _kink_distance(x, y):
     """Distance from (x, y) to the nearest of the lines x=0, y=0, x=y, x=-y."""
     # In place: on a grid band every temporary is a band-sized surface.
@@ -151,7 +156,8 @@ def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01) -> list[Gr
     Returns one report per kind in ``kinds``, in order. Each reports the
     strict max |approx - exact| plus the max over cells farther than
     EXCLUSION (and than WIDE_EXCLUSION) from the lines x=0, y=0, x=y, x=-y
-    (the approximate gates' kink lines), on the grid of ``grid_axes``.
+    (the approximate gates' kink lines), on the grid of ``grid_axes``. A NaN
+    difference is the maximum, and the strict argmax is then the first NaN cell.
 
     The grid is walked once, in bands of rows holding about BLOCK cells. Each
     band forms its distances to the kink lines and both exclusion masks once,
@@ -190,24 +196,23 @@ def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01) -> list[Gr
             if r >= stop[p]:
                 continue
             w = stop[p] - r  # the pair's columns are the band's first w
-            exact = apply(exact_act, x, y[:, :w])
-            approx = apply(approx_act, x, y[:, :w])
-            diff = approx - exact
+            diff = apply(approx_act, x, y[:, :w])  # |approx - exact|, in place
+            diff -= apply(exact_act, x, y[:, :w])
             np.abs(diff, out=diff)
-            top = float(diff.max())
-            masked = float(np.max(diff, where=outside[:, :w], initial=0.0))
-            wide = float(np.max(diff, where=wide_outside[:, :w], initial=0.0))
+            top = diff.max()  # NaN if any cell is
+            masked = np.max(diff, where=outside[:, :w], initial=0.0)
+            wide = np.max(diff, where=wide_outside[:, :w], initial=0.0)
             cells = None
             for rep in reports:
                 if pair[rep.kind] != p:
                     continue
-                rep.masked_max_abs_diff = max(rep.masked_max_abs_diff, masked)
-                rep.wide_masked_max_abs_diff = max(rep.wide_masked_max_abs_diff, wide)
-                # A tie counts too: a later band of and's may hold or's
-                # first maximum.
-                if top >= rep.max_abs_diff:
+                rep.masked_max_abs_diff = float(np.maximum(rep.masked_max_abs_diff, masked))
+                rep.wide_masked_max_abs_diff = float(np.maximum(rep.wide_masked_max_abs_diff, wide))
+                worst = float(np.maximum(rep.max_abs_diff, top))
+                # A tie counts too: a later band of and's may hold or's first maximum.
+                if _same(top, worst):
                     if cells is None:
-                        cells = np.flatnonzero(diff == top)
+                        cells = np.flatnonzero(np.isnan(diff) if math.isnan(top) else diff == top)
                         i, j = r + cells // w, r + cells % w
                     if pair[rep.kind] == rep.kind:
                         first = int((i * n + j).min())
@@ -215,8 +220,8 @@ def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01) -> list[Gr
                         first = int(((n - 1 - np.maximum(i, j)) * n
                                      + n - 1 - np.minimum(i, j)).min())
                     first = divmod(first, n)
-                    if top > rep.max_abs_diff or first < rep.argmax:
-                        rep.max_abs_diff, rep.argmax = top, first
+                    if not _same(rep.max_abs_diff, worst) or first < rep.argmax:
+                        rep.max_abs_diff, rep.argmax = worst, first
     for rep in reports:
         rep.argmax = (float(axes[rep.argmax[0]]), float(axes[rep.argmax[1]]))
     return reports
@@ -228,14 +233,14 @@ def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01) -> list[Gr
 
 
 def _interior_points(n: int, seed: int):
-    """Random 2D points farther than BOUNDARY_EPS from all kink lines."""
+    """The first n points of a uniform stream farther than BOUNDARY_EPS from all kink lines."""
     rng = np.random.default_rng(seed)
-    points = np.empty((0, 2))
-    while points.shape[0] < n:
-        cand = rng.uniform(-GRADCHECK_BOX, GRADCHECK_BOX, size=(2 * n, 2))
-        keep = _kink_distance(cand[:, 0], cand[:, 1]) > BOUNDARY_EPS
-        points = np.vstack([points, cand[keep]])
-    return points[:n]
+    points, kept = np.empty((n, 2)), 0
+    while kept < n:  # each round draws one candidate per point still missing
+        cand = rng.uniform(-GRADCHECK_BOX, GRADCHECK_BOX, size=(n - kept, 2))
+        cand = cand[_kink_distance(cand[:, 0], cand[:, 1]) > BOUNDARY_EPS]
+        points[kept:kept + len(cand)], kept = cand, kept + len(cand)
+    return points
 
 
 @dataclass
@@ -310,7 +315,7 @@ def gradcheck_network(net: Network, x: np.ndarray, seed: int = 0) -> float:
         # must probe the same function the analytic backward differentiated
         return float(np.sum(r * net.forward(x, training=True)))
 
-    worst = 0.0
+    worst = 0.0  # folded by np.maximum, so a NaN quotient or partial stays
     for _ in range(NET_GRADCHECK_COORDS):
         name, param, _, _ = params[rng.integers(len(params))]
         flat = param.reshape(-1)
@@ -323,13 +328,12 @@ def gradcheck_network(net: Network, x: np.ndarray, seed: int = 0) -> float:
         flat[k] = orig
         fd = (up - down) / (2 * h)
         ana = analytic[name].reshape(-1)[k]
-        if max(abs(ana), abs(fd)) < 1e-7:
+        if (scale := np.maximum(abs(ana), abs(fd))) < 1e-7:
             # below the resolution of the difference quotient itself (e.g. a
-            # bias feeding batch norm has an exactly-zero gradient)
+            # bias feeding batch norm has an exactly-zero gradient); a NaN is not
             continue
-        scale = max(abs(ana), abs(fd))
-        worst = max(worst, abs(ana - fd) / scale)
-    return worst
+        worst = np.maximum(worst, abs(ana - fd) / scale)
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +390,8 @@ def bayes_identity_check(seed: int = 0) -> float:
     y = rng.uniform(-BAYES_BOX, BAYES_BOX, size=BAYES_POINTS)
     both = sigmoid(x) * sigmoid(y)
     neither = sigmoid(-x) * sigmoid(-y)
-    err_and = np.abs(sigmoid(A.and_il(x, y)) - both)
-    err_or = np.abs(sigmoid(A.or_il(x, y)) - (1.0 - neither))
-    err_xnor = np.abs(sigmoid(A.xnor_il(x, y)) - (both + neither))
-    return float(max(err_and.max(), err_or.max(), err_xnor.max()))
+    identities = ((A.and_il, both), (A.or_il, 1.0 - neither), (A.xnor_il, both + neither))
+    return float(np.max([np.abs(sigmoid(gate(x, y)) - p).max() for gate, p in identities]))
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +401,14 @@ def bayes_identity_check(seed: int = 0) -> float:
 
 @dataclass
 class CheckResult:
+    """Passes when value < bound: never at a NaN or inf, even on a reported row (bound inf)."""
     name: str
     value: float
     bound: float
-    passed: bool
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        self.passed = bool(self.value < self.bound)
 
 
 def constants_report():
@@ -417,39 +423,32 @@ def constants_report():
     for act, refs in rows:
         bound = CONSTANTS_TOL[act.family]
         for quantity, value, ref in zip(("mean", "std"), moments[act.name], refs):
-            err = abs(value - ref)
-            results.append(CheckResult(f"{act.name.upper()} {quantity}", err, bound, err <= bound))
+            results.append(CheckResult(f"{act.name.upper()} {quantity}", abs(value - ref), bound))
     return results, moments
 
 
 def gradients_suite(seed: int = 0) -> list[CheckResult]:
-    return [CheckResult(f"grad {rep.name}", rep.max_rel_err, GRADCHECK_TOL,
-                        rep.max_rel_err < GRADCHECK_TOL)
+    return [CheckResult(f"grad {rep.name}", rep.max_rel_err, GRADCHECK_TOL)
             for rep in gradcheck_activation(all_activation_variants(), seed=seed)]
 
 
 def diff_bound_suite() -> list[CheckResult]:
+    """Three rows per kind: the narrow exclusion (gated for xnor only), the wide one, strict."""
     bound = 1.0 + 1e-9
     results = []
     for kind, rep in zip(A.GATE_KINDS, grid_compare(A.GATE_KINDS)):
-        if kind == "xnor":
-            results.append(CheckResult(f"diff {kind} (eps={EXCLUSION:g})",
-                                       rep.masked_max_abs_diff, bound,
-                                       rep.masked_max_abs_diff <= bound))
-        else:
-            results.append(CheckResult(f"diff {kind} (eps={EXCLUSION:g}, reported)",
-                                       rep.masked_max_abs_diff, float("inf"), True))
-        results.append(CheckResult(f"diff {kind} (eps={WIDE_EXCLUSION:g})",
-                                   rep.wide_masked_max_abs_diff, bound,
-                                   rep.wide_masked_max_abs_diff <= bound))
-        results.append(CheckResult(f"diff {kind} (strict, reported)",
-                                   rep.max_abs_diff, float("inf"), True))
+        narrow = bound if kind == "xnor" else math.inf
+        for region, value, limit in (
+                (f"eps={EXCLUSION:g}", rep.masked_max_abs_diff, narrow),
+                (f"eps={WIDE_EXCLUSION:g}", rep.wide_masked_max_abs_diff, bound),
+                ("strict", rep.max_abs_diff, math.inf)):
+            reported = ", reported" if limit == math.inf else ""
+            results.append(CheckResult(f"diff {kind} ({region}{reported})", value, limit))
     return results
 
 
 def bayes_suite(seed: int = 0) -> list[CheckResult]:
-    err = bayes_identity_check(seed=seed)
-    return [CheckResult("probability identities", err, 1e-12, err < 1e-12)]
+    return [CheckResult("probability identities", bayes_identity_check(seed=seed), 1e-12)]
 
 
 def all_activation_variants() -> list[Activation]:

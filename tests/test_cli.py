@@ -1,11 +1,13 @@
 import itertools
 import json
+import math
 import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import logitgates.activations as activations
 import logitgates.cli as cli
 import logitgates.verify as verify
 from logitgates.activations import GATE_KINDS, Activation, apply
@@ -489,6 +491,25 @@ def test_failed_verify_keeps_earlier_json(tmp_path, monkeypatch, capsys):
     with pytest.raises(RuntimeError, match="partway"):
         main(["verify", "--constants", "--bayes", "--json-out", str(out)])
     assert list(tmp_path.iterdir()) == [out] and out.read_text() == "earlier"
+
+
+@pytest.mark.parametrize("suite, module, name, broken", [
+    ("--bayes", activations, "or_il", lambda or_il: lambda x, y, grad=False:
+        np.where(x > 15, np.nan, or_il(x, y))),
+    ("--diff-bound", verify, "apply", lambda apply: lambda act, x, y:
+        np.where((x > 3) & (y > 3) & (act.name == "and_il"), np.nan, apply(act, x, y))),
+    ("--gradients", verify, "gradient", lambda gradient: lambda act, *operands:
+        np.multiply(gradient(act, *operands), np.nan if act.name == "xnor_il" else 1.0)),
+], ids=["bayes", "diff_bound", "gradients"])
+def test_verify_fails_on_an_injected_nan(suite, module, name, broken, tmp_path, monkeypatch,
+                                        capsys):
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    out = tmp_path / "verify.json"
+    assert main(["verify", suite, "--json-out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is False
+    assert any(math.isnan(check["value"]) and not check["passed"] for check in payload["checks"])
+    assert capsys.readouterr().out.splitlines()[-1] == "FAILURES present"
 
 
 def test_train_bundled_parity_configs(tmp_path):

@@ -335,6 +335,19 @@ class TestFit:
         assert err.value.layer in str(err.value)
         assert np.array_equal(net.flat_params, before)  # no optimizer step ran
 
+    @pytest.mark.parametrize("loss", ["bce-with-logits", "cross-entropy"])
+    def test_loss_of_another_kind_is_refused_unseen(self, loss, monkeypatch):
+        # Unchecked, regression data would train on a classification loss
+        # while evaluate scored its MSE.
+        ds = data.gen_nested_xnor8(64, 0)
+        net = build_network("nested_xnor8", [8], "xnor_ail", 0)
+        forwards = []
+        monkeypatch.setattr(net, "forward", lambda *args, **kw: forwards.append(1))
+        message = f"loss: regression data trains on 'mse', got '{loss}'"
+        with pytest.raises(ValueError, match=message):
+            fit(net, ds, self._config(loss=loss))
+        assert forwards == []
+
     def test_width_mismatch_rejected(self):
         ds = data.gen_parity4(64, 0)
         net = build_network("nested_xnor8", [8], "xnor_ail", 0)

@@ -1,18 +1,21 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from logitgates import verify
+from logitgates import activations, verify
 from logitgates.activations import GATE_KINDS, Activation, NORMALIZATION_TABLE, apply
 from logitgates.ensemble import parse_spec
 from logitgates.network import Affine, BatchNorm, Network
 from logitgates.verify import (
+    CheckResult,
     GridCompareReport,
     bayes_identity_check,
     constants_report,
     gradcheck_activation,
+    gradcheck_network,
     grid_compare,
     normal_moments,
     weight_correlations,
@@ -62,6 +65,19 @@ def _whole_grid(gate, kind, half_range, step):
         kind, diff[i, j], (axes[i], axes[j]),
         np.max(diff, where=distance > verify.EXCLUSION, initial=0.0),
         np.max(diff, where=distance > verify.WIDE_EXCLUSION, initial=0.0)), axes, diff
+
+
+def _nan_apply(**where):
+    """``apply`` with each gate named in ``where`` NaN wherever ``where[name](x, y)`` holds."""
+    def broken(act, x, y):
+        value = apply(act, x, y)
+        return np.where(where[act.name](x, y), np.nan, value) if act.name in where else value
+    return broken
+
+
+def _at(*cells):
+    """Whether (x, y) is one of the cells."""
+    return lambda x, y: np.logical_or.reduce([(x == a) & (y == b) for a, b in cells])
 
 
 class TestGridCompare:
@@ -172,6 +188,54 @@ class TestGridCompare:
             assert grid_compare(GATE_KINDS, half_range=1.0, step=0.25)[
                 GATE_KINDS.index(kind)] == ref
 
+    @pytest.mark.parametrize("gate, kinds", [("and_il", ["and", "or"]), ("xnor_il", ["xnor"])])
+    def test_nan_region_fails_every_row_it_serves(self, gate, kinds, monkeypatch):
+        # On the default grid, with the gate NaN where |x|, |y| > 3: a
+        # region of every symmetry class, so each walk meets it.
+        monkeypatch.setattr(verify, "apply", _nan_apply(
+            **{gate: lambda x, y: (np.abs(x) > 3) & (np.abs(y) > 3)}))
+        results = verify.diff_bound_suite()
+        failed = [r for r in results if not r.passed]
+        assert len(results) == 9 and len(failed) == 3 * len(kinds)
+        assert {r.name.split()[1] for r in failed} == set(kinds)
+        assert all(math.isnan(r.value) for r in failed)
+
+    @pytest.mark.parametrize("block", [20, 32768])
+    @pytest.mark.parametrize("gate, argmax", [
+        ("and_il", {"and": (-0.5, 0.0), "or": (0.0, 0.5)}), ("xnor_il", {"xnor": (-0.5, 0.0)})])
+    def test_one_nan_cell_on_a_kink_line_fails_only_the_strict_row(
+            self, gate, argmax, block, monkeypatch):
+        # The cell (-0.5, 0) lies on y = 0, inside both exclusion bands. or's
+        # difference there is and's at the negated cell, transposed: (0, 0.5).
+        monkeypatch.setattr(verify, "BLOCK", block)
+        clean = grid_compare(GATE_KINDS, 1.0, 0.25)
+        monkeypatch.setattr(verify, "apply", _nan_apply(**{gate: _at((-0.5, 0.0))}))
+        for before, after in zip(clean, grid_compare(GATE_KINDS, 1.0, 0.25)):
+            if after.kind not in argmax:
+                assert after == before
+                continue
+            assert math.isnan(after.max_abs_diff) and after.argmax == argmax[after.kind]
+            assert after.masked_max_abs_diff == before.masked_max_abs_diff
+            assert after.wide_masked_max_abs_diff == before.wide_masked_max_abs_diff
+        monkeypatch.setattr(verify, "grid_compare", lambda kinds: grid_compare(kinds, 1.0, 0.25))
+        assert {r.name for r in verify.diff_bound_suite() if not r.passed} == {
+            f"diff {kind} (strict, reported)" for kind in argmax}
+
+    def test_first_nan_cell_is_the_argmax(self, monkeypatch):
+        # and_il is NaN at two cells and their transposes, or_il at the
+        # negated cells, as duality has it. Bands are rows 2-3, 4-5, ...:
+        # and's first NaN is in rows 2-3, and or's, (-0.5, 0), is the image
+        # of and's cell (0, 0.5), in the later band of rows 4-5.
+        cells = [(-0.5, -0.25), (-0.25, -0.5), (0.0, 0.5), (0.5, 0.0)]
+        broken = _nan_apply(and_il=_at(*cells), or_il=_at(*[(-a, -b) for a, b in cells]))
+        monkeypatch.setattr(verify, "BLOCK", 20)
+        monkeypatch.setattr(verify, "apply", broken)
+        for kind, argmax in (("and", (-0.5, -0.25)), ("or", (-0.5, 0.0))):
+            ref, _, _ = _whole_grid(broken, kind, 1.0, 0.25)
+            [walked] = grid_compare([kind], 1.0, 0.25)
+            assert walked.argmax == argmax and math.isnan(walked.max_abs_diff)
+            np.testing.assert_equal(dataclasses.astuple(walked), dataclasses.astuple(ref))
+
     def test_default_grid_peaks_below_one_surface(self):
         # A 2001 x 2001 surface is 32 MB; the bands keep the peak far below
         # it, also with every kind folded in one walk.
@@ -203,6 +267,13 @@ class TestGradcheck:
             [alone] = gradcheck_activation([act], seed=seed)
             assert rep.name == alone.name == act.name
             assert rep.max_rel_err == alone.max_rel_err, act.name
+
+    @pytest.mark.parametrize("seed", [0, 1, 49, 286])
+    def test_points_are_the_first_of_the_stream_off_the_kink_lines(self, seed):
+        n, box = verify.GRADCHECK_POINTS, verify.GRADCHECK_BOX
+        stream = np.random.default_rng(seed).uniform(-box, box, size=(2 * n, 2))
+        off = stream[verify._kink_distance(stream[:, 0], stream[:, 1]) > verify.BOUNDARY_EPS]
+        assert np.array_equal(verify._interior_points(n, seed), off[:n])
 
     def test_suite_draws_points_once(self, monkeypatch):
         draws = []
@@ -252,6 +323,22 @@ class TestGradcheck:
         [rep] = gradcheck_activation([Activation("and", "il")])
         assert math.isnan(rep.max_rel_err)
 
+    def test_nan_partials_or_loss_give_nan(self, monkeypatch):
+        net = Network([Affine(4, 4), parse_spec("and_il"), Affine(2, 1)], seed=5)
+        x = np.random.default_rng(5).uniform(-2, 2, (8, 4))
+        assert gradcheck_network(net, x, seed=5) < 1e-4
+        backward, forward = net.backward, net.forward
+
+        def every_other_partial_nan(dout):
+            backward(dout)
+            net.flat_grads[::2] = np.nan
+
+        monkeypatch.setattr(net, "backward", every_other_partial_nan)
+        assert math.isnan(gradcheck_network(net, x, seed=5))
+        monkeypatch.setattr(net, "backward", backward)
+        monkeypatch.setattr(net, "forward", lambda x, training: forward(x, training) * np.nan)
+        assert math.isnan(gradcheck_network(net, x, seed=5))
+
     def test_no_acts_give_no_reports(self):
         assert gradcheck_activation([]) == []
 
@@ -282,6 +369,14 @@ class TestGradcheck:
 class TestBayesIdentities:
     def test_max_error_tiny(self):
         assert bayes_identity_check(seed=0) < 1e-12
+
+    @pytest.mark.parametrize("gate", ["and_il", "or_il", "xnor_il"])
+    def test_nan_gate_fails(self, gate, monkeypatch):
+        routine = getattr(activations, gate)
+        monkeypatch.setattr(activations, gate,
+                            lambda x, y, grad=False: np.where(x > 15, np.nan, routine(x, y)))
+        [result] = verify.bayes_suite(seed=0)
+        assert math.isnan(result.value) and not result.passed
 
     def test_origin_probabilities(self):
         from logitgates.activations import and_il, or_il
@@ -330,6 +425,19 @@ class TestWeightCorrelations:
                       seed=4)
         _, random_pairs = weight_correlations(net, 0, seed=4)
         assert abs(np.mean(random_pairs)) < 0.15
+
+
+class TestCheckResult:
+    @pytest.mark.parametrize("value, bound, passed", [
+        (1.0, math.inf, True), (math.inf, math.inf, False), (math.nan, math.inf, False),
+        (0.5, 1.0, True), (1.0, 1.0, False), (math.nan, 1.0, False), (-math.inf, 1.0, True),
+    ])
+    def test_passes_below_its_bound_only(self, value, bound, passed):
+        assert CheckResult("check", value, bound).passed is passed
+
+    def test_takes_no_verdict(self):
+        with pytest.raises(TypeError):
+            CheckResult("check", 1.0, 2.0, True)
 
 
 class TestConstantsSuite:
