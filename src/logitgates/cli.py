@@ -109,6 +109,7 @@ def _cmd_grid(args) -> int:
             n, rows = axes.size, max(1, BLOCK // axes.size)
             surface = None if pgm_path is None else np.empty((n, n))
             gates = Activation(args.kind, "il"), Activation(args.kind, "ail")
+            worst, at = -math.inf, None  # the strict max and its first cell, row-major
             with open(csv_path, "w") as csv:
                 for r in range(0, n, rows):
                     x, y = axes[r:r + rows, np.newaxis], axes[np.newaxis, :]
@@ -120,14 +121,19 @@ def _cmd_grid(args) -> int:
                                header="" if r else "x,y,exact,approx,diff")
                     if surface is not None:
                         surface[r:r + rows] = {"il": exact, "ail": approx}.get(args.family, diff)
+                    np.abs(diff, out=diff)
+                    k = int(np.argmax(diff))  # the band's first NaN, or else its first maximum
+                    top = diff.flat[k]
+                    if top > worst or (math.isnan(top) and not math.isnan(worst)):
+                        worst, at = top, (float(axes[r + k // n]), float(axes[k % n]))
             if surface is not None:
                 write_pgm(pgm_path, surface)
             [report] = verify.grid_compare([args.kind], args.range, args.step)
-    except ValueError as exc:  # a range too wide for its step
+    except (ValueError, MemoryError) as exc:  # a range too wide for its step, or too fine to hold
         print(f"grid: {exc}", file=sys.stderr)
         return 2
-    print(f"grid {args.kind}: strict max |approx - exact| = {report.max_abs_diff:.6f} "
-          f"at {report.argmax}; off-boundary max = {report.masked_max_abs_diff:.6f}")
+    print(f"grid {args.kind}: strict max |approx - exact| = {worst:.6f} "
+          f"at {at}; off-boundary max = {report.masked_max_abs_diff:.6f}")
     return 0
 
 
@@ -189,7 +195,8 @@ def _cmd_train(args) -> int:
 
 def _metric_sort_key(summary: dict):
     """Sort key of a report's first metric, or None when that metric is not a number."""
-    for key in ("val_accuracy", "lattice_accuracy", "val_rmse", "train_accuracy"):
+    for key in ("val_accuracy", "lattice_accuracy", "val_rmse", "train_accuracy",
+                "train_rmse"):
         if key in summary:
             value = summary[key]
             if type(value) not in (int, float):  # json's numbers; a bool is no number

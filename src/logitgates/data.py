@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import xnor_ail
+from .numerics import require
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -29,9 +30,13 @@ class Dataset:
         if not np.all(np.isfinite(self.inputs)):
             raise ValueError("inputs contain non-finite values")
         if self.task == "classification":
+            require("n_classes", int, self.n_classes, 1)
             labels = np.asarray(self.targets).ravel()
-            if self.n_classes is None or labels.min() < 0 or labels.max() >= self.n_classes:
-                raise ValueError("classification targets must be labels in [0, n_classes)")
+            # A fraction differs from its trunc; a NaN or an infinity is not finite.
+            if not np.all(np.isfinite(labels) & (np.trunc(labels) == labels)) \
+                    or labels.min() < 0 or labels.max() >= self.n_classes:
+                raise ValueError("classification targets must be whole-number labels "
+                                 "in [0, n_classes)")
             self.targets = labels.astype(np.int64)
         else:
             self.targets = np.asarray(self.targets, dtype=np.float64)

@@ -115,18 +115,12 @@ def normal_moments(acts) -> dict[str, tuple[float, float]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridCompareReport:
     kind: str
     max_abs_diff: float            # strict, whole grid
-    argmax: tuple
     masked_max_abs_diff: float     # farther than EXCLUSION from the kink lines
     wide_masked_max_abs_diff: float  # farther than WIDE_EXCLUSION
-
-
-def _same(a: float, b: float) -> bool:
-    """Whether two worst values are one: equal, or both NaN."""
-    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 def _kink_distance(x, y):
@@ -157,24 +151,21 @@ def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01) -> list[Gr
     strict max |approx - exact| plus the max over cells farther than
     EXCLUSION (and than WIDE_EXCLUSION) from the lines x=0, y=0, x=y, x=-y
     (the approximate gates' kink lines), on the grid of ``grid_axes``. A NaN
-    difference is the maximum, and the strict argmax is then the first NaN cell.
+    difference is the maximum.
 
     The grid is walked once, in bands of rows holding about BLOCK cells. Each
     band forms its distances to the kink lines and both exclusion masks once,
-    then folds every kind's difference into that kind's maxima before the
-    next band is formed, so no full surface exists.
+    then folds every gate pair's difference into that pair's maxima before
+    the next band is formed, so no full surface exists.
 
-    Each kind's gates run on one cell of each symmetry class. The gates are
+    Each pair's gates run on one cell of each symmetry class. The gates are
     bit-exactly commutative, or is the De Morgan dual -and(-x, -y) and xnor
     is odd in each operand, so |approx - exact| and the distances to the kink
     lines agree on a cell and its transpose, on and's cell and or's negated
     one, and on xnor's cells with the same |x| and |y|. The and pair runs on
     columns r: of the band from row r, which holds every cell with x <= y,
-    and its differences serve or too. The xnor pair runs on the bands and
-    columns where x <= y <= 0. Those cells include each class's first in
-    row-major order, so the least maximum cell walked is the grid's first;
-    for or it is the least of the negated cells, transposed to x <= y, which
-    a later band may hold.
+    and its maxima are or's too. The xnor pair runs on the bands and columns
+    where x <= y <= 0.
     """
     axes = grid_axes(half_range, step)
     n = axes.size
@@ -183,10 +174,8 @@ def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01) -> list[Gr
     pair = {kind: "and" if kind == "or" else kind for kind in kinds}
     stop = {p: (n - 1) // 2 + 1 if p == "xnor" else n for p in pair.values()}
     gates = {p: (Activation(p, "il"), Activation(p, "ail")) for p in stop}
+    maxima = {p: np.array([-math.inf, 0.0, 0.0]) for p in stop}  # strict, masked, wide
     end = max(stop.values())
-    # Each report folds the running maxima of its kind in place, its argmax
-    # as grid indices until the walk ends.
-    reports = [GridCompareReport(kind, -math.inf, (0, 0), 0.0, 0.0) for kind in kinds]
     rows = max(1, BLOCK // n)
     for r in range(0, end, rows):
         x, y = axes[r:r + rows, np.newaxis], axes[np.newaxis, r:end]
@@ -199,32 +188,11 @@ def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01) -> list[Gr
             diff = apply(approx_act, x, y[:, :w])  # |approx - exact|, in place
             diff -= apply(exact_act, x, y[:, :w])
             np.abs(diff, out=diff)
-            top = diff.max()  # NaN if any cell is
-            masked = np.max(diff, where=outside[:, :w], initial=0.0)
-            wide = np.max(diff, where=wide_outside[:, :w], initial=0.0)
-            cells = None
-            for rep in reports:
-                if pair[rep.kind] != p:
-                    continue
-                rep.masked_max_abs_diff = float(np.maximum(rep.masked_max_abs_diff, masked))
-                rep.wide_masked_max_abs_diff = float(np.maximum(rep.wide_masked_max_abs_diff, wide))
-                worst = float(np.maximum(rep.max_abs_diff, top))
-                # A tie counts too: a later band of and's may hold or's first maximum.
-                if _same(top, worst):
-                    if cells is None:
-                        cells = np.flatnonzero(np.isnan(diff) if math.isnan(top) else diff == top)
-                        i, j = r + cells // w, r + cells % w
-                    if pair[rep.kind] == rep.kind:
-                        first = int((i * n + j).min())
-                    else:  # or at and's cells negated, then transposed to x <= y
-                        first = int(((n - 1 - np.maximum(i, j)) * n
-                                     + n - 1 - np.minimum(i, j)).min())
-                    first = divmod(first, n)
-                    if not _same(rep.max_abs_diff, worst) or first < rep.argmax:
-                        rep.max_abs_diff, rep.argmax = worst, first
-    for rep in reports:
-        rep.argmax = (float(axes[rep.argmax[0]]), float(axes[rep.argmax[1]]))
-    return reports
+            np.maximum(maxima[p], (diff.max(),  # NaN if any cell is
+                                   np.max(diff, where=outside[:, :w], initial=0.0),
+                                   np.max(diff, where=wide_outside[:, :w], initial=0.0)),
+                       out=maxima[p])
+    return [GridCompareReport(kind, *maxima[pair[kind]].tolist()) for kind in kinds]
 
 
 # ---------------------------------------------------------------------------

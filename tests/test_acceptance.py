@@ -183,12 +183,12 @@ def test_criterion_6_xnor_bound_and_strict_reporting():
     t0 = time.time()
     rep = _grid("xnor")
     lines = [f"xnor: off-boundary max {rep.masked_max_abs_diff:.6f}, "
-             f"strict max {rep.max_abs_diff:.6f} at {rep.argmax}"]
+             f"strict max {rep.max_abs_diff:.6f}"]
     assert rep.masked_max_abs_diff <= 1.0 + 1e-9
     for kind in ("and", "or"):
         g = _grid(kind)
         lines.append(f"{kind}: off-boundary max {g.masked_max_abs_diff:.6f}, "
-                     f"strict max {g.max_abs_diff:.6f} at {g.argmax}")
+                     f"strict max {g.max_abs_diff:.6f}")
     elapsed = time.time() - t0
     report(f"criterion 6 (difference bound, eps=0.02): xnor PASS; and/or exceed "
            f"the stated bound (expected, see notes); {elapsed:.1f}s\n  "

@@ -36,15 +36,109 @@ def test_grid_pgm_magic(tmp_path):
     assert len(raw) == len(b"P5\n41 41\n255\n") + 41 * 41
 
 
+def _grid_line(gate, kind, half_range, step):
+    """The grid command's printed line, from whole surfaces of ``gate`` (an ``apply``).
+
+    np.argmax of |approx - exact| names the first NaN cell in row-major
+    order, or else the first maximum.
+    """
+    axes = verify.grid_axes(half_range, step)
+    x, y = np.meshgrid(axes, axes, indexing="ij", sparse=True)
+    diff = np.abs(gate(Activation(kind, "ail"), x, y) - gate(Activation(kind, "il"), x, y))
+    i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    masked = np.max(diff, where=verify._kink_distance(x, y) > verify.EXCLUSION, initial=0.0)
+    return (f"grid {kind}: strict max |approx - exact| = {diff[i, j]:.6f} "
+            f"at {(float(axes[i]), float(axes[j]))}; off-boundary max = {masked:.6f}\n")
+
+
+def _run_grid(kind, half_range, step, tmp_path, capsys):
+    """The grid command's stdout on the given grid."""
+    assert main(["grid", "--kind", kind, "--range", str(half_range), "--step", str(step),
+                 "--out", str(tmp_path / "g.csv")]) == 0
+    return capsys.readouterr().out
+
+
 def test_grid_diff_column_matches_verify(tmp_path, capsys):
     out = tmp_path / "and.csv"
     main(["grid", "--kind", "and", "--range", "3", "--step", "0.1", "--out", str(out)])
     cols = np.loadtxt(out, delimiter=",", skiprows=1)
     [rep] = verify.grid_compare(["and"], 3.0, 0.1)
     assert np.abs(cols[:, 4]).max() == pytest.approx(rep.max_abs_diff, abs=1e-9)
-    assert capsys.readouterr().out == (
-        f"grid and: strict max |approx - exact| = {rep.max_abs_diff:.6f} at {rep.argmax}; "
-        f"off-boundary max = {rep.masked_max_abs_diff:.6f}\n")
+    assert capsys.readouterr().out == _grid_line(apply, "and", 3.0, 0.1)
+
+
+@pytest.mark.parametrize("block", [7, 20])
+def test_grid_and_peaks_at_the_origin(block, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "BLOCK", block)
+    out = _run_grid("and", 3.0, 0.05, tmp_path, capsys)
+    assert out == _grid_line(apply, "and", 3.0, 0.05)
+    assert out.startswith("grid and: strict max |approx - exact| = 1.098612 at (0.0, 0.0); ")
+
+
+def _bump_stand_in(i, j):
+    """An ``apply`` whose |approx - exact| peaks off the diagonal of the 9-point grid.
+
+    With each kind's symmetries: the and and or stand-ins tie at (i, j), at
+    its negation (8 - i, 8 - j) and at their transposes; xnor's at every cell
+    with the magnitudes of (i, j).
+    """
+    axes = -1.0 + 0.25 * np.arange(9)
+    pair_sum, pair_product = axes[i] + axes[j], axes[i] * axes[j]
+
+    def bump(x, y):
+        return 1.0 / (1.0 + (x + y - pair_sum) ** 2 + (x * y - pair_product) ** 2)
+
+    def stand_in(act, x, y):
+        if act.family == "il":
+            return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        if act.kind == "xnor":
+            x, y = np.abs(x), np.abs(y)
+        return np.maximum(bump(x, y), bump(-x, -y))
+
+    return stand_in
+
+
+def _nan_apply(**where):
+    """``apply`` with each gate named in ``where`` NaN wherever ``where[name](x, y)`` holds."""
+    def broken(act, x, y):
+        value = apply(act, x, y)
+        return np.where(where[act.name](x, y), np.nan, value) if act.name in where else value
+    return broken
+
+
+def _at(*cells):
+    """Whether (x, y) is one of the cells."""
+    return lambda x, y: np.logical_or.reduce([(x == a) & (y == b) for a, b in cells])
+
+
+_NAN_CELLS = [(-0.5, -0.25), (-0.25, -0.5), (0.0, 0.5), (0.5, 0.0)]
+
+
+@pytest.mark.parametrize("block", [7, 20])
+@pytest.mark.parametrize("gate, first", [
+    # The maximum ties at four or eight cells, in two or more bands of one
+    # or two rows: (2, 3) and (3, 2) share a band of two rows.
+    (_bump_stand_in(2, 3), {"and": (-0.5, -0.25), "or": (-0.5, -0.25), "xnor": (-0.5, -0.25)}),
+    (_bump_stand_in(3, 4), {"and": (-0.25, 0.0), "or": (-0.25, 0.0), "xnor": (-0.25, 0.0)}),
+    # A NaN on the kink line y = 0, below and's finite maximum at the origin.
+    (_nan_apply(and_il=_at((0.5, 0.0)), or_il=_at((-0.5, 0.0)), xnor_il=_at((0.5, 0.0))),
+     {"and": (0.5, 0.0), "or": (-0.5, 0.0), "xnor": (0.5, 0.0)}),
+    # NaNs in several bands, each with its transpose, or's negated: the first wins.
+    (_nan_apply(and_il=_at(*_NAN_CELLS), or_il=_at(*[(-a, -b) for a, b in _NAN_CELLS]),
+                xnor_il=_at(*_NAN_CELLS)),
+     {"and": (-0.5, -0.25), "or": (-0.5, 0.0), "xnor": (-0.5, -0.25)}),
+], ids=["bump-2-3", "bump-3-4", "nan-after-max", "nan-first"])
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_grid_prints_the_first_nan_or_maximum(kind, gate, first, block, tmp_path, capsys,
+                                              monkeypatch):
+    # 9 rows in bands of 1 or 2; the walk behind the off-boundary max runs
+    # on the same gates.
+    monkeypatch.setattr(cli, "BLOCK", block)
+    monkeypatch.setattr(cli, "apply", gate)
+    monkeypatch.setattr(verify, "apply", gate)
+    out = _run_grid(kind, 1.0, 0.25, tmp_path, capsys)
+    assert out == _grid_line(gate, kind, 1.0, 0.25)
+    assert f" at {first[kind]}; " in out
 
 
 @pytest.mark.parametrize("family", ["both", "il", "ail"])
@@ -109,6 +203,33 @@ def test_grid_overflowing_point_count_exits_2(grid_range, step, tmp_path, capsys
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("grid: ") and "half_range" in err[0], err
+    assert list(tmp_path.iterdir()) == []  # neither output, nor a temporary file
+
+
+def _refuse_large(empty):
+    """``np.empty`` that raises MemoryError, as numpy does, for a request above 1 MB."""
+    def guarded(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) * 8 > 1 << 20:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+    return guarded
+
+
+@pytest.mark.parametrize("step, module, name, stand_in", [
+    # The PGM surface of 200001 x 200001 cells, 298 GiB, before any band.
+    ("0.0001", np, "empty", _refuse_large),
+    # The second band's first gate, after the first band's rows are written.
+    ("0.05", cli, "apply",
+     lambda apply: _fails_on_call(3, apply, MemoryError, "Unable to allocate a band")),
+], ids=["surface", "band"])
+def test_grid_too_fine_to_hold_exits_2(step, module, name, stand_in, tmp_path, capsys,
+                                       monkeypatch):
+    monkeypatch.setattr(module, name, stand_in(getattr(module, name)))
+    argv = ["grid", "--kind", "and", "--range", "10", "--step", step,
+            "--out", str(tmp_path / "a.csv"), "--pgm", str(tmp_path / "a.pgm")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("grid: Unable to allocate"), err
     assert list(tmp_path.iterdir()) == []  # neither output, nor a temporary file
 
 
@@ -301,6 +422,18 @@ def test_report_command(tmp_path):
     assert "xnor_ail" in lines[2]  # higher accuracy sorts first
 
 
+def test_report_sorts_by_train_rmse_without_a_validation_split(tmp_path, capsys):
+    # A regression fit without a validation split reports train_rmse only.
+    for name, rmse in (("a", 0.3), ("b", 0.1), ("c", 0.2)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "report.json").write_text(
+            json.dumps({"final": {"train_loss": rmse ** 2, "train_rmse": rmse}}))
+    assert main(["report", "--in", str(tmp_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split(" | ")[0] for row in rows] == [
+        f"| {tmp_path / name / 'report.json'}" for name in "bca"]
+
+
 def test_report_skips_json_that_is_not_a_report(tmp_path, capsys):
     # Like an object without "final", these are not train reports: a top-level
     # number or list, bytes that are not UTF-8, and a "final" or "extras" that
@@ -460,12 +593,12 @@ def test_output_through_symlink_replaces_its_target(tmp_path):
     assert sorted(tmp_path.iterdir()) == [link, target]
 
 
-def _fails_on_call(k, fn):
+def _fails_on_call(k, fn, error=RuntimeError, message="failed partway"):
     calls = itertools.count(1)
 
     def run(*args, **kwargs):
         if next(calls) == k:
-            raise RuntimeError("failed partway")
+            raise error(message)
         return fn(*args, **kwargs)
 
     return run

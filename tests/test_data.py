@@ -257,3 +257,21 @@ class TestDatasetType:
     def test_labels_may_come_as_a_column(self):
         ds = Dataset(np.zeros((3, 2)), np.array([[0], [2], [1]]), "classification", n_classes=3)
         assert ds.targets.shape == (3,) and ds.targets.tolist() == [0, 2, 1]
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, np.nan], [np.inf, 1.0], [-np.inf, 1.0]],
+                             ids=["fraction", "nan", "inf", "minus-inf"])
+    def test_rejects_labels_that_are_not_whole_numbers(self, labels):
+        # Truncated by the int64 cast, a fraction would become another class.
+        with pytest.raises(ValueError, match="whole-number labels"):
+            Dataset(np.zeros((2, 3)), labels, "classification", n_classes=3)
+
+    @pytest.mark.parametrize("labels", [[1.0, 2.0], np.array([1, 2], dtype=np.uint8)],
+                             ids=["whole-float", "uint8"])
+    def test_whole_labels_keep_their_values(self, labels):
+        ds = Dataset(np.zeros((2, 3)), labels, "classification", n_classes=3)
+        assert ds.targets.dtype == np.int64 and ds.targets.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("n_classes", [None, 0, 2.5, 3.0, True])
+    def test_rejects_a_class_count_that_is_no_count(self, n_classes):
+        with pytest.raises(ValueError, match="n_classes must be an integer >= 1"):
+            Dataset(np.zeros((2, 3)), [0, 0], "classification", n_classes=n_classes)

@@ -59,11 +59,9 @@ def _whole_grid(gate, kind, half_range, step):
     axes = step * (np.arange(count + 1) - count / 2)
     x, y = np.meshgrid(axes, axes, indexing="ij", sparse=True)
     diff = np.abs(gate(Activation(kind, "ail"), x, y) - gate(Activation(kind, "il"), x, y))
-    i, j = np.unravel_index(int(diff.argmax()), diff.shape)
     distance = verify._kink_distance(x, y)
     return GridCompareReport(
-        kind, diff[i, j], (axes[i], axes[j]),
-        np.max(diff, where=distance > verify.EXCLUSION, initial=0.0),
+        kind, diff.max(), np.max(diff, where=distance > verify.EXCLUSION, initial=0.0),
         np.max(diff, where=distance > verify.WIDE_EXCLUSION, initial=0.0)), axes, diff
 
 
@@ -84,7 +82,6 @@ class TestGridCompare:
     def test_and_origin_exceeds_one_strictly(self):
         [rep] = grid_compare(["and"], half_range=3.0, step=0.05)
         assert rep.max_abs_diff == pytest.approx(LN3, abs=1e-9)
-        assert rep.argmax == (0.0, 0.0)
 
     def test_xnor_bounded_by_one(self):
         [rep] = grid_compare(["xnor"], half_range=10.0, step=0.05)
@@ -160,8 +157,7 @@ class TestGridCompare:
         # their transposes; xnor's at every cell with the magnitudes of (i, j).
         # Bands are rows 2-3, 4-5, ... of 9 columns: (2, 3) and (3, 2) share a
         # band; (3, 4) is in the second row of a band that starts at column 2,
-        # (4, 3) lies left of its band's first column, and or's first maximum
-        # is the negation of and's last one, in a later band.
+        # and (4, 3) lies left of its band's first column.
         axes = -1.0 + 0.25 * np.arange(9)
         pair_sum, pair_product = axes[i] + axes[j], axes[i] * axes[j]
 
@@ -183,7 +179,6 @@ class TestGridCompare:
         for kind in GATE_KINDS:
             ref, _, diff = _whole_grid(stand_in, kind, 1.0, 0.25)
             assert set(map(tuple, np.argwhere(diff == diff.max()).tolist())) == peaks[kind]
-            assert ref.argmax == (axes[i], axes[j])
             assert grid_compare([kind], half_range=1.0, step=0.25) == [ref]
             assert grid_compare(GATE_KINDS, half_range=1.0, step=0.25)[
                 GATE_KINDS.index(kind)] == ref
@@ -201,39 +196,36 @@ class TestGridCompare:
         assert all(math.isnan(r.value) for r in failed)
 
     @pytest.mark.parametrize("block", [20, 32768])
-    @pytest.mark.parametrize("gate, argmax", [
-        ("and_il", {"and": (-0.5, 0.0), "or": (0.0, 0.5)}), ("xnor_il", {"xnor": (-0.5, 0.0)})])
+    @pytest.mark.parametrize("gate, kinds", [("and_il", ["and", "or"]), ("xnor_il", ["xnor"])])
     def test_one_nan_cell_on_a_kink_line_fails_only_the_strict_row(
-            self, gate, argmax, block, monkeypatch):
-        # The cell (-0.5, 0) lies on y = 0, inside both exclusion bands. or's
-        # difference there is and's at the negated cell, transposed: (0, 0.5).
+            self, gate, kinds, block, monkeypatch):
+        # The cell (-0.5, 0) lies on y = 0, inside both exclusion bands; and's
+        # difference there is or's at (0.5, 0).
         monkeypatch.setattr(verify, "BLOCK", block)
         clean = grid_compare(GATE_KINDS, 1.0, 0.25)
         monkeypatch.setattr(verify, "apply", _nan_apply(**{gate: _at((-0.5, 0.0))}))
         for before, after in zip(clean, grid_compare(GATE_KINDS, 1.0, 0.25)):
-            if after.kind not in argmax:
+            if after.kind not in kinds:
                 assert after == before
                 continue
-            assert math.isnan(after.max_abs_diff) and after.argmax == argmax[after.kind]
+            assert math.isnan(after.max_abs_diff)
             assert after.masked_max_abs_diff == before.masked_max_abs_diff
             assert after.wide_masked_max_abs_diff == before.wide_masked_max_abs_diff
         monkeypatch.setattr(verify, "grid_compare", lambda kinds: grid_compare(kinds, 1.0, 0.25))
         assert {r.name for r in verify.diff_bound_suite() if not r.passed} == {
-            f"diff {kind} (strict, reported)" for kind in argmax}
+            f"diff {kind} (strict, reported)" for kind in kinds}
 
-    def test_first_nan_cell_is_the_argmax(self, monkeypatch):
+    def test_nan_cells_match_the_whole_grid(self, monkeypatch):
         # and_il is NaN at two cells and their transposes, or_il at the
-        # negated cells, as duality has it. Bands are rows 2-3, 4-5, ...:
-        # and's first NaN is in rows 2-3, and or's, (-0.5, 0), is the image
-        # of and's cell (0, 0.5), in the later band of rows 4-5.
+        # negated cells, as duality has it; bands are rows 2-3, 4-5, ...
         cells = [(-0.5, -0.25), (-0.25, -0.5), (0.0, 0.5), (0.5, 0.0)]
         broken = _nan_apply(and_il=_at(*cells), or_il=_at(*[(-a, -b) for a, b in cells]))
         monkeypatch.setattr(verify, "BLOCK", 20)
         monkeypatch.setattr(verify, "apply", broken)
-        for kind, argmax in (("and", (-0.5, -0.25)), ("or", (-0.5, 0.0))):
+        for kind in ("and", "or"):
             ref, _, _ = _whole_grid(broken, kind, 1.0, 0.25)
             [walked] = grid_compare([kind], 1.0, 0.25)
-            assert walked.argmax == argmax and math.isnan(walked.max_abs_diff)
+            assert math.isnan(walked.max_abs_diff)
             np.testing.assert_equal(dataclasses.astuple(walked), dataclasses.astuple(ref))
 
     def test_default_grid_peaks_below_one_surface(self):
