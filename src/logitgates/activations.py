@@ -291,9 +291,6 @@ class Activation:
         """The raw routine: gate(x, y, grad), or gate(x, grad) for a 1-input kind."""
         return _GATES[(self.kind, self.family)]
 
-    def __str__(self) -> str:
-        return self.name
-
 
 def apply(act: Activation, x, y=None, grad: bool = False):
     """The activation's value, or with ``grad`` (value, d/dx, d/dy).

@@ -1,5 +1,6 @@
 """Synthetic task generators and MNIST IDX ingestion."""
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -9,6 +10,7 @@ import numpy as np
 from .activations import xnor_ail
 from .numerics import require
 
+# An IDX magic's low byte is its array's rank; the 0x08 above it means u8 elements.
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
@@ -31,22 +33,24 @@ class Dataset:
             raise ValueError("inputs contain non-finite values")
         if self.task == "classification":
             require("n_classes", int, self.n_classes, 1)
-            labels = np.asarray(self.targets).ravel()
+            targets = np.asarray(self.targets).ravel()
+        else:
+            targets = np.asarray(self.targets, dtype=np.float64)
+            if targets.ndim != 2:
+                raise ValueError(f"{self.task} targets must be an (n, t) matrix, "
+                                 f"got shape {targets.shape}")
+        if len(targets) != len(self.inputs):
+            raise ValueError(f"{len(targets)} target rows for {len(self.inputs)} input rows")
+        if self.task == "classification":
             # A fraction differs from its trunc; a NaN or an infinity is not finite.
-            if not np.all(np.isfinite(labels) & (np.trunc(labels) == labels)) \
-                    or labels.min() < 0 or labels.max() >= self.n_classes:
+            if not np.all(np.isfinite(targets) & (np.trunc(targets) == targets)) \
+                    or targets.min() < 0 or targets.max() >= self.n_classes:
                 raise ValueError("classification targets must be whole-number labels "
                                  "in [0, n_classes)")
-            self.targets = labels.astype(np.int64)
-        else:
-            self.targets = np.asarray(self.targets, dtype=np.float64)
-            if self.targets.ndim != 2:
-                raise ValueError(f"{self.task} targets must be an (n, t) matrix, "
-                                 f"got shape {self.targets.shape}")
-            if not np.all(np.isfinite(self.targets)):
-                raise ValueError("targets contain non-finite values")
-        if len(self.targets) != len(self.inputs):
-            raise ValueError(f"{len(self.targets)} target rows for {len(self.inputs)} input rows")
+            targets = targets.astype(np.int64)
+        elif not np.all(np.isfinite(targets)):
+            raise ValueError("targets contain non-finite values")
+        self.targets = targets
 
     @property
     def n(self) -> int:
@@ -148,45 +152,50 @@ def _read_exact(f, count, path, what):
     return data
 
 
-def _check_dims(path, *dims):
-    if min(dims) < 0:
-        raise IdxFormatError(f"{path}: negative size in header ({' x '.join(map(str, dims))})")
+def _read_idx(path, magic, noun, payload) -> np.ndarray:
+    """The u8 array in an IDX file of this magic; noun and payload name the file and its data."""
+    rank = magic & 0xFF
+    with open(path, "rb") as f:
+        found, *dims = struct.unpack(f">{rank + 1}i", _read_exact(f, 4 * (rank + 1), path, "header"))
+        if found != magic:
+            raise IdxFormatError(f"{path}: bad {noun} magic 0x{found:08x}, expected 0x{magic:08x}")
+        if min(dims) < 0:
+            raise IdxFormatError(f"{path}: negative size in header ({' x '.join(map(str, dims))})")
+        data = _read_exact(f, math.prod(dims), path, payload)
+        return np.frombuffer(data, dtype=np.uint8).reshape(dims)
+
+
+def _write_idx(path, magic, noun, values):
+    """Write values, an array of the magic's rank holding whole numbers in 0..255."""
+    rank = magic & 0xFF
+    values = np.asarray(values)
+    if values.ndim != rank:
+        raise ValueError(f"IDX {noun}s must be a rank-{rank} array, got shape {values.shape}")
+    # Checked before the cast, which would wrap, truncate or warn: NaN fails every comparison.
+    if values.dtype.kind not in "iuf" or not np.all((values >= 0) & (values <= 255)
+                                                     & (np.trunc(values) == values)):
+        raise ValueError(f"IDX {noun}s must be whole numbers in 0..255")
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">{rank + 1}i", magic, *values.shape))
+        f.write(values.astype(np.uint8).tobytes())
 
 
 def read_idx_images(path) -> np.ndarray:
     """Parse a big-endian IDX image file into a (count, rows, cols) u8 array."""
-    with open(path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, path, "header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise IdxFormatError(f"{path}: bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-        _check_dims(path, count, rows, cols)
-        payload = _read_exact(f, count * rows * cols, path, "pixel payload")
-        return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
+    return _read_idx(path, IDX_IMAGES_MAGIC, "image", "pixel payload")
 
 
 def read_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, count = struct.unpack(">ii", _read_exact(f, 8, path, "header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise IdxFormatError(f"{path}: bad label magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
-        _check_dims(path, count)
-        payload = _read_exact(f, count, path, "label payload")
-        return np.frombuffer(payload, dtype=np.uint8)
+    return _read_idx(path, IDX_LABELS_MAGIC, "label", "label payload")
 
 
 def write_idx_images(path, images: np.ndarray):
-    """Emit the same binary format (cache re-export)."""
-    images = np.asarray(images, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">iiii", IDX_IMAGES_MAGIC, *images.shape))
-        f.write(images.tobytes())
+    """Emit the format read_idx_images parses (cache re-export)."""
+    _write_idx(path, IDX_IMAGES_MAGIC, "image", images)
 
 
 def write_idx_labels(path, labels: np.ndarray):
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">ii", IDX_LABELS_MAGIC, labels.size))
-        f.write(labels.tobytes())
+    _write_idx(path, IDX_LABELS_MAGIC, "label", labels)
 
 
 def load_mnist_idx(images_path, labels_path) -> Dataset:

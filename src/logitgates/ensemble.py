@@ -84,9 +84,6 @@ class EnsembleSpec:
         kinds = "+".join(a.kind for a in self.acts)
         return f"{self.acts[0].label}:{kinds}:{_STRATEGY_SUFFIX[self.strategy]}"
 
-    def __str__(self) -> str:
-        return self.name
-
 
 def parse_spec(text: str) -> EnsembleSpec:
     """Inverse of EnsembleSpec.name: 'or_ail', 'relu' or 'nail:or+and+xnor:d'."""

@@ -95,14 +95,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path) -> ExperimentConfig:
-    with open(path) as f:
-        try:
-            return config_from_dict(json.load(f))
-        except ValueError as exc:  # also JSON and UTF-8 decoding errors
-            raise ConfigError(f"{path}: {exc}") from exc
-
-
 def bundled_config_path(name: str) -> Path:
     here = Path(__file__).parent / "configs"
     candidate = here / (name if name.endswith(".json") else name + ".json")
@@ -113,10 +105,15 @@ def bundled_config_path(name: str) -> Path:
 
 
 def resolve_config(path_or_name: str) -> ExperimentConfig:
-    p = Path(path_or_name)
-    if p.exists():
-        return load_config(p)
-    return load_config(bundled_config_path(path_or_name))
+    """The config in the JSON file at path_or_name, or else the bundled config of that name."""
+    path = Path(path_or_name)
+    if not path.exists():
+        path = bundled_config_path(path_or_name)
+    with open(path) as f:
+        try:
+            return config_from_dict(json.load(f))
+        except ValueError as exc:  # also JSON and UTF-8 decoding errors
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,9 @@ class Network:
             raise ValueError("first layer must be affine (it fixes the input width)")
         widths = [first.n_in]  # each layer's input width, then the output width
         for i, spec in enumerate(self.specs):
+            if type(spec) not in _LAYER_TYPES:
+                raise ValueError(f"layer {i}: {spec!r} is not a layer spec (one of "
+                                 f"{', '.join(t.__name__ for t in _LAYER_TYPES)})")
             try:
                 widths.append(spec.out_channels(widths[-1]))
             except ValueError as exc:

@@ -196,6 +196,54 @@ def test_grid_unwritable_path_fails(tmp_path, capsys, monkeypatch):
         assert list(tmp_path.iterdir()) == []
 
 
+GRID_ARGV = ["grid", "--kind", "or", "--range", "1", "--step", "0.5", "--out"]
+
+
+def test_grid_out_naming_a_directory_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "apply", _never_runs)
+    assert main(GRID_ARGV + [str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("grid: [Errno 21]") and str(tmp_path) in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_out_naming_an_unwritable_file_fails(tmp_path, capsys, monkeypatch):
+    # A file mode does not stop root, so os.access stands in for the kernel's answer.
+    out = tmp_path / "x.csv"
+    out.write_text("old")
+    monkeypatch.setattr(cli, "apply", _never_runs)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert main(GRID_ARGV + [str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("grid: [Errno 13]") and str(out) in err[0]
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == "old"
+
+
+def test_output_draws_another_name_after_a_collision(tmp_path, capsys, monkeypatch):
+    taken = tmp_path / ".x.csv.aaaa.tmp"
+    taken.write_text("another writer's")
+    tokens = iter(["aaaa", "bbbb"])
+    monkeypatch.setattr(cli.secrets, "token_hex", lambda nbytes: next(tokens))
+    assert main(GRID_ARGV + [str(tmp_path / "x.csv")]) == 0
+    assert next(tokens, None) is None  # both names were tried
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".x.csv.aaaa.tmp", "x.csv"]
+    assert taken.read_text() == "another writer's"
+
+
+def test_output_fails_when_every_name_is_taken(tmp_path, capsys, monkeypatch):
+    (tmp_path / ".x.csv.aaaa.tmp").write_text("another writer's")
+    draws = []
+    monkeypatch.setattr(cli.secrets, "token_hex", lambda nbytes: draws.append(1) or "aaaa")
+    monkeypatch.setattr(cli.tempfile, "TMP_MAX", 3)
+    monkeypatch.setattr(cli, "apply", _never_runs)
+    out = tmp_path / "x.csv"
+    assert main(GRID_ARGV + [str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("grid: [Errno 17] no free temporary name")
+    assert str(out) in err[0] and len(draws) == 3
+    assert [p.name for p in tmp_path.iterdir()] == [".x.csv.aaaa.tmp"]
+
+
 @pytest.mark.parametrize("grid_range, step", [("1e308", "1"), ("1e300", "1e-10")])
 def test_grid_overflowing_point_count_exits_2(grid_range, step, tmp_path, capsys):
     argv = ["grid", "--kind", "and", "--range", grid_range, "--step", step,
@@ -454,6 +502,18 @@ def test_report_skips_json_that_is_not_a_report(tmp_path, capsys):
     assert main(["report", "--in", str(mixed)]) == 0
     table = capsys.readouterr().out.splitlines()
     assert len(table) == 3 and str(mixed / "report.json") in table[2]
+
+
+def test_report_without_a_metric_sorts_at_zero(tmp_path, capsys):
+    # Accuracy sorts as its negative and RMSE as itself, so a report with neither sits between.
+    finals = {"a": {"val_rmse": 0.5}, "b": {"train_loss": 0.2}, "c": {"val_accuracy": 0.9}}
+    for name, final in finals.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "report.json").write_text(json.dumps({"final": final}))
+    assert main(["report", "--in", str(tmp_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split(" | ")[0] for row in rows] == [
+        f"| {tmp_path / name / 'report.json'}" for name in "cba"]
 
 
 @pytest.mark.parametrize("bad", ['"bad"', "null"])

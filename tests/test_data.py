@@ -142,6 +142,41 @@ class TestIdx:
         assert np.array_equal(ds.targets, labels)
         assert np.allclose(ds.inputs[0], images[0].ravel() / 255.0)
 
+    def test_files_hold_the_header_then_the_bytes(self, tmp_path):
+        # Whole numbers of any dtype write the bytes their uint8 cast holds.
+        ip, lp, images, labels = self._write_pair(tmp_path, n=3)
+        assert ip.read_bytes() == struct.pack(">iiii", IDX_IMAGES_MAGIC, 3, 28, 28) + images.tobytes()
+        assert lp.read_bytes() == struct.pack(">ii", IDX_LABELS_MAGIC, 3) + labels.tobytes()
+        write_idx_images(ip, images.astype(np.float64))
+        write_idx_labels(lp, labels.tolist())
+        assert read_idx_images(ip).tobytes() == images.tobytes()
+        assert read_idx_labels(lp).tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("writer, values", [
+        (write_idx_labels, [300, -1]), (write_idx_labels, [255, 256]), (write_idx_labels, [-1]),
+        (write_idx_images, np.full((1, 2, 2), 2.7)), (write_idx_labels, [0.0, np.nan]),
+        (write_idx_images, np.full((1, 2, 2), np.inf)), (write_idx_labels, [True, False]),
+        (write_idx_labels, ["3"]),
+    ], ids=["300,-1", "256", "-1", "fraction", "nan", "inf", "bool", "text"])
+    def test_writers_refuse_what_a_byte_cannot_hold(self, tmp_path, writer, values):
+        # A cast would wrap, truncate or warn; no file is made.
+        path = tmp_path / "idx"
+        with pytest.raises(ValueError, match="must be whole numbers in 0..255"):
+            writer(path, values)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("writer, shape, message", [
+        (write_idx_images, (4, 28), "IDX images must be a rank-3 array, got shape (4, 28)"),
+        (write_idx_images, (2, 1, 28, 28), "IDX images must be a rank-3 array"),
+        (write_idx_labels, (4, 2), "IDX labels must be a rank-1 array, got shape (4, 2)"),
+        (write_idx_labels, (), "IDX labels must be a rank-1 array, got shape ()"),
+    ], ids=["images-rank-2", "images-rank-4", "labels-rank-2", "labels-rank-0"])
+    def test_writers_refuse_an_array_of_another_rank(self, tmp_path, writer, shape, message):
+        path = tmp_path / "idx"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            writer(path, np.zeros(shape, np.uint8))
+        assert not path.exists()
+
     def test_wrong_magic_rejected(self, tmp_path):
         ip, lp, _, _ = self._write_pair(tmp_path)
         # labels file parsed as images: magic 0x801 != 0x803
@@ -228,6 +263,11 @@ class TestDatasetType:
         with pytest.raises(ValueError):
             Dataset(np.array([[np.nan]]), np.array([[0.0]]), "regression")
 
+    @pytest.mark.parametrize("task", ["regression", "binary"])
+    def test_rejects_non_finite_targets(self, task):
+        with pytest.raises(ValueError, match="targets contain non-finite values"):
+            Dataset(np.zeros((2, 2)), np.array([[0.0], [np.inf]]), task)
+
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([0, 10]), "classification", n_classes=10)
@@ -249,7 +289,8 @@ class TestDatasetType:
         (np.zeros((3, 1)), "regression", None),
         (np.zeros((5, 1)), "binary", None),
         (np.zeros(3, dtype=int), "classification", 10),
-    ], ids=["regression", "binary", "classification"])
+        (np.zeros(0), "classification", 10),
+    ], ids=["regression", "binary", "classification", "no-labels"])
     def test_rejects_a_target_row_count_unlike_the_inputs(self, targets, task, n_classes):
         with pytest.raises(ValueError, match=f"{len(targets)} target rows for 4 input rows"):
             Dataset(np.zeros((4, 2)), targets, task, n_classes=n_classes)

@@ -202,6 +202,13 @@ def test_mixed_family_ensemble_rejected_on_construction():
             EnsembleSpec(acts, "duplication")
 
 
+def test_name_is_the_one_text_form():
+    # str() falls back to the dataclass repr; the name alone round-trips.
+    for spec in (parse_spec("xnor_nail"), parse_spec("ail:or+xnor:p")):
+        assert str(spec) == repr(spec) and str(spec.acts[0]) == repr(spec.acts[0])
+        assert parse_spec(spec.name) == spec
+
+
 def test_relu_block_is_elementwise():
     spec = parse_spec("relu")
     z = np.array([[-1.0, 2.0, -3.0]])
@@ -216,6 +223,10 @@ def test_invalid_specs():
         EnsembleSpec((), "duplication")
     with pytest.raises(ValueError):
         EnsembleSpec((Activation("relu", "raw"), OR_AIL), "duplication")
+    with pytest.raises(ValueError, match="unknown strategy 'groupsort'"):
+        EnsembleSpec((OR_AIL,), "groupsort")
+    with pytest.raises(ValueError, match="1-input activations cannot be ensembled"):
+        EnsembleSpec((Activation("relu"), Activation("relu")))
     for text in ("nand_il", "and_raw", "ail:or+and", "nail:or:q"):
         with pytest.raises(ValueError):
             parse_spec(text)

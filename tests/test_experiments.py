@@ -91,6 +91,26 @@ def test_config_errors_name_the_key():
         config_from_dict([good])
 
 
+def test_config_file_with_an_unparsable_activation_names_the_key(tmp_path):
+    raw = {"task": "parity4", "activation": "nand_il", "widths": [4],
+           "train": {"epochs": 1, "batch_size": 8}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    message = f"{path}: activation: no activation 'nand' in family 'il'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        resolve_config(str(path))
+
+
+def test_a_bundled_config_error_names_the_bundled_file(tmp_path, monkeypatch):
+    # A name that is no file resolves to the bundled config, whose path prefixes the error.
+    monkeypatch.chdir(tmp_path)
+    path = bundled_config_path("parity4_relu")
+    monkeypatch.setattr(experiments, "bundled_config_path", lambda name: tmp_path / "bad.json")
+    (tmp_path / "bad.json").write_text(path.read_text().replace('"task"', '"tusk"'))
+    with pytest.raises(ConfigError, match=re.escape(f"{tmp_path / 'bad.json'}: unknown key 'tusk'")):
+        resolve_config("parity4_relu")
+
+
 @pytest.mark.parametrize("key, value", [("optimizer", "sgd"), ("momentum", 0.9), ("beta1", 0.9),
                                         ("beta2", 0.999), ("eps", 1e-8),
                                         ("schedule", "constant"), ("peak_fraction", 0.3)])

@@ -1,11 +1,13 @@
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from logitgates.activations import Activation
 from logitgates.ensemble import parse_spec
-from logitgates.network import Affine, BatchNorm, ModelFormatError, Network
+from logitgates.network import Affine, BatchNorm, ModelFormatError, Network, spec_to_dict
 from logitgates.verify import gradcheck_network
 
 
@@ -58,6 +60,31 @@ def test_inconsistent_chain_rejected():
 def test_width_mismatch_names_its_layer(specs, message):
     with pytest.raises(ValueError, match=f"^layer 2: {message}"):
         Network(specs, seed=0)
+
+
+@pytest.mark.parametrize("layer", [Activation("relu"), "relu"], ids=["activation", "text"])
+def test_a_layer_that_is_no_layer_spec_is_refused(layer):
+    # An activation belongs in a network inside its EnsembleSpec.
+    message = f"layer 1: {layer!r} is not a layer spec (one of Affine, BatchNorm, EnsembleSpec)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Network([Affine(2, 2), layer, Affine(2, 1)])
+
+
+def test_spec_to_dict_refuses_what_is_no_layer_spec():
+    with pytest.raises(TypeError, match="unknown layer spec 'relu'"):
+        spec_to_dict("relu")
+
+
+def test_network_needs_an_affine_first_layer():
+    with pytest.raises(ValueError, match="network needs at least one layer"):
+        Network([])
+    with pytest.raises(ValueError, match="first layer must be affine"):
+        Network([BatchNorm(4), Affine(4, 1)])
+
+
+def test_forward_refuses_an_input_of_another_width():
+    with pytest.raises(ValueError, match="input has 3 columns, network expects 4"):
+        Network(parity_specs()).forward(np.zeros((2, 3)))
 
 
 def test_zero_weight_network_outputs_bias():
@@ -295,6 +322,14 @@ def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a model")
     with pytest.raises(ModelFormatError, match="bad.bin"):
+        Network.load(path)
+
+
+def test_load_refuses_a_trailing_byte(tmp_path):
+    path = tmp_path / "model.bin"
+    Network(parity_specs(), seed=1).save(path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ModelFormatError, match="model.bin: trailing bytes after parameters"):
         Network.load(path)
 
 

@@ -335,6 +335,16 @@ class TestFit:
         assert err.value.layer in str(err.value)
         assert np.array_equal(net.flat_params, before)  # no optimizer step ran
 
+    def test_a_loss_that_overflows_on_finite_outputs_is_named(self):
+        # Every layer's output is finite, but the square of a 1e160 error is not.
+        ds = data.gen_nested_xnor8(64, 0)
+        net = build_network("nested_xnor8", [8], "xnor_ail", 0)
+        net.layers[-1].bias[:] = 1e160
+        with np.errstate(over="ignore"), pytest.raises(NaNLossError) as err:
+            fit(net, ds, self._config(loss="mse"))
+        assert err.value.epoch == 0 and err.value.batch == 0
+        assert err.value.layer == "loss" and str(err.value).endswith("first NaN in loss")
+
     @pytest.mark.parametrize("loss", ["bce-with-logits", "cross-entropy"])
     def test_loss_of_another_kind_is_refused_unseen(self, loss, monkeypatch):
         # Unchecked, regression data would train on a classification loss

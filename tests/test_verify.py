@@ -411,6 +411,8 @@ class TestWeightCorrelations:
             weight_correlations(net, 0)
         with pytest.raises(ValueError):
             weight_correlations(self._net(), 3)  # head affine feeds nothing
+        with pytest.raises(ValueError, match="layer 1 is not affine"):
+            weight_correlations(self._net(), 1)  # batch norm
 
     def test_random_pairs_of_untrained_net_center_near_zero(self):
         net = Network([Affine(64, 64), parse_spec("xnor_ail"), Affine(32, 1)],
