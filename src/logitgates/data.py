@@ -42,8 +42,10 @@ class Dataset:
         if len(targets) != len(self.inputs):
             raise ValueError(f"{len(targets)} target rows for {len(self.inputs)} input rows")
         if self.task == "classification":
-            # A fraction differs from its trunc; a NaN or an infinity is not finite.
-            if not np.all(np.isfinite(targets) & (np.trunc(targets) == targets)) \
+            # Only bool and real numbers are labels. A fraction differs from its
+            # trunc; a NaN or an infinity is not finite.
+            if targets.dtype.kind not in "biuf" \
+                    or not np.all(np.isfinite(targets) & (np.trunc(targets) == targets)) \
                     or targets.min() < 0 or targets.max() >= self.n_classes:
                 raise ValueError("classification targets must be whole-number labels "
                                  "in [0, n_classes)")

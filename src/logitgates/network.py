@@ -89,8 +89,9 @@ class _AffineLayer:
 
     def param_grads(self, dout):
         """Write the weight and bias gradients; the input gradient is not formed."""
-        np.dot(self._x.T, dout, out=self.grad_weight)
-        dout.sum(axis=0, out=self.grad_bias)
+        # np.dot's BLAS product and ndarray.sum's reduction, without their dispatch.
+        self._x.T.dot(dout, out=self.grad_weight)
+        np.add.reduce(dout, 0, out=self.grad_bias)
 
     def backward(self, dout):
         self.param_grads(dout)
@@ -164,17 +165,22 @@ class _BatchNormLayer:
 class _ActLayer:
     """An activation block, routed once at build from its spec and input width.
 
-    ``plan`` holds one entry per act: its gate, the indices of its x and y
-    operands in the operand view (y is None for an elementwise act), and the
-    act itself when it is normalized, else None. Under partition act j reads
-    the j-th contiguous block of pairs, as column slices of the input; under
-    duplication every act reads every pair from a view with one row per pair
-    (per channel if elementwise), so its gate takes 1-D operands and runs one
-    loop, not one per row. Act j gives output columns j*act_width:(j+1)*act_width.
+    ``plan`` holds one entry per act, ``(gate, xs, ys, normalized, up_cols,
+    writes)``: its gate; the indices of its x and y operands in the operand view
+    (ys is None for an elementwise act); the act itself when it is normalized,
+    else None; its output columns, ``[:, j*act_width:(j+1)*act_width]`` for act
+    j, which its backward reads from the upstream gradient; and whether that
+    backward writes its operands' gradient (the first act, and every act under
+    partition) or adds to it (later acts under duplication, in act order).
+    Under partition act j reads the j-th contiguous block of pairs, as column
+    slices of the input; under duplication every act reads every pair from a
+    view with one row per pair (per channel if elementwise), so its gate takes
+    1-D operands and runs one loop, not one per row. No entry depends on the
+    row count, so a short final batch runs the same plan.
 
     Each pass is one loop over the plan. Training keeps each act's partials as
-    its gate returns them. The backward writes partial * upstream through the
-    same operand view of dz; under duplication later acts add theirs in act order.
+    its gate returns them. The backward writes or adds partial * upstream
+    through the same operand view of dz.
     """
 
     TRAINABLE = SAVED = ()
@@ -182,41 +188,42 @@ class _ActLayer:
     def __init__(self, spec: EnsembleSpec, n_in: int, rng: np.random.Generator):
         self.spec = spec
         self.n_in = n_in
-        if spec.strategy == "partition":
+        partition = spec.strategy == "partition"
+        if partition:
             self.view_width, cols = n_in, n_in // spec.m  # operand columns per act
             operands = [(np.s_[:, lo:lo + cols:2], np.s_[:, lo + 1:lo + cols:2])
                         for lo in range(0, n_in, cols)]
         else:  # every act reads every pair, or every channel if elementwise
             self.view_width = spec.acts[0].arity
             operands = [(np.s_[:, 0], None if spec.elementwise else np.s_[:, 1])] * spec.m
-        self.plan = [(act.gate, xs, ys, act if act.normalized else None)
-                     for act, (xs, ys) in zip(spec.acts, operands)]
-        self.act_width = spec.out_channels(n_in) // spec.m  # output columns per act
+        self.act_width = w = spec.out_channels(n_in) // spec.m  # output columns per act
+        self.plan = [(act.gate, xs, ys, act if act.normalized else None,
+                      np.s_[:, j * w:(j + 1) * w], j == 0 or partition)
+                     for j, (act, (xs, ys)) in enumerate(zip(spec.acts, operands))]
         self._partials = None  # per act: d value / d x and d value / d y, or d / dz alone
 
     def forward(self, z, training):
         v, shape = z.reshape(-1, self.view_width), (len(z), self.act_width)
         values, self._partials = [], [] if training else None
-        for gate, xs, ys, normalized in self.plan:
+        for gate, xs, ys, normalized, _, _ in self.plan:
             out = gate(v[xs], training) if ys is None else gate(v[xs], v[ys], training)
             if normalized is not None:
                 out = A.standardize(normalized, *out) if training else A.standardize(normalized, out)
             if training:
-                out, *partials = out
-                self._partials.append(partials)
+                self._partials.append(out[1:])
+                out = out[0]
             values.append(out.reshape(shape))
         return values[0] if len(values) == 1 else np.concatenate(values, axis=-1)
 
     def backward(self, dout):
         dz = np.empty((len(dout), self.n_in))
-        v, w = dz.reshape(-1, self.view_width), self.act_width
-        partition = self.spec.strategy == "partition"
-        for j, ((_, *operands, _), partials) in enumerate(zip(self.plan, self._partials)):
-            up = dout[:, j * w:(j + 1) * w].reshape(partials[0].shape)
-            for index, partial in zip(operands, partials):  # relu: one operand, one partial
-                if j == 0 or partition:
+        v = dz.reshape(-1, self.view_width)
+        for (_, xs, ys, _, up_cols, writes), partials in zip(self.plan, self._partials):
+            up = dout[up_cols].reshape(partials[0].shape)
+            for index, partial in zip((xs, ys), partials):  # relu: one operand, one partial
+                if writes:
                     np.multiply(partial, up, out=v[index])
-                else:  # duplication: this act's share of every pair, added in act order
+                else:
                     v[index] += partial * up
         return dz
 

@@ -87,35 +87,39 @@ class AdamState:
         self.t = 0
         self.mv = None  # row 0 is the first moment m, row 1 the second moment v
         self.bias_correction = np.empty((2, 1))  # 1 - beta ** t per row
-        # Per BLOCK-element slice: (params, grads, decayed, mv, s, s_m, s_v, b),
-        # where decayed counts the slice's elements in the weight-decayed
-        # prefix, s is a (2, BLOCK) scratch buffer cut to the slice's length
-        # with s_m, s_v its rows, and b a BLOCK-element one.
+        # Per BLOCK-element slice: (params, grads, mv, s, s_m, s_v, b, decay),
+        # where s is a (2, BLOCK) scratch buffer cut to the slice's length with
+        # s_m, s_v its rows, b a BLOCK-element one, and decay None where no
+        # element of the slice is in the weight-decayed prefix, else the views
+        # (p[:d], g[:d], b[:d], g[d:], b[d:]) for its first d decayed elements.
         self.blocks = None
 
 
 def adam_step(net: Network, state: AdamState, lr, weight_decay=0.0):
     b1, b2 = ADAM_BETAS
     state.t += 1
-    state.bias_correction[:, 0] = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    bc = state.bias_correction
+    bc[0, 0] = 1.0 - b1 ** state.t
+    bc[1, 0] = 1.0 - b2 ** state.t
     if state.mv is None:
         state.mv = np.zeros((2, net.flat_params.size))
         size = min(BLOCK, net.flat_params.size)
         scratch, decayed_grad = np.empty((2, size)), np.empty(size)
         state.blocks = []
         for i in range(0, net.flat_params.size, BLOCK):
-            p = net.flat_params[i:i + BLOCK]
-            s = scratch[:, :p.size]
-            state.blocks.append((p, net.flat_grads[i:i + BLOCK],
-                                 min(max(net.n_decayed - i, 0), p.size),
-                                 state.mv[:, i:i + BLOCK], s, s[0], s[1], decayed_grad[:p.size]))
-    for p, g, d, mv, s, s_m, s_v, b in state.blocks:
-        if weight_decay and d:
-            # g plus weight_decay * p on the first d elements, into b; where
+            p, g = net.flat_params[i:i + BLOCK], net.flat_grads[i:i + BLOCK]
+            s, b = scratch[:, :p.size], decayed_grad[:p.size]
+            d = min(max(net.n_decayed - i, 0), p.size)
+            decay = (p[:d], g[:d], b[:d], g[d:], b[d:]) if d else None
+            state.blocks.append((p, g, state.mv[:, i:i + BLOCK], s, s[0], s[1], b, decay))
+    for p, g, mv, s, s_m, s_v, b, decay in state.blocks:
+        if weight_decay and decay:
+            # g plus weight_decay * p on the decayed elements, into b; where
             # nothing decays g stays a slice of flat_grads, which is only read.
-            np.multiply(weight_decay, p[:d], out=b[:d])
-            b[:d] += g[:d]
-            b[d:] = g[d:]
+            p_d, g_d, b_d, g_rest, b_rest = decay
+            np.multiply(weight_decay, p_d, out=b_d)
+            b_d += g_d
+            b_rest[...] = g_rest
             g = b
         # m = b1 * m + (1 - b1) * g and v = b2 * v + ((1 - b2) * g) * g.
         mv *= _BETAS
@@ -123,7 +127,7 @@ def adam_step(net: Network, state: AdamState, lr, weight_decay=0.0):
         s_v *= g
         mv += s
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in this operation order.
-        np.divide(mv, state.bias_correction, out=s)
+        np.divide(mv, bc, out=s)
         s_m *= lr
         np.sqrt(s_v, out=s_v)
         s_v += ADAM_EPS
@@ -296,7 +300,7 @@ def fit(net: Network, train_ds: Dataset, config: TrainConfig, val_ds: Dataset | 
             if not math.isfinite(loss):
                 raise NaNLossError(epoch, b, _first_nan_layer(net, x))
             net.backward(dz)
-            if not np.isfinite(net.flat_grads).all():
+            if not np.logical_and.reduce(np.isfinite(net.flat_grads)):
                 raise NaNLossError(epoch, b, f"{_first_nan_grad(net)} (backward pass)")
             adam_step(net, state, one_cycle_lr(step, total_steps, config.max_lr),
                       config.weight_decay)

@@ -201,7 +201,7 @@ def test_criterion_6_xnor_bound_and_strict_reporting():
     reason="|and_ail - and_il| reaches 1.0755 on the 0.01 grid even outside the "
     "0.02 exclusion bands (the >1 region is a blob of radius ~0.1 around the "
     "origin, strict sup log 3); the claimed bound of 1 holds only for the wider "
-    "0.1 exclusion (see decisions notes)",
+    "0.1 exclusion (see README.md, section 'Install and test')",
 )
 def test_criterion_6a_and_or_bound_as_stated():
     for kind in ("and", "or"):

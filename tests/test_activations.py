@@ -351,7 +351,7 @@ class TestApproximationBound:
         strict=True,
         reason="|AND_AIL - AND_IL| peaks at log 3 ~ 1.0986 near the origin; the "
         "claimed bound of 1 holds only away from a small central region "
-        "(see decisions ledger)",
+        "(see README.md, section 'Install and test')",
     )
     def test_and_or_bound_as_claimed(self):
         assert self._max_diff("and") <= 1.0 + 1e-9

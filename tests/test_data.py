@@ -299,10 +299,13 @@ class TestDatasetType:
         ds = Dataset(np.zeros((3, 2)), np.array([[0], [2], [1]]), "classification", n_classes=3)
         assert ds.targets.shape == (3,) and ds.targets.tolist() == [0, 2, 1]
 
-    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, np.nan], [np.inf, 1.0], [-np.inf, 1.0]],
-                             ids=["fraction", "nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("labels", [
+        [0.5, 1.7], [0.0, np.nan], [np.inf, 1.0], [-np.inf, 1.0],
+        ["a", "b"], np.array([1, 2], dtype=object), np.array([1, 2], dtype=complex),
+    ], ids=["fraction", "nan", "inf", "minus-inf", "string", "object", "complex"])
     def test_rejects_labels_that_are_not_whole_numbers(self, labels):
         # Truncated by the int64 cast, a fraction would become another class.
+        # numpy's isfinite and trunc take no string, object or complex label.
         with pytest.raises(ValueError, match="whole-number labels"):
             Dataset(np.zeros((2, 3)), labels, "classification", n_classes=3)
 
@@ -311,6 +314,10 @@ class TestDatasetType:
     def test_whole_labels_keep_their_values(self, labels):
         ds = Dataset(np.zeros((2, 3)), labels, "classification", n_classes=3)
         assert ds.targets.dtype == np.int64 and ds.targets.tolist() == [1, 2]
+
+    def test_bool_labels_are_classes_0_and_1(self):
+        ds = Dataset(np.zeros((2, 3)), [True, False], "classification", n_classes=2)
+        assert ds.targets.dtype == np.int64 and ds.targets.tolist() == [1, 0]
 
     @pytest.mark.parametrize("n_classes", [None, 0, 2.5, 3.0, True])
     def test_rejects_a_class_count_that_is_no_count(self, n_classes):

@@ -98,34 +98,37 @@ def test_block_equals_per_activation_apply(text):
     # under partition act j to the j-th contiguous block of pairs, and joins
     # the values. Its backward gives each operand the act's partial times the
     # act's upstream columns; under duplication the acts' products are summed
-    # in act order. It must give what each act alone gives, bit for bit.
+    # in act order. It must give what each act alone gives, bit for bit, at
+    # any row count: one layer runs a full batch, then a short final one.
     spec = parse_spec(text)
     rng = np.random.default_rng(3)
-    z = rng.standard_normal((64, 60)) * 3.0
+    layer = act_layer(spec, 60)
     if spec.elementwise:
         operands = [(np.s_[:, :],)]
     elif spec.strategy == "partition":
-        w = z.shape[1] // spec.m
+        w = 60 // spec.m
         operands = [(np.s_[:, j * w:(j + 1) * w:2], np.s_[:, j * w + 1:(j + 1) * w:2])
                     for j in range(spec.m)]
     else:
         operands = [(np.s_[:, 0::2], np.s_[:, 1::2])] * spec.m
-    per_act = [apply(act, *(z[i] for i in idx), grad=True) for act, idx in zip(spec.acts, operands)]
-    upstream = rng.standard_normal((64, spec.out_channels(z.shape[1])))
-    width = upstream.shape[1] // spec.m
-    want_dz = np.empty_like(z)
-    for j, ((_, *partials), idx) in enumerate(zip(per_act, operands)):
-        up = upstream[:, j * width:(j + 1) * width]
-        for i, partial in zip(idx, partials):
-            if j > 0 and spec.strategy == "duplication":
-                want_dz[i] += partial * up
-            else:
-                want_dz[i] = partial * up
-    want = np.concatenate([value for value, *_ in per_act], axis=1)
-    layer = act_layer(spec, z.shape[1])
-    assert same_bits(layer.forward(z, False), want)
-    assert same_bits(layer.forward(z, True), want)
-    assert same_bits(layer.backward(upstream), want_dz)
+    for rows in (64, 17):
+        z = rng.standard_normal((rows, 60)) * 3.0
+        per_act = [apply(act, *(z[i] for i in idx), grad=True)
+                   for act, idx in zip(spec.acts, operands)]
+        upstream = rng.standard_normal((rows, spec.out_channels(60)))
+        width = upstream.shape[1] // spec.m
+        want_dz = np.empty_like(z)
+        for j, ((_, *partials), idx) in enumerate(zip(per_act, operands)):
+            up = upstream[:, j * width:(j + 1) * width]
+            for i, partial in zip(idx, partials):
+                if j > 0 and spec.strategy == "duplication":
+                    want_dz[i] += partial * up
+                else:
+                    want_dz[i] = partial * up
+        want = np.concatenate([value for value, *_ in per_act], axis=1)
+        assert same_bits(layer.forward(z, False), want)
+        assert same_bits(layer.forward(z, True), want)
+        assert same_bits(layer.backward(upstream), want_dz)
 
 
 @pytest.mark.parametrize("text", ["xnor_ail", "relu", "ail:or+xnor:p", "nil:or+and+xnor:d"])
