@@ -35,7 +35,7 @@ def task_loss(task: str) -> str:
 class ExperimentConfig:
     task: str
     activation: str
-    widths: list = count(1)
+    widths: tuple = count(1)  # a list too is taken, and stored as a tuple
     train: TrainConfig
     output_dir: str | None = None
     batch_norm: bool = False
@@ -45,6 +45,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
+        object.__setattr__(self, "widths", tuple(self.widths))
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.train.loss != task_loss(self.task):

@@ -12,6 +12,7 @@ updates the whole network with a few vector operations. Layers therefore
 write parameters and gradients in place and never rebind them.
 """
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -165,10 +166,10 @@ class _BatchNormLayer:
 class _ActLayer:
     """An activation block, routed once at build from its spec and input width.
 
-    ``plan`` holds one entry per act, ``(gate, xs, ys, normalized, up_cols,
-    writes)``: its gate; the indices of its x and y operands in the operand view
-    (ys is None for an elementwise act); the act itself when it is normalized,
-    else None; its output columns, ``[:, j*act_width:(j+1)*act_width]`` for act
+    ``plan`` holds one entry per act, ``(routine, xs, ys, up_cols, writes)``: its
+    routine, the raw gate or, for a normalized act, ``activations.apply`` bound to it;
+    the indices of its x and y operands in the operand view (ys is None for an
+    elementwise act); its output columns, ``[:, j*act_width:(j+1)*act_width]`` for act
     j, which its backward reads from the upstream gradient; and whether that
     backward writes its operands' gradient (the first act, and every act under
     partition) or adds to it (later acts under duplication, in act order).
@@ -179,7 +180,7 @@ class _ActLayer:
     row count, so a short final batch runs the same plan.
 
     Each pass is one loop over the plan. Training keeps each act's partials as
-    its gate returns them. The backward writes or adds partial * upstream
+    its routine returns them. The backward writes or adds partial * upstream
     through the same operand view of dz.
     """
 
@@ -197,7 +198,7 @@ class _ActLayer:
             self.view_width = spec.acts[0].arity
             operands = [(np.s_[:, 0], None if spec.elementwise else np.s_[:, 1])] * spec.m
         self.act_width = w = spec.out_channels(n_in) // spec.m  # output columns per act
-        self.plan = [(act.gate, xs, ys, act if act.normalized else None,
+        self.plan = [(functools.partial(A.apply, act) if act.normalized else act.gate, xs, ys,
                       np.s_[:, j * w:(j + 1) * w], j == 0 or partition)
                      for j, (act, (xs, ys)) in enumerate(zip(spec.acts, operands))]
         self._partials = None  # per act: d value / d x and d value / d y, or d / dz alone
@@ -205,10 +206,8 @@ class _ActLayer:
     def forward(self, z, training):
         v, shape = z.reshape(-1, self.view_width), (len(z), self.act_width)
         values, self._partials = [], [] if training else None
-        for gate, xs, ys, normalized, _, _ in self.plan:
-            out = gate(v[xs], training) if ys is None else gate(v[xs], v[ys], training)
-            if normalized is not None:
-                out = A.standardize(normalized, *out) if training else A.standardize(normalized, out)
+        for routine, xs, ys, _, _ in self.plan:
+            out = routine(v[xs], training) if ys is None else routine(v[xs], v[ys], training)
             if training:
                 self._partials.append(out[1:])
                 out = out[0]
@@ -218,7 +217,7 @@ class _ActLayer:
     def backward(self, dout):
         dz = np.empty((len(dout), self.n_in))
         v = dz.reshape(-1, self.view_width)
-        for (_, xs, ys, _, up_cols, writes), partials in zip(self.plan, self._partials):
+        for (_, xs, ys, up_cols, writes), partials in zip(self.plan, self._partials):
             up = dout[up_cols].reshape(partials[0].shape)
             for index, partial in zip((xs, ys), partials):  # relu: one operand, one partial
                 if writes:

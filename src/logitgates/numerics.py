@@ -31,7 +31,7 @@ def sigmoid(x):
 
 
 def count(least: int, default=MISSING):
-    """An int or list field of integers >= least; check_fields needs it on every int field."""
+    """An int or tuple field of integers >= least; check_fields needs it on every int field."""
     return field(default=default, metadata={"least": least})
 
 
@@ -51,11 +51,15 @@ def check_fields(obj) -> None:
 
 
 def require(name: str, kind, value, least) -> None:
-    """check_fields' rule for one value: ``kind`` int is a count of at least ``least``."""
-    if kind is list and isinstance(value, list):  # a list of counts
+    """check_fields' rule for one value: ``kind`` int is a count of at least ``least``.
+
+    ``kind`` tuple is a list or tuple of such counts; its message says list, as JSON writes it.
+    """
+    if kind is tuple and isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             require(f"{name}[{i}]", int, item, least)
     elif (isinstance(value, bool) != (kind is bool)
           or not isinstance(value, _ACCEPTS.get(kind, kind)) or (kind is int and value < least)):
-        wanted = f"an integer >= {least}" if kind is int else getattr(kind, "__name__", kind)
+        wanted = (f"an integer >= {least}" if kind is int else "list" if kind is tuple
+                  else getattr(kind, "__name__", kind))
         raise ValueError(f"{name} must be {wanted}, got {value!r}")

@@ -64,6 +64,18 @@ EXCLUSION = 0.02
 WIDE_EXCLUSION = 0.10
 
 
+@dataclass
+class CheckResult:
+    """Passes when value < bound: never at a NaN or inf, even on a reported row (bound inf)."""
+    name: str
+    value: float
+    bound: float
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        self.passed = bool(self.value < self.bound)
+
+
 # ---------------------------------------------------------------------------
 # Moments under independent standard-normal operands, by quadrature
 # ---------------------------------------------------------------------------
@@ -211,14 +223,8 @@ def _interior_points(n: int, seed: int):
     return points
 
 
-@dataclass
-class GradcheckReport:
-    name: str
-    max_rel_err: float
-
-
-def gradcheck_activation(acts, seed: int = 0) -> list[GradcheckReport]:
-    """Analytical partials of each act vs central differences; one report per act.
+def gradcheck_activation(acts, seed: int = 0) -> list[CheckResult]:
+    """One ``grad <name>`` check per act: worst relative error of partials vs central differences.
 
     One draw of GRADCHECK_POINTS interior points serves every act, and each gate runs once on
     them, for its raw and its normalized form alike: a normalized act's
@@ -261,7 +267,7 @@ def gradcheck_activation(acts, seed: int = 0) -> list[GradcheckReport]:
                 np.abs(np.subtract(a, f, out=err), out=err)
                 err /= scale
                 errors[act] = np.maximum(errors[act], err.max())  # max() would drop a NaN
-    return [GradcheckReport(name=act.name, max_rel_err=float(errors[act])) for act in acts]
+    return [CheckResult(f"grad {act.name}", float(errors[act]), GRADCHECK_TOL) for act in acts]
 
 
 def gradcheck_network(net: Network, x: np.ndarray, seed: int = 0) -> float:
@@ -367,18 +373,6 @@ def bayes_identity_check(seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
-    """Passes when value < bound: never at a NaN or inf, even on a reported row (bound inf)."""
-    name: str
-    value: float
-    bound: float
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        self.passed = bool(self.value < self.bound)
-
-
 def constants_report():
     """Quadrature vs NORMALIZATION_TABLE: one mean and one std check per row.
 
@@ -396,8 +390,7 @@ def constants_report():
 
 
 def gradients_suite(seed: int = 0) -> list[CheckResult]:
-    return [CheckResult(f"grad {rep.name}", rep.max_rel_err, GRADCHECK_TOL)
-            for rep in gradcheck_activation(all_activation_variants(), seed=seed)]
+    return gradcheck_activation(all_activation_variants(), seed=seed)
 
 
 def diff_bound_suite() -> list[CheckResult]:

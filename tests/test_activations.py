@@ -144,6 +144,18 @@ class TestSaturatedExactGates:
             for g, w in zip(got[1:], want[1:]):
                 assert np.abs(g - w).max() <= 5e-16, scale
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="near an axis xnor_il forms its small value as a difference of O(1) "
+        "terms, so its relative error has no bound (ROADMAP item 4, whose product "
+        "form fixes it and removes this xfail)",
+    )
+    @pytest.mark.parametrize("x, y", [(1e-8, 1e-8), (1.0, 1e-20)])
+    def test_xnor_il_near_an_axis_to_relative_accuracy(self, x, y):
+        # The true values are about x * tanh(y / 2): 5.00e-17 and 4.62e-21.
+        want = _mp_oracle("xnor", x, y)[0]
+        assert A.xnor_il(x, y) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_extreme_operands_stay_finite(self):
         big = 1e308
         x = np.array([big, big, -big, -big, big, 0.0])

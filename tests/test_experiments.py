@@ -162,6 +162,11 @@ def test_config_fields_are_checked_on_every_change():
     with pytest.raises(ValueError, match="batch_norm must be bool"):
         replace(cfg, batch_norm="no")
     assert replace(cfg, n_val=8).n_val == 8
+    # Nor is widths edited in place: a list is taken and stored as a tuple
+    # (an appended -3 once failed later, in Affine, naming no config key).
+    with pytest.raises(AttributeError):
+        cfg.widths.append(-3)
+    assert cfg.widths == (4, 2) and replace(cfg, widths=[6, 4]).widths == (6, 4)
 
 
 def _fuzzed(raw, rng, n_edits):

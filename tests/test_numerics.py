@@ -40,7 +40,7 @@ _WRONG_TYPES = [
     (TrainConfig, _TRAIN | {"weight_decay": False}, "weight_decay"),
     (ExperimentConfig, _EXPERIMENT | {"batch_norm": "no"}, "batch_norm"),
     (ExperimentConfig, _EXPERIMENT | {"widths": 4}, "widths"),
-    (ExperimentConfig, _EXPERIMENT | {"widths": (8,)}, "widths"),
+    (ExperimentConfig, _EXPERIMENT | {"widths": "8"}, "widths"),
     (ExperimentConfig, _EXPERIMENT | {"activation": 5}, "activation"),
     (ExperimentConfig, _EXPERIMENT | {"train": _TRAIN}, "train"),
     (ExperimentConfig, _EXPERIMENT | {"output_dir": 5}, "output_dir"),

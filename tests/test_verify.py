@@ -246,9 +246,9 @@ class TestGradcheck:
         acts = (Activation("and", "il"), Activation("xnor", "ail"),
                 Activation("or", "il", normalized=True))
         reps = gradcheck_activation(acts, seed=0)
-        assert [rep.name for rep in reps] == [act.name for act in acts]
+        assert [rep.name for rep in reps] == [f"grad {act.name}" for act in acts]
         for rep in reps:
-            assert rep.max_rel_err < 1e-5, rep.name
+            assert rep.passed and rep.bound == verify.GRADCHECK_TOL, (rep.name, rep.value)
 
     @pytest.mark.parametrize("seed", [0, 49])
     def test_shared_points_match_one_act_calls(self, seed):
@@ -257,8 +257,8 @@ class TestGradcheck:
         assert len(reps) == len(acts) == 16
         for act, rep in zip(acts, reps):
             [alone] = gradcheck_activation([act], seed=seed)
-            assert rep.name == alone.name == act.name
-            assert rep.max_rel_err == alone.max_rel_err, act.name
+            assert rep.name == alone.name == f"grad {act.name}"
+            assert rep.value == alone.value, act.name
 
     @pytest.mark.parametrize("seed", [0, 1, 49, 286])
     def test_points_are_the_first_of_the_stream_off_the_kink_lines(self, seed):
@@ -302,10 +302,10 @@ class TestGradcheck:
         acts = reverse[0::2] + reverse[1::2] + reverse[:1]
         assert acts.index(Activation("and", "il", True)) < acts.index(Activation("and", "il")) - 1
         reps = gradcheck_activation(acts, seed=1)
-        assert [rep.name for rep in reps] == [act.name for act in acts]
+        assert [rep.name for rep in reps] == [f"grad {act.name}" for act in acts]
         for act, rep in zip(acts, reps):
             [alone] = gradcheck_activation([act], seed=1)
-            assert rep.max_rel_err == alone.max_rel_err, act.name
+            assert rep.value == alone.value, act.name
 
     def test_nan_partial_fails(self, monkeypatch):
         monkeypatch.setattr(verify, "GRADCHECK_POINTS", 10)
@@ -313,7 +313,7 @@ class TestGradcheck:
         monkeypatch.setattr(verify, "gradient", lambda act, x, y: (
             np.full_like(x, np.nan), gradient(act, x, y)[1]))
         [rep] = gradcheck_activation([Activation("and", "il")])
-        assert math.isnan(rep.max_rel_err)
+        assert math.isnan(rep.value) and not rep.passed
 
     def test_nan_partials_or_loss_give_nan(self, monkeypatch):
         net = Network([Affine(4, 4), parse_spec("and_il"), Affine(2, 1)], seed=5)
