@@ -324,8 +324,9 @@ class Network:
     # -- serialization ------------------------------------------------------
 
     def _arrays(self):
-        """Every array a model file holds, in file order."""
-        return [getattr(layer, attr) for layer in self.layers for attr in layer.SAVED]
+        """(name, array) for every array a model file holds, in file order."""
+        return [(f"layer{i}.{attr}", getattr(layer, attr))
+                for i, layer in enumerate(self.layers) for attr in layer.SAVED]
 
     def _header(self) -> dict:
         return {"layers": [spec_to_dict(s) for s in self.specs], "seed": self.seed}
@@ -336,7 +337,7 @@ class Network:
             f.write(_MAGIC)
             f.write(struct.pack("<I", len(header)))
             f.write(header)
-            for arr in self._arrays():
+            for _, arr in self._arrays():
                 f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
     @classmethod
@@ -350,11 +351,18 @@ class Network:
                 meta = json.loads(f.read(hlen).decode())
                 net = cls([spec_from_dict(d) for d in meta["layers"]], seed=meta["seed"])
                 _refuse_unknown_keys(meta, net._header(), "header")
-                for arr in net._arrays():
+                for name, arr in net._arrays():
                     raw = f.read(arr.size * 8)
                     if len(raw) != arr.size * 8:
                         raise ValueError("truncated parameter data")
                     arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
+                    # fit stops on a non-finite loss or gradient, and a running
+                    # variance is an average of variances, so no trained
+                    # network holds either.
+                    if not np.isfinite(arr).all():
+                        raise ValueError(f"{name} holds a non-finite value")
+                    if name.endswith(".running_var") and (arr < 0).any():
+                        raise ValueError(f"{name} holds a negative variance")
                 if f.read(1):
                     raise ValueError("trailing bytes after parameters")
             except (ValueError, KeyError, TypeError, AttributeError, struct.error) as exc:

@@ -209,11 +209,15 @@ def _kind(net: Network, ds: Dataset):
 def evaluate(net: Network, ds: Dataset):
     """(loss, metric) on a dataset, by its kind in KINDS."""
     kind = _kind(net, ds)
-    # Rows per forward pass: about 2 * BLOCK elements (512 KB) in the widest
-    # layer output, so memory does not grow with the data. Eval-mode rows are
-    # independent, so the scores are the same at any chunk size.
-    rows = max(1, 2 * BLOCK // net.widest_output)
-    if ds.n <= rows:
+    # The fewest forward passes that keep the widest layer output within
+    # 3 * BLOCK elements (768 KB), so memory does not grow with the data, cut
+    # into equal passes of ceil(n / passes) rows, so no short tail pass is
+    # left. BLAS may round a product differently by its row count, so the
+    # scores keep their bits for a fixed numpy build, BLAS build, BLAS thread
+    # count and this pass rule, not at any pass size.
+    passes = -(-ds.n // max(1, 3 * BLOCK // net.widest_output))
+    rows = -(-ds.n // passes)
+    if passes == 1:
         z = net.forward(ds.inputs, training=False)
     else:
         z = np.concatenate([net.forward(ds.inputs[i:i + rows], training=False)

@@ -496,6 +496,22 @@ class TestNormalization:
         x, y = rand_points(1000, seed=9)
         assert np.allclose(apply(act, x, y), A.xnor_ail(x, y) / 0.60281, rtol=1e-4)
 
+    @pytest.mark.parametrize("act", [a for a in all_activation_variants() if a.normalized],
+                             ids=lambda a: a.name)
+    def test_normalized_act_is_its_gate_standardized_bit_for_bit(self, act):
+        # A nil/nail act divides its gate's centred value and each partial by
+        # the table std, so a reciprocal multiply or a fused form would move
+        # last bits of every normalized network.
+        mean, std = NORMALIZATION_TABLE[(act.kind, act.family)]
+        x, y = rand_points(4096, seed=11)
+        value, gx, gy = act.gate(x, y, True)
+        want = ((value - mean) / std, gx / std, gy / std)
+        got = apply(act, x, y, grad=True)
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert apply(act, x, y).tobytes() == want[0].tobytes()
+
     def test_max_raw(self):
         assert apply(Activation("max", "raw"), -2.0, 5.0) == 5.0
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from logitgates.activations import Activation, apply
+from logitgates.activations import NORMALIZATION_TABLE, Activation, apply
 from logitgates.ensemble import EnsembleSpec, parse_spec
 from logitgates.experiments import bundled_config_path
 from logitgates.network import Affine, Network
@@ -129,6 +129,32 @@ def test_block_equals_per_activation_apply(text):
         assert same_bits(layer.forward(z, False), want)
         assert same_bits(layer.forward(z, True), want)
         assert same_bits(layer.backward(upstream), want_dz)
+
+
+def test_normalized_block_is_its_gates_standardized_bit_for_bit():
+    # A nail:or+and+xnor:d block gives act j's raw gate standardized, (v -
+    # mean) / std, in output columns j*w:(j+1)*w, and each operand the sum in
+    # act order of (partial / std) * upstream: the bits that apply gives.
+    spec = parse_spec("nail:or+and+xnor:d")
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((33, 12)) * 3.0
+    upstream = rng.standard_normal((33, 18))
+    layer = act_layer(spec, 12)
+    values, want_dz = [], np.empty_like(z)
+    for j, act in enumerate(spec.acts):
+        mean, std = NORMALIZATION_TABLE[(act.kind, act.family)]
+        value, gx, gy = act.gate(z[:, 0::2], z[:, 1::2], True)
+        values.append((value - mean) / std)
+        up = upstream[:, j * 6:(j + 1) * 6]
+        for cols, partial in ((np.s_[:, 0::2], gx / std), (np.s_[:, 1::2], gy / std)):
+            if j:
+                want_dz[cols] += partial * up
+            else:
+                want_dz[cols] = partial * up
+    want = np.concatenate(values, axis=1)
+    assert same_bits(layer.forward(z, False), want)
+    assert same_bits(layer.forward(z, True), want)
+    assert same_bits(layer.backward(upstream), want_dz)
 
 
 @pytest.mark.parametrize("text", ["xnor_ail", "relu", "ail:or+xnor:p", "nil:or+and+xnor:d"])

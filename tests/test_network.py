@@ -333,6 +333,31 @@ def test_load_refuses_a_trailing_byte(tmp_path):
         Network.load(path)
 
 
+def _save_with(path, layer, attr, index, value):
+    """Save a small batch-norm network with one saved array entry set to value."""
+    net = Network([Affine(4, 8), BatchNorm(8), parse_spec("or_ail"), Affine(4, 2)], seed=5)
+    getattr(net.layers[layer], attr)[index] = value
+    net.save(path)
+
+
+def test_load_refuses_a_non_finite_parameter(tmp_path):
+    # fit stops on a non-finite loss or gradient, so no trained network holds
+    # one; such a file would otherwise load and score NaN.
+    path = tmp_path / "model.bin"
+    _save_with(path, 0, "weight", (2, 3), np.inf)
+    with pytest.raises(ModelFormatError, match=r"model\.bin: layer0\.weight holds a non-finite value"):
+        Network.load(path)
+
+
+def test_load_refuses_a_negative_running_variance(tmp_path):
+    # A running variance is an average of batch variances, so it is never below 0.
+    path = tmp_path / "model.bin"
+    _save_with(path, 1, "running_var", 6, -1.0)
+    with pytest.raises(ModelFormatError,
+                       match=r"model\.bin: layer1\.running_var holds a negative variance"):
+        Network.load(path)
+
+
 def test_malformed_model_files_raise_one_error_type(tmp_path):
     # Every truncation of the header fails, and seeded single-byte flips of
     # it either load or fail; a failure is always ModelFormatError, never a

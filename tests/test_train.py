@@ -180,21 +180,8 @@ def test_adam_step_allocates_nothing():
     assert np.array_equal(net.flat_grads, grads)
 
 
-@pytest.mark.parametrize("n", [32, 33, 100])
-def test_evaluate_matches_chunked_forwards(n, monkeypatch):
-    # evaluate forwards chunks of 2 * BLOCK elements of the widest layer
-    # output, here 2 * 128 // 8 = 32 rows: up to 32 rows take one pass, more
-    # take one per chunk. Either way the scores have the bits of the joined
-    # per-chunk outputs, and of one pass over every row.
-    monkeypatch.setattr(train, "BLOCK", 128)
-    net = Network([Affine(4, 8), BatchNorm(8), parse_spec("nil:or+xnor:p"), Affine(4, 2)], seed=2)
-    assert net.widest_output == 8
-    rng = np.random.default_rng(n)
-    net.forward(rng.standard_normal((32, 4)), training=True)  # moves the running statistics
-    ds = data.Dataset(rng.standard_normal((n, 4)), rng.standard_normal((n, 2)), "regression")
-    z = np.concatenate([net.forward(ds.inputs[i:i + 32]) for i in range(0, n, 32)])
-    want, _ = mse(z, ds.targets)
-    assert mse(net.forward(ds.inputs), ds.targets)[0] == want
+def _count_passes(monkeypatch, net):
+    """A list that records the row count of each of net's forward passes."""
     passes, forward = [], net.forward
 
     def counted(x, training):
@@ -202,8 +189,47 @@ def test_evaluate_matches_chunked_forwards(n, monkeypatch):
         return forward(x, training)
 
     monkeypatch.setattr(net, "forward", counted)
-    assert evaluate(net, ds) == (want, math.sqrt(want))
-    assert passes == [min(32, n - i) for i in range(0, n, 32)]
+    return passes
+
+
+@pytest.mark.parametrize("n, want", [(32, [32]), (48, [48]), (49, [25, 24]),
+                                     (100, [34, 34, 32])])
+def test_evaluate_matches_chunked_forwards(n, want, monkeypatch):
+    # evaluate takes the fewest passes that keep the widest layer output
+    # within 3 * BLOCK elements, here 3 * 128 // 8 = 48 rows, cut into equal
+    # passes of ceil(n / passes) rows. The scores have the bits of the joined
+    # per-pass outputs. BLAS may round a product differently by its row
+    # count, so that holds for this pass rule only; on this narrow net one
+    # pass over every row happens to give the same bits as well.
+    monkeypatch.setattr(train, "BLOCK", 128)
+    net = Network([Affine(4, 8), BatchNorm(8), parse_spec("nil:or+xnor:p"), Affine(4, 2)], seed=2)
+    assert net.widest_output == 8
+    rng = np.random.default_rng(n)
+    net.forward(rng.standard_normal((32, 4)), training=True)  # moves the running statistics
+    ds = data.Dataset(rng.standard_normal((n, 4)), rng.standard_normal((n, 2)), "regression")
+    ends = np.cumsum([0] + want)
+    z = np.concatenate([net.forward(ds.inputs[i:j]) for i, j in zip(ends, ends[1:])])
+    loss, _ = mse(z, ds.targets)
+    assert mse(net.forward(ds.inputs), ds.targets)[0] == loss
+    passes = _count_passes(monkeypatch, net)
+    assert evaluate(net, ds) == (loss, math.sqrt(loss))
+    assert passes == want
+
+
+def test_evaluate_scores_an_mnist_batch_in_one_pass(monkeypatch):
+    # mnist_il's net, whose widest output is 384: a 256-row batch takes one
+    # pass, a 4096-row split 16 passes of 256 rows, and 257 rows two
+    # near-equal passes.
+    net = build_network("mnist", [256, 256], "il:or+and+xnor:d", seed=0, batch_norm=True)
+    assert net.widest_output == 384
+    passes = _count_passes(monkeypatch, net)
+    rng = np.random.default_rng(0)
+    for n, want in ((256, [256]), (257, [129, 128]), (4096, [256] * 16)):
+        ds = data.Dataset(rng.random((n, 784)), rng.integers(0, 10, n), "classification",
+                          n_classes=10)
+        passes.clear()
+        evaluate(net, ds)
+        assert passes == want
 
 
 class TestLosses:
