@@ -137,7 +137,9 @@ class GridCompareReport:
 
 def _kink_distance(x, y):
     """Distance from (x, y) to the nearest of the lines x=0, y=0, x=y, x=-y."""
-    # In place: on a grid band every temporary is a band-sized surface.
+    # In place, so each call holds few temporaries of its operands' broadcast
+    # shape: the gradient check calls it on every draw of candidate points,
+    # the grid walk on two column blocks of every band.
     d = np.abs(x - y)
     np.minimum(d, np.abs(x + y), out=d)
     d /= math.sqrt(2)
@@ -159,16 +161,22 @@ def grid_axes(half_range: float, step: float) -> np.ndarray:
 def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01) -> list[GridCompareReport]:
     """Evaluate exact and approximate gates once over a square grid, per kind.
 
-    Returns one report per kind in ``kinds``, in order. Each reports the
-    strict max |approx - exact| plus the max over cells farther than
-    EXCLUSION (and than WIDE_EXCLUSION) from the lines x=0, y=0, x=y, x=-y
-    (the approximate gates' kink lines), on the grid of ``grid_axes``. A NaN
-    difference is the maximum.
+    Returns one report per kind in ``kinds``, in order (none for no kinds,
+    though the grid is still checked). Each reports the strict max
+    |approx - exact| plus the max over cells farther than EXCLUSION (and than
+    WIDE_EXCLUSION) from the lines x=0, y=0, x=y, x=-y (the approximate
+    gates' kink lines), on the grid of ``grid_axes``. A NaN difference is the
+    maximum.
 
-    The grid is walked once, in bands of rows holding about BLOCK cells. Each
-    band forms its distances to the kink lines and both exclusion masks once,
-    then folds every gate pair's difference into that pair's maxima before
-    the next band is formed, so no full surface exists.
+    The grid is walked once, in bands of rows holding about BLOCK cells, and
+    every gate pair's difference is folded into that pair's maxima before the
+    next band is formed, so no full surface exists. After the strict maximum,
+    each exclusion sets the band's cells near a kink line to 0 and takes a
+    plain maximum again: |difference| is at least +0, so a zeroed cell drops
+    out (a NaN in it too) and a kept NaN is still the maximum. The cells near
+    x = 0 and y = 0 are whole rows and columns, one range of the sorted axis;
+    those near x = y and x = -y lie in two blocks of a few columns per band,
+    where ``_kink_distance`` picks them out.
 
     Each pair's gates run on one cell of each symmetry class. The gates are
     bit-exactly commutative, or is the De Morgan dual -and(-x, -y) and xnor
@@ -187,12 +195,27 @@ def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01) -> list[Gr
     stop = {p: (n - 1) // 2 + 1 if p == "xnor" else n for p in pair.values()}
     gates = {p: (Activation(p, "il"), Activation(p, "ail")) for p in stop}
     maxima = {p: np.array([-math.inf, 0.0, 0.0]) for p in stop}  # strict, masked, wide
-    end = max(stop.values())
+    end = max(stop.values(), default=0)  # no kinds, no bands
     rows = max(1, BLOCK // n)
+    exclusions = (EXCLUSION, WIDE_EXCLUSION)
+    # Per exclusion, the axis indices lo:hi with |coordinate| <= eps (the axis
+    # is sorted): the rows near x = 0 and the columns near y = 0.
+    near_axis = [(int(np.searchsorted(axes, -eps)), int(np.searchsorted(axes, eps, "right")))
+                 for eps in exclusions]
+    # A cell within WIDE_EXCLUSION of x = y or x = -y lies within
+    # WIDE_EXCLUSION * sqrt(2) / step columns of where that line crosses its
+    # row; k adds 2 columns for rounding.
+    k = math.ceil(WIDE_EXCLUSION * math.sqrt(2) / step) + 2
     for r in range(0, end, rows):
         x, y = axes[r:r + rows, np.newaxis], axes[np.newaxis, r:end]
-        distance = _kink_distance(x, y)
-        outside, wide_outside = distance > EXCLUSION, distance > WIDE_EXCLUSION
+        # Band row i crosses x = y at column i and x = -y at column n - 1 - 2r - i
+        # (the axis negates exactly end to end): the near cells of each block.
+        blocks = []
+        for lo, hi in ((0, len(x) + k), (n - 2 * r - len(x) - k, n - 2 * r + k)):
+            lo, hi = max(lo, 0), min(hi, end - r)
+            if lo < hi:
+                distance = _kink_distance(x, y[:, lo:hi])
+                blocks.append((lo, [distance <= eps for eps in exclusions]))
         for p, (exact_act, approx_act) in gates.items():
             if r >= stop[p]:
                 continue
@@ -200,10 +223,17 @@ def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01) -> list[Gr
             diff = apply(approx_act, x, y[:, :w])  # |approx - exact|, in place
             diff -= apply(exact_act, x, y[:, :w])
             np.abs(diff, out=diff)
-            np.maximum(maxima[p], (diff.max(),  # NaN if any cell is
-                                   np.max(diff, where=outside[:, :w], initial=0.0),
-                                   np.max(diff, where=wide_outside[:, :w], initial=0.0)),
-                       out=maxima[p])
+            band = [diff.max()]  # NaN if any cell is
+            for e, (lo, hi) in enumerate(near_axis):
+                near = slice(max(lo - r, 0), max(hi - r, 0))
+                diff[near] = 0.0
+                diff[:, near] = 0.0
+                for c, near_line in blocks:
+                    if c < w:
+                        np.copyto(diff[:, c:c + near_line[e].shape[1]], 0.0,
+                                  where=near_line[e][:, :w - c])
+                band.append(diff.max())
+            np.maximum(maxima[p], band, out=maxima[p])
     return [GridCompareReport(kind, *maxima[pair[kind]].tolist()) for kind in kinds]
 
 

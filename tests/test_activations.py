@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -373,6 +374,13 @@ class TestApproximationBound:
         # What actually holds: the global max sits at the origin, value log 3.
         assert self._max_diff("and") == pytest.approx(LN3, abs=1e-6)
         assert self._max_diff("or") == pytest.approx(LN3, abs=1e-6)
+
+    def test_default_grid_reports_are_pinned(self):
+        # Every field of the three reports verify --diff-bound checks, exactly.
+        and_or = (1.0986122886681098, 1.0689122661710344, 0.9809113950505121)
+        xnor = (0.6931471784987924, 0.6782596742175233, 0.6209570453948121)
+        for kind, values in (("and", and_or), ("or", and_or), ("xnor", xnor)):
+            assert dataclasses.astuple(_default_grid()[kind]) == (kind, *values)
 
 
 class TestGradients:

@@ -111,15 +111,27 @@ class TestGridCompare:
             verify.grid_axes(**args)
         with pytest.raises(ValueError, match=arg):
             grid_compare(["and"], **args)
+        with pytest.raises(ValueError, match=arg):
+            grid_compare([], **args)
+
+    def test_no_kinds_give_no_reports(self, monkeypatch):
+        monkeypatch.setattr(verify, "apply", _never_runs)
+        assert grid_compare([]) == []
 
     @pytest.mark.parametrize("block", [1, 20, 27, 32768])
-    @pytest.mark.parametrize("half_range, step", [(1.0, 0.25), (1.0, 0.3), (0.5, 1 / 3),
-                                                  (0.0, 0.1)])
+    @pytest.mark.parametrize("half_range, step", [
+        (1.0, 0.25), (1.0, 0.3), (0.5, 1 / 3), (0.0, 0.1),
+        (1.0, verify.WIDE_EXCLUSION * math.sqrt(2) / 14),
+        (1.0, verify.EXCLUSION * math.sqrt(2) / 2), (0.3, 0.001)])
     @pytest.mark.parametrize("kind", GATE_KINDS)
     def test_reduced_walk_matches_whole_grid(self, kind, half_range, step, block, monkeypatch):
         # 9, 8, 4 and 1 points; bands of 1, 2 or 3 rows (27: rows 3-5 hold the
         # middle of both 9 and 8 points) or the whole grid in one band. On 9
-        # points xnor's maximum ties at the four corners.
+        # points xnor's maximum ties at the four corners. On the next two
+        # grids WIDE_EXCLUSION * sqrt(2) / step is 14 and EXCLUSION *
+        # sqrt(2) / step is 2, up to rounding, so cells lie at an exclusion
+        # from x = y and x = -y, next to where the walk's column blocks end;
+        # the last grid's 601 points make bands of up to 54 rows.
         monkeypatch.setattr(verify, "BLOCK", block)
         ref, axes, diff = _whole_grid(apply, kind, half_range, step)
         assert np.array_equal(axes[::-1], -axes)
@@ -183,6 +195,28 @@ class TestGridCompare:
             assert grid_compare(GATE_KINDS, half_range=1.0, step=0.25)[
                 GATE_KINDS.index(kind)] == ref
 
+    @pytest.mark.parametrize("block", [20, 500])
+    def test_cells_at_an_exclusion_are_excluded(self, block, monkeypatch):
+        # A stand-in difference that falls with the distance to the kink
+        # lines, so each masked maximum sits at the nearest cells kept. On
+        # 101 points of step 0.02 the rows and columns at |coordinate| =
+        # EXCLUSION and = WIDE_EXCLUSION lie exactly at an exclusion, so
+        # they are not kept, also far from x = y and x = -y.
+        def stand_in(act, x, y):
+            if act.family == "il":
+                return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+            return 1.0 / (1.0 + verify._kink_distance(x, y))
+
+        edges = [verify.EXCLUSION, verify.WIDE_EXCLUSION]
+        assert np.isin(edges + [-eps for eps in edges], verify.grid_axes(1.0, 0.02)).all()
+        monkeypatch.setattr(verify, "BLOCK", block)
+        monkeypatch.setattr(verify, "apply", stand_in)
+        for kind in GATE_KINDS:
+            ref, _, _ = _whole_grid(stand_in, kind, 1.0, 0.02)
+            assert ref.masked_max_abs_diff < 1 / (1 + verify.EXCLUSION)
+            assert ref.wide_masked_max_abs_diff < 1 / (1 + verify.WIDE_EXCLUSION)
+            assert grid_compare([kind], 1.0, 0.02) == [ref]
+
     @pytest.mark.parametrize("gate, kinds", [("and_il", ["and", "or"]), ("xnor_il", ["xnor"])])
     def test_nan_region_fails_every_row_it_serves(self, gate, kinds, monkeypatch):
         # On the default grid, with the gate NaN where |x|, |y| > 3: a
@@ -199,21 +233,26 @@ class TestGridCompare:
     @pytest.mark.parametrize("gate, kinds", [("and_il", ["and", "or"]), ("xnor_il", ["xnor"])])
     def test_one_nan_cell_on_a_kink_line_fails_only_the_strict_row(
             self, gate, kinds, block, monkeypatch):
-        # The cell (-0.5, 0) lies on y = 0, inside both exclusion bands; and's
-        # difference there is or's at (0.5, 0).
+        # Each cell lies on a kink line, inside both exclusion bands, one at a
+        # time: (-0.5, 0) on y = 0, and cells on y = x and y = -x in the
+        # symmetry class the gate's walk evaluates. and's difference at a cell
+        # is or's at its negation.
+        cells = {"and_il": [(-0.5, 0.0), (0.5, 0.5), (-0.5, 0.5)],
+                 "xnor_il": [(-0.5, 0.0), (-0.5, -0.5)]}[gate]
         monkeypatch.setattr(verify, "BLOCK", block)
         clean = grid_compare(GATE_KINDS, 1.0, 0.25)
-        monkeypatch.setattr(verify, "apply", _nan_apply(**{gate: _at((-0.5, 0.0))}))
-        for before, after in zip(clean, grid_compare(GATE_KINDS, 1.0, 0.25)):
-            if after.kind not in kinds:
-                assert after == before
-                continue
-            assert math.isnan(after.max_abs_diff)
-            assert after.masked_max_abs_diff == before.masked_max_abs_diff
-            assert after.wide_masked_max_abs_diff == before.wide_masked_max_abs_diff
         monkeypatch.setattr(verify, "grid_compare", lambda kinds: grid_compare(kinds, 1.0, 0.25))
-        assert {r.name for r in verify.diff_bound_suite() if not r.passed} == {
-            f"diff {kind} (strict, reported)" for kind in kinds}
+        for cell in cells:
+            monkeypatch.setattr(verify, "apply", _nan_apply(**{gate: _at(cell)}))
+            for before, after in zip(clean, grid_compare(GATE_KINDS, 1.0, 0.25)):
+                if after.kind not in kinds:
+                    assert after == before
+                    continue
+                assert math.isnan(after.max_abs_diff), cell
+                assert after.masked_max_abs_diff == before.masked_max_abs_diff, cell
+                assert after.wide_masked_max_abs_diff == before.wide_masked_max_abs_diff, cell
+            assert {r.name for r in verify.diff_bound_suite() if not r.passed} == {
+                f"diff {kind} (strict, reported)" for kind in kinds}, cell
 
     def test_nan_cells_match_the_whole_grid(self, monkeypatch):
         # and_il is NaN at two cells and their transposes, or_il at the
