@@ -102,12 +102,42 @@ def _polar_rule(nodes: int):
     return x, y, np.outer(np.tile(sector * w, 8), r_weight).ravel()
 
 
+def _exact_sum(t) -> float:
+    """``math.fsum(t.tolist())`` of a 1-D float64 array, or what that raises.
+
+    The error-free extraction of Rump, Ogita and Oishi ("Accurate
+    floating-point summation, part I", 2008), in whole-array numpy calls.
+    For n terms let b = 53 - (n - 1).bit_length(). Each level takes E with the
+    largest |term| below 2^E and e = max(E - b, -1074), and cuts every term
+    into q, the term truncated to a multiple of 2^e (below 2^(e + b)), and the
+    remainder t - q (below 2^e, and exact). Every partial sum of the n q's is
+    a multiple of 2^e below 2^(e + 53), so it is exact in any order. The level
+    sums (about five on the quadrature's terms) add up to the exact sum, and
+    fsum rounds it once from them. When n times the largest |term| is not
+    below 2^1000 (a NaN or inf, or a sum that may near overflow, where fsum's
+    left-to-right order can overflow although numpy's pairwise order does
+    not), fsum sums the terms itself.
+    """
+    top = float(np.max(np.abs(t), initial=0.0))
+    if not top * t.size < 2.0 ** 1000:
+        return math.fsum(t.tolist())
+    b = 53 - (t.size - 1).bit_length()
+    levels = []
+    while top > 0:
+        e = max(math.frexp(top)[1] - b, -1074)
+        q = np.ldexp(np.trunc(np.ldexp(t, -e)), e)
+        levels.append(float(np.add.reduce(q)))
+        t = t - q
+        top = float(np.max(np.abs(t)))
+    return math.fsum(levels)
+
+
 def normal_moments(acts) -> dict[str, tuple[float, float]]:
     """Mean and std of each act(x, y) under independent standard-normal operands.
 
     One polar rule of QUADRATURE_NODES nodes per axis and sector serves every
-    act. The sums are correctly rounded (math.fsum), so no summation order can
-    move a bit; fsum walks Python floats (``tolist``) faster than numpy scalars.
+    act. The sums are correctly rounded (``_exact_sum``, fsum's bits from exact
+    level sums in numpy), so no summation order can move a bit.
     Returns (mean, std) by act name.
     """
     if any(act.arity != 2 for act in acts):
@@ -116,9 +146,9 @@ def normal_moments(acts) -> dict[str, tuple[float, float]]:
     moments = {}
     for act in acts:
         g = apply(act, x, y)
-        mean = math.fsum((w * g).tolist())
+        mean = _exact_sum(w * g)
         g -= mean
-        moments[act.name] = (mean, math.sqrt(math.fsum((w * g * g).tolist())))
+        moments[act.name] = (mean, math.sqrt(_exact_sum(w * g * g)))
     return moments
 
 
@@ -188,6 +218,7 @@ def grid_compare(kinds, half_range: float = 10.0, step: float = 0.01) -> list[Gr
     where x <= y <= 0.
     """
     axes = grid_axes(half_range, step)
+    kinds = list(kinds)  # read twice: a one-shot iterable would give no reports
     n = axes.size
     # The gate pair whose differences serve each kind, and the row and column
     # each pair's walk stops before.

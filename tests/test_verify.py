@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logitgates import activations, verify
 from logitgates.activations import GATE_KINDS, Activation, NORMALIZATION_TABLE, apply
@@ -24,7 +26,76 @@ from logitgates.verify import (
 LN3 = 1.0986122886681096914
 
 
+def _outcomes(terms):
+    """``_exact_sum``'s and fsum's outcome: the sum's bits, or the type and message it raised."""
+    t = np.asarray(terms, dtype=float)
+    outcomes = []
+    for sum_ in (verify._exact_sum, lambda t: math.fsum(t.tolist())):
+        try:
+            outcomes.append(sum_(t).hex())
+        except (ValueError, OverflowError) as error:
+            outcomes.append((type(error), str(error)))
+    return tuple(outcomes)
+
+
+class TestExactSum:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e-300, 1e-300),  # subnormals among them
+        st.floats(-1.0, 1.0)), max_size=40))
+    def test_matches_fsum_on_finite_floats(self, terms):
+        exact, fsum = _outcomes(terms)
+        assert exact == fsum
+
+    @pytest.mark.parametrize("n", [0, 1, 2 ** 13, 2 ** 13 + 1])
+    def test_matches_fsum_at_level_counts(self, n):
+        rng = np.random.default_rng(n)
+        exact, fsum = _outcomes(rng.standard_normal(n) * np.exp2(rng.integers(-80, 80, n)))
+        assert exact == fsum
+
+    def test_terms_just_below_the_level_cut(self):
+        # 2^13 terms give b = 40: each term sits just below 1 = 2^(e + b), at
+        # a multiple of 2^-41, with 2^-43 more in the last. If the level cut at
+        # 2^-41 (b one bit larger), its sum would need 54 bits and round to
+        # even before fsum sees the 2^-43, and the result would move one ulp.
+        m = np.ones(2 ** 13)
+        m[-1] = 4.0
+        terms = 1 - m * 2.0 ** -41
+        terms[-1] += 2.0 ** -43
+        exact, fsum = _outcomes(terms)
+        assert exact == fsum
+
+    @pytest.mark.parametrize("big", [1e300, 1e-300])
+    def test_cancellations(self, big):
+        # Exactly 1 + 2^-53 + 2^-60, just above the tie between 1 and 1 + 2^-52.
+        terms = [big, 1.0, -big, 2.0 ** -60, big, -big, 2.0 ** -53]
+        assert _outcomes(terms) == ((1 + 2.0 ** -52).hex(),) * 2
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        assert _outcomes([-0.0] * 5) == ((0.0).hex(),) * 2
+
+    @pytest.mark.parametrize("terms", [
+        [math.nan, 1.0], [math.inf, 1.0], [math.inf, -math.inf], [1.7e308, 1.7e308],
+        # fsum's left-to-right order overflows; numpy's pairwise order would not.
+        [1e308, 1e308] + [0.0] * 6 + [-1e308, -1e308] + [0.0] * 6])
+    def test_non_finite_and_overflow_as_fsum(self, terms):
+        exact, fsum = _outcomes(terms)
+        assert exact == fsum
+
+
 class TestNormalMoments:
+    def test_estimates_keep_their_bits(self):
+        acts = [Activation(kind, family) for kind, family in sorted(NORMALIZATION_TABLE)]
+        assert normal_moments(acts) == {
+            "and_ail": (-0.6810370721753103, 0.9722877400310953),
+            "and_il": (-1.2989554058287938, 0.9483598547472291),
+            "or_ail": (0.6810370721753102, 0.9722877400310953),
+            "or_il": (1.2989554058287938, 0.9483598547472291),
+            "xnor_ail": (-2.877797751016542e-18, 0.6028102749890867),
+            "xnor_il": (-9.293643741587393e-19, 0.3664147893711065),
+        }
+
     def test_rule_integrates_low_moments_of_the_normal(self):
         x, y, w = verify._polar_rule(verify.QUADRATURE_NODES)
         assert x.size == 8 * verify.QUADRATURE_NODES ** 2
@@ -117,6 +188,13 @@ class TestGridCompare:
     def test_no_kinds_give_no_reports(self, monkeypatch):
         monkeypatch.setattr(verify, "apply", _never_runs)
         assert grid_compare([]) == []
+
+    @pytest.mark.parametrize("kinds", [["and"], ["and", "xnor"], ["or", "and", "xnor"]])
+    def test_one_shot_kinds_give_every_report(self, kinds):
+        expected = grid_compare(kinds, 1.0, 0.25)
+        assert [report.kind for report in expected] == kinds
+        assert grid_compare(iter(kinds), 1.0, 0.25) == expected
+        assert grid_compare((kind for kind in kinds), 1.0, 0.25) == expected
 
     @pytest.mark.parametrize("block", [1, 20, 27, 32768])
     @pytest.mark.parametrize("half_range, step", [
