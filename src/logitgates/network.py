@@ -72,7 +72,7 @@ class _AffineLayer:
     TRAINABLE = (("weight", True), ("bias", False))
     SAVED = ("weight", "bias")
 
-    def __init__(self, spec: Affine, n_in: int, rng: np.random.Generator):
+    def __init__(self, spec: Affine, n_in: int, rng):
         self.spec = spec
         bound = np.sqrt(1.0 / spec.n_in)
         self.weight = rng.uniform(-bound, bound, size=(spec.n_in, spec.n_out))
@@ -103,7 +103,7 @@ class _BatchNormLayer:
     TRAINABLE = (("gamma", False), ("beta", False))
     SAVED = ("gamma", "beta", "running_mean", "running_var")
 
-    def __init__(self, spec: BatchNorm, n_in: int, rng: np.random.Generator):
+    def __init__(self, spec: BatchNorm, n_in: int, rng):
         self.spec = spec
         c = spec.channels
         self.gamma = np.ones(c)
@@ -186,7 +186,7 @@ class _ActLayer:
 
     TRAINABLE = SAVED = ()
 
-    def __init__(self, spec: EnsembleSpec, n_in: int, rng: np.random.Generator):
+    def __init__(self, spec: EnsembleSpec, n_in: int, rng):
         self.spec = spec
         self.n_in = n_in
         partition = spec.strategy == "partition"

@@ -71,9 +71,9 @@ def one_cycle_lr(step: int, total_steps: int, max_lr: float) -> float:
 # that is the same for both, with its own beta, runs once for the pair. The
 # step walks Network.flat_params/flat_grads in BLOCK-element slices, so its
 # temporaries stay in cache, and writes them into block-sized scratch buffers
-# kept in the state, so no step after the first allocates. The views of every
-# slice are cut once, on the first step: a small network's step takes
-# microseconds, and slicing anew would add to each of them.
+# kept in the state, so no step allocates. The state is bound to the network
+# it steps: its constructor cuts the views of every slice once, since a small
+# network's step takes microseconds, and slicing anew would add to each of them.
 # ---------------------------------------------------------------------------
 
 ADAM_BETAS = (0.9, 0.999)
@@ -83,35 +83,33 @@ _ONE_MINUS_BETAS = 1 - _BETAS
 
 
 class AdamState:
-    def __init__(self):
+    def __init__(self, net: Network):
         self.t = 0
-        self.mv = None  # row 0 is the first moment m, row 1 the second moment v
+        self.mv = np.zeros((2, net.flat_params.size))  # row 0 is m, row 1 is v
         self.bias_correction = np.empty((2, 1))  # 1 - beta ** t per row
         # Per BLOCK-element slice: (params, grads, mv, s, s_m, s_v, b, decay),
         # where s is a (2, BLOCK) scratch buffer cut to the slice's length with
         # s_m, s_v its rows, b a BLOCK-element one, and decay None where no
         # element of the slice is in the weight-decayed prefix, else the views
         # (p[:d], g[:d], b[:d], g[d:], b[d:]) for its first d decayed elements.
-        self.blocks = None
-
-
-def adam_step(net: Network, state: AdamState, lr, weight_decay=0.0):
-    b1, b2 = ADAM_BETAS
-    state.t += 1
-    bc = state.bias_correction
-    bc[0, 0] = 1.0 - b1 ** state.t
-    bc[1, 0] = 1.0 - b2 ** state.t
-    if state.mv is None:
-        state.mv = np.zeros((2, net.flat_params.size))
         size = min(BLOCK, net.flat_params.size)
         scratch, decayed_grad = np.empty((2, size)), np.empty(size)
-        state.blocks = []
+        self.blocks = []
         for i in range(0, net.flat_params.size, BLOCK):
             p, g = net.flat_params[i:i + BLOCK], net.flat_grads[i:i + BLOCK]
             s, b = scratch[:, :p.size], decayed_grad[:p.size]
             d = min(max(net.n_decayed - i, 0), p.size)
             decay = (p[:d], g[:d], b[:d], g[d:], b[d:]) if d else None
-            state.blocks.append((p, g, state.mv[:, i:i + BLOCK], s, s[0], s[1], b, decay))
+            self.blocks.append((p, g, self.mv[:, i:i + BLOCK], s, s[0], s[1], b, decay))
+
+
+def adam_step(state: AdamState, lr, weight_decay=0.0):
+    """One Adam step on the network that state was made from."""
+    b1, b2 = ADAM_BETAS
+    state.t += 1
+    bc = state.bias_correction
+    bc[0, 0] = 1.0 - b1 ** state.t
+    bc[1, 0] = 1.0 - b2 ** state.t
     for p, g, mv, s, s_m, s_v, b, decay in state.blocks:
         if weight_decay and decay:
             # g plus weight_decay * p on the decayed elements, into b; where
@@ -287,10 +285,9 @@ def fit(net: Network, train_ds: Dataset, config: TrainConfig, val_ds: Dataset | 
     steps_per_epoch = math.ceil(n / config.batch_size)
     total_steps = steps_per_epoch * config.epochs
     rng = np.random.default_rng(config.seed)
-    state = AdamState()
+    state = AdamState(net)
 
     epoch_rows = []
-    step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         batch_losses = []
@@ -306,9 +303,8 @@ def fit(net: Network, train_ds: Dataset, config: TrainConfig, val_ds: Dataset | 
             net.backward(dz)
             if not np.logical_and.reduce(np.isfinite(net.flat_grads)):
                 raise NaNLossError(epoch, b, f"{_first_nan_grad(net)} (backward pass)")
-            adam_step(net, state, one_cycle_lr(step, total_steps, config.max_lr),
+            adam_step(state, one_cycle_lr(state.t, total_steps, config.max_lr),
                       config.weight_decay)
-            step += 1
             batch_losses.append(loss)
         epoch_rows.append({"epoch": epoch, "mean_batch_loss": float(np.mean(batch_losses))})
 

@@ -135,11 +135,12 @@ def _exact_sum(t) -> float:
 def normal_moments(acts) -> dict[str, tuple[float, float]]:
     """Mean and std of each act(x, y) under independent standard-normal operands.
 
-    One polar rule of QUADRATURE_NODES nodes per axis and sector serves every
-    act. The sums are correctly rounded (``_exact_sum``, fsum's bits from exact
-    level sums in numpy), so no summation order can move a bit.
-    Returns (mean, std) by act name.
+    acts is any iterable of acts, read once. One polar rule of
+    QUADRATURE_NODES nodes per axis and sector serves every act. The sums are
+    correctly rounded (``_exact_sum``, fsum's bits from exact level sums in
+    numpy), so no summation order can move a bit. Returns (mean, std) by name.
     """
+    acts = list(acts)
     if any(act.arity != 2 for act in acts):
         raise ValueError("constants are defined for 2-input activations")
     x, y, w = _polar_rule(QUADRATURE_NODES)
@@ -287,12 +288,13 @@ def _interior_points(n: int, seed: int):
 def gradcheck_activation(acts, seed: int = 0) -> list[CheckResult]:
     """One ``grad <name>`` check per act: worst relative error of partials vs central differences.
 
-    One draw of GRADCHECK_POINTS interior points serves every act, and each gate runs once on
-    them, for its raw and its normalized form alike: a normalized act's
-    partials and difference quotients come from its raw gate's partials and
-    shifted values, standardized. The step is 1e-5, or 1e-6 for the signed
+    acts is any iterable of acts, read once. One draw of GRADCHECK_POINTS interior points
+    serves every act, and each gate runs once on them, for its raw and its normalized form
+    alike: a normalized act's partials and difference quotients come from its raw gate's
+    partials and shifted values, standardized. The step is 1e-5, or 1e-6 for the signed
     geometric mean, whose curvature diverges along the axes.
     """
+    acts = list(acts)
     # Contiguous columns, since every gate reads them several times; they and
     # the shifted operands are read-only, so a gate writing into an operand
     # raises instead of corrupting the next gate's check.

@@ -1,10 +1,15 @@
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logitgates
 from logitgates.activations import Activation
 from logitgates.ensemble import parse_spec
 from logitgates.network import Affine, BatchNorm, ModelFormatError, Network, spec_to_dict
@@ -17,6 +22,22 @@ def xnor_block():
 
 def parity_specs():
     return [Affine(4, 4), xnor_block(), Affine(2, 2), xnor_block(), Affine(1, 1)]
+
+
+def test_import_loads_no_more_of_numpy():
+    # numpy 2 loads numpy.random on first use; an annotation the import
+    # evaluates, such as ``rng: np.random.Generator``, would load it with the
+    # package. Under numpy 1, which loads it with numpy, both reads agree too.
+    src = str(Path(logitgates.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; import logitgates; "
+            "print(before, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before, proc.stdout
 
 
 def test_init_deterministic():

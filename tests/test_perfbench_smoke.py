@@ -1,5 +1,6 @@
-"""The benchmark harness: a short run of each workload must finish correct, and the
-library names it traces must exist."""
+"""The benchmark harness: a short run of each workload must finish correct and
+emit the metric names BENCHMARK.json declares, and the library names it traces
+must exist."""
 
 import importlib.util
 import inspect
@@ -11,24 +12,33 @@ from pathlib import Path
 from logitgates import data, network, train
 
 ROOT = Path(__file__).resolve().parent.parent
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def _refuse_constant(name):
+    raise ValueError(f"the result line holds {name}, which is not JSON")
+
+
+def _benchmark_result(workload, trace):
+    """The last output line of a short correct run, parsed as strict JSON."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+           "--seconds", "0.1", "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_refuse_constant)
+    assert result["correct"] is True and result["failed"] == 0, result
+    # A run's metrics are the names the benchmark compares, no more and no fewer.
+    declared = {m["name"] for m in DECLARED["per_layer" if trace else "end_to_end"]}
+    assert set(result["metrics"]) == declared, set(result["metrics"]) ^ declared
+    return result
 
 
 def test_mnist_il_benchmark_run_is_correct():
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "mnist_il", "--seed", "1",
-           "--seconds", "0.1", "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["correct"] is True and result["failed"] == 0, result
+    _benchmark_result("mnist_il", trace=0)
 
 
 def test_nested_xnor8_ail_benchmark_run_is_correct():
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "nested_xnor8_ail", "--seed", "1",
-           "--seconds", "0.1", "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["correct"] is True and result["failed"] == 0, result
+    _benchmark_result("nested_xnor8_ail", trace=0)
 
 
 def test_traced_layer_classes_exist():
@@ -69,9 +79,10 @@ def test_traced_layer_classes_exist():
 
 def test_verify_suite_benchmark_run_is_correct():
     # The workload runs the verify CLI with the benchmark's own arguments.
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "verify_suite", "--seed", "1",
-           "--seconds", "0.1", "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["correct"] is True and result["failed"] == 0, result
+    _benchmark_result("verify_suite", trace=0)
+
+
+def test_traced_verify_suite_run_gives_every_per_layer_metric():
+    # Every traced workload emits the same per-layer names; verify_suite is
+    # the quickest to trace.
+    _benchmark_result("verify_suite", trace=1)

@@ -65,7 +65,7 @@ class TestAdam:
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(0)
         net = Network([Affine(3, 2)], seed=1)
-        state = AdamState()
+        state = AdamState(net)
         refs = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p))
                 for name, p, _, _ in net.parameters()}
         for t in range(1, 6):
@@ -75,7 +75,7 @@ class TestAdam:
             _, dz = mse(z, target)
             net.backward(dz)
             grads = {name: g.copy() for name, _, g, _ in net.parameters()}
-            adam_step(net, state, lr=0.05)
+            adam_step(state, lr=0.05)
             for name in refs:
                 p, m, v = refs[name]
                 p, m, v = reference_adam(p, grads[name], m, v, t, 0.05, 0.9, 0.999, 1e-8)
@@ -88,7 +88,7 @@ class TestAdam:
         before = [p.copy() for _, p, _, _ in net.parameters()]
         net.forward(np.zeros((4, 2)), training=True)
         net.backward(np.zeros((4, 2)))
-        adam_step(net, AdamState(), lr=0.1)
+        adam_step(AdamState(net), lr=0.1)
         for b, (_, p, _, _) in zip(before, net.parameters()):
             assert np.array_equal(b, p)
 
@@ -97,7 +97,7 @@ class TestAdam:
         net.forward(np.ones((1, 2)), training=True)
         net.backward(np.array([[1.0, 0.0]]))  # second output column untouched
         w_before = net.layers[0].weight.copy()
-        adam_step(net, AdamState(), lr=0.1)
+        adam_step(AdamState(net), lr=0.1)
         assert np.array_equal(net.layers[0].weight[:, 1], w_before[:, 1])
         assert not np.allclose(net.layers[0].weight[:, 0], w_before[:, 0])
 
@@ -107,7 +107,7 @@ class TestAdam:
         net.forward(np.zeros((2, 2)), training=True)
         net.backward(np.zeros((2, 2)))
         w = net.layers[0].weight.copy()
-        adam_step(net, AdamState(), lr=0.01, weight_decay=0.1)
+        adam_step(AdamState(net), lr=0.01, weight_decay=0.1)
         assert not np.allclose(net.layers[0].weight, w)       # decayed
         assert np.array_equal(net.layers[0].bias, np.ones(2))  # untouched
 
@@ -144,7 +144,7 @@ def test_flat_steps_match_per_array_reference_bit_for_bit(weight_decay, block, m
     rng = np.random.default_rng(8)
     ref = {name: (p.copy(), decayed) for name, p, _, decayed in net.parameters()}
     ref_state = {}
-    state = AdamState()
+    state = AdamState(net)
     for step in range(6):
         lr = 0.05 / (step + 1)
         z = net.forward(rng.standard_normal((16, 4)), training=True)
@@ -152,7 +152,7 @@ def test_flat_steps_match_per_array_reference_bit_for_bit(weight_decay, block, m
         net.backward(dz)
         grads = {name: g.copy() for name, _, g, _ in net.parameters()}
         reference_steps(ref, grads, ref_state, lr, weight_decay)
-        adam_step(net, state, lr, weight_decay=weight_decay)
+        adam_step(state, lr, weight_decay=weight_decay)
         for name, p, g, _ in net.parameters():
             assert np.array_equal(p, ref[name][0]), (name, step)
             assert np.array_equal(g, grads[name]), (name, step)
@@ -160,24 +160,53 @@ def test_flat_steps_match_per_array_reference_bit_for_bit(weight_decay, block, m
 
 
 def test_adam_step_allocates_nothing():
-    # From the second step on, the temporaries go into the optimizer state's
-    # scratch buffers, and flat_grads is only read.
+    # The state's constructor makes the moments and scratch buffers, so from
+    # the first step on the temporaries go into them, and flat_grads is only read.
     net = Network([Affine(128, 128), BatchNorm(128), parse_spec("or_ail"),
                    Affine(64, 10)], seed=9)
     rng = np.random.default_rng(9)
     net.forward(rng.standard_normal((32, 128)), training=True)
     net.backward(rng.standard_normal((32, 10)))
-    state = AdamState()
-    adam_step(net, state, 0.01, weight_decay=0.01)
+    state = AdamState(net)
     grads = net.flat_grads.copy()
-    tracemalloc.start()
-    try:
-        adam_step(net, state, 0.01, weight_decay=0.01)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < net.flat_params.nbytes / 4, (peak, net.flat_params.nbytes)
+    for step in (1, 2):
+        tracemalloc.start()
+        try:
+            adam_step(state, 0.01, weight_decay=0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < net.flat_params.nbytes / 4, (step, peak, net.flat_params.nbytes)
     assert np.array_equal(net.flat_grads, grads)
+
+
+def _net_and_state(seed, width):
+    """A small network holding one batch's gradients, and its Adam state."""
+    net = Network([Affine(3, width), BatchNorm(width), parse_spec("or_ail"),
+                   Affine(width // 2, 1)], seed=seed)
+    rng = np.random.default_rng(seed)
+    net.forward(rng.standard_normal((8, 3)), training=True)
+    net.backward(rng.standard_normal((8, 1)))
+    return net, AdamState(net)
+
+
+def test_adam_states_step_the_networks_they_were_made_from():
+    # Two states stepped alternately give each network the bits of stepping
+    # it alone: a state never reads or moves another network's store.
+    shapes = ((1, 4), (2, 6))
+    alone = []
+    for seed, width in shapes:
+        net, state = _net_and_state(seed, width)
+        for _ in range(3):
+            adam_step(state, 0.01, weight_decay=0.01)
+        alone.append(net.flat_params.copy())
+    pairs = [_net_and_state(seed, width) for seed, width in shapes]
+    for _ in range(3):
+        for _, state in pairs:
+            adam_step(state, 0.01, weight_decay=0.01)
+    for (net, _), want, shape in zip(pairs, alone, shapes):
+        assert np.array_equal(net.flat_params, want), shape
+        assert not np.array_equal(want, _net_and_state(*shape)[0].flat_params), shape
 
 
 def _count_passes(monkeypatch, net):

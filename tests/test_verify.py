@@ -112,6 +112,10 @@ class TestNormalMoments:
         [fine] = normal_moments([act]).values()
         assert np.allclose(base, fine, rtol=0, atol=1e-13)
 
+    def test_one_shot_acts_give_every_row(self):
+        acts = [Activation("and", "il"), Activation("or", "ail")]
+        assert list(normal_moments(act for act in acts)) == ["and_il", "or_ail"]
+
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_rejects_one_input_kind_anywhere(self, position):
         acts = [Activation("and", "il"), Activation("or", "ail")]
@@ -450,6 +454,13 @@ class TestGradcheck:
 
     def test_no_acts_give_no_reports(self):
         assert gradcheck_activation([]) == []
+
+    def test_one_shot_acts_give_every_report(self, monkeypatch):
+        monkeypatch.setattr(verify, "GRADCHECK_POINTS", 10)
+        acts = [Activation("and", "il"), Activation("relu", "raw")]
+        reps = gradcheck_activation(act for act in acts)
+        assert reps == gradcheck_activation(acts)
+        assert [rep.name for rep in reps] == ["grad and_il", "grad relu"]
 
     @pytest.mark.parametrize("operand", [0, 1])
     def test_gate_writing_into_an_operand_raises(self, operand, monkeypatch):
